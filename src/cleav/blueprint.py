@@ -16,6 +16,7 @@ import numpy as np
 
 from .geom import (
     TOL,
+    TWO_PI,
     OrientedHyperplane,
     _face_interval,
     active_constraints,
@@ -293,12 +294,26 @@ def spine(p: int, i: int) -> Spine:
 
 @dataclass(frozen=True)
 class BlueprintSample:
-    """One thickening sample: a diagram point with its local collapse data."""
+    """One thickening sample: a diagram point with its collapse preimages.
+
+    preimages holds one (label, angle) pair per participating timber,
+    sorted by label, the angle in [0, 2*pi) being where the ray from that
+    timber's centroid through the point exits the circle.  Participants
+    and spines derive from it.
+    """
 
     point: np.ndarray
     component: int
-    participants: tuple[int, ...]
-    spines: tuple[Spine, ...]
+    preimages: tuple[tuple[int, float], ...]
+
+    @property
+    def participants(self) -> tuple[int, ...]:
+        return tuple(label for label, _ in self.preimages)
+
+    @property
+    def spines(self) -> tuple[Spine, ...]:
+        p = len(self.preimages) - 1
+        return tuple(spine(p, v) for v in range(len(self.preimages)))
 
 
 @dataclass(frozen=True)
@@ -330,10 +345,10 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
 
     Accepts a Cleavage or a prebuilt Blueprint. density counts samples per
     piece including both endpoints; duplicate points (shared endpoints,
-    crossings) are kept once.  Each sample carries its component id,
-    participant labels, and one spine per participant, the spine of a
-    participant being its vertex star in the simplex on the participant
-    set (sorted by label).
+    crossings) are kept once.  Each sample carries its component id and
+    its collapse preimages, looked up once here at the blueprint's tol:
+    one (label, exit angle) pair per participant, sorted by label.  Its
+    spines are the vertex stars of the simplex on that participant set.
     """
     if density < 2:
         raise BlueprintError(f"density must be >= 2, got {density}")
@@ -357,12 +372,11 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
         if any(float(np.linalg.norm(point - q)) <= tol for q in kept):
             continue
         kept.append(point)
-        labels = participants(bp.cleavage, point, tol)
-        p = len(labels) - 1
-        spines = tuple(spine(p, v) for v in range(len(labels)))
-        samples.append(
-            BlueprintSample(point, bp.piece_components[idx], labels, spines)
+        preimages = tuple(
+            (label, math.atan2(s[1], s[0]) % TWO_PI)
+            for label, s in alpha_preimage(bp, point, tol)
         )
+        samples.append(BlueprintSample(point, bp.piece_components[idx], preimages))
     return ThickenedBlueprint(tuple(samples), bp.n_components, bp)
 
 
@@ -373,54 +387,6 @@ def stable_degree(c, dim_m: int, tol: float = TOL) -> tuple[int, int]:
     bp = _as_blueprint(c, tol)
     g = bp.n_components
     return dim_m * g, dim_m * (bp.cleavage.k - 1 - g)
-
-
-def _point_json(p) -> list:
-    return [float(x) for x in p]
-
-
-def blueprint_to_json(bp: Blueprint) -> dict:
-    """Serializable diagram: pieces with component ids, faces per timber."""
-    pieces = [
-        {
-            "path": piece.path,
-            "plane": piece.plane.to_json(),
-            "a": _point_json(piece.a),
-            "b": _point_json(piece.b),
-            "component": comp,
-        }
-        for piece, comp in zip(bp.pieces, bp.piece_components)
-    ]
-    faces = [
-        [
-            {
-                "constraint": f.constraint_index,
-                "plane": f.plane.to_json(),
-                "side": f.side,
-                "a": _point_json(f.a),
-                "b": _point_json(f.b),
-            }
-            for f in timber_faces
-        ]
-        for timber_faces in bp.faces
-    ]
-    return {"n_components": bp.n_components, "pieces": pieces, "faces": faces}
-
-
-def thickened_to_json(tb: ThickenedBlueprint) -> dict:
-    samples = [
-        {
-            "point": _point_json(s.point),
-            "component": s.component,
-            "participants": list(s.participants),
-            "spines": [
-                {"dim": sp.dim, "vertex": sp.vertex, "edges": [list(e) for e in sp.edges]}
-                for sp in s.spines
-            ],
-        }
-        for s in tb.samples
-    ]
-    return {"n_components": tb.n_components, "samples": samples}
 
 
 def export_obj(bp: Blueprint) -> str:

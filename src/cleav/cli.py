@@ -16,11 +16,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .blueprint import (
     BlueprintError,
-    alpha_preimage,
     build_blueprint,
     export_obj,
     stable_degree,
@@ -30,13 +30,7 @@ from .geom import TOL, GeometryError
 from .operad import OperadError, Permutation, cleavage_from_json, compose, permute
 from .sampling import SamplingError, random_cleavage, resolve_seed
 from .suites import SUITES, format_report, run_suite
-from .umkehr import (
-    UmkehrConfig,
-    UmkehrError,
-    embedding_from_json,
-    umkehr,
-    umkehr_mapping,
-)
+from .umkehr import UmkehrConfig, UmkehrError, embedding_from_json, umkehr
 
 
 def _emit(text: str, args) -> None:
@@ -87,10 +81,10 @@ def _cmd_inspect(args) -> int:
         )
     a, b = stable_degree(bp, args.dim_m)
     lines.append(f"stable degree for dim {args.dim_m}: ({a}, {b}), sum {a + b}")
-    tb = thicken(c, density=args.density, tol=args.tol)
+    tb = thicken(bp, density=args.density)
     hist: dict = {}
     for s in tb.samples:
-        size = len(alpha_preimage(bp, s.point))
+        size = len(s.preimages)
         hist[size] = hist.get(size, 0) + 1
     parts = ", ".join(f"{size}: {n}" for size, n in sorted(hist.items()))
     lines.append(f"preimage sizes over {len(tb.samples)} samples: {parts}")
@@ -135,9 +129,11 @@ def _cmd_umkehr(args) -> int:
         tol=args.tol,
         mapping=args.mapping,
     )
+    if args.mapping:
+        # gluing replaces tube clearance, so mapping mode evaluates at t = 1
+        cfg = replace(cfg, t_homotopy=1.0)
     tb = thicken(c, density=args.density, tol=args.tol)
-    evaluate = umkehr_mapping if args.mapping else umkehr
-    value = evaluate(gamma, c, tb, cfg)
+    value = umkehr(gamma, c, tb, cfg)
     doc = value.to_json()
     doc["config"]["command"] = "umkehr"
     doc["config"]["doc"] = args.doc

@@ -286,11 +286,6 @@ class SphereRegion:
             return any(e - s > tol for s, e in self.arcs.arcs)
         return bool(self.mask.any())
 
-    def measure_fraction(self) -> float:
-        if self.arcs is not None:
-            return self.arcs.measure() / TWO_PI
-        return float(self.mask.mean())
-
 
 def _constraint_arcs(h: OrientedHyperplane, side: int) -> ArcSet:
     # {theta : side * (cos(theta - phi) - offset) >= 0} with phi the normal angle.
@@ -458,17 +453,6 @@ def active_constraints(body: ConvexBody, tol: float = TOL) -> list:
         fi = _face_interval(body, j, tol=0.0)
         out.append(fi is not None and fi[3] - fi[2] > tol)
     return out
-
-
-def reduce(body: ConvexBody, tol: float = TOL) -> ConvexBody:
-    """Drop constraints that contribute no boundary face.
-
-    The result describes the same point set with only supporting planes
-    kept. Requires ambient dimension 2, where face intervals are exact.
-    """
-    flags = active_constraints(body, tol)
-    kept = tuple(c for c, keep in zip(body.constraints, flags) if keep)
-    return ConvexBody(kept, body.dim)
 
 
 def centroid(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED) -> np.ndarray:

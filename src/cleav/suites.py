@@ -345,23 +345,16 @@ _CORRIDOR_CACHE: dict = {}
 def _corridor_setup():
     if not _CORRIDOR_CACHE:
         c = fx.corridor_cleavage()
-        tb = thicken(c, density=24)
-        bp = build_blueprint(c)
-        pre = []
-        for s in tb.samples:
-            hits = alpha_preimage(bp, s.point)
-            pre.append([(lab, math.atan2(p[1], p[0]) % TWO_PI) for lab, p in hits])
         _CORRIDOR_CACHE["c"] = c
-        _CORRIDOR_CACHE["tb"] = tb
-        _CORRIDOR_CACHE["pre"] = pre
-    return _CORRIDOR_CACHE["c"], _CORRIDOR_CACHE["tb"], _CORRIDOR_CACHE["pre"]
+        _CORRIDOR_CACHE["tb"] = thicken(c, density=24)
+    return _CORRIDOR_CACHE["c"], _CORRIDOR_CACHE["tb"]
 
 
-def _manual_sups(emb, tb, pre, cfg) -> dict:
+def _manual_sups(emb, tb, cfg) -> dict:
     """Recompute per-component suprema from the public primitives."""
     sups: dict = {}
-    for idx, s in enumerate(tb.samples):
-        for (a, th_a), (b, th_b) in itertools.combinations(pre[idx], 2):
+    for s in tb.samples:
+        for (a, th_a), (b, th_b) in itertools.combinations(s.preimages, 2):
             pa = emb.point(a, th_a)
             pb = emb.point(b, th_b)
             g = geodesic(emb.metric, pa, pb)
@@ -382,7 +375,7 @@ def check_soundness(seed: int = 0) -> SuiteReport:
     the tube radius. The corridor invader must flip exactly one
     component exactly once.
     """
-    c, tb, pre = _corridor_setup()
+    c, tb = _corridor_setup()
     cfg = UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
     failures: list = []
     checked = 0
@@ -392,7 +385,7 @@ def check_soundness(seed: int = 0) -> SuiteReport:
     for tip in fx.CORRIDOR_SWEEP:
         emb = fx.corridor_trio(tip)
         out = umkehr(emb, c, tb, cfg)
-        sups = _manual_sups(emb, tb, pre, cfg)
+        sups = _manual_sups(emb, tb, cfg)
         for cv in out.components:
             checked += 1
             expect = sups[cv.component] > 1.0 + cfg.tol
@@ -465,7 +458,7 @@ def check_nontriviality(seed: int = 0) -> SuiteReport:
     if out.components[0].status != "infinity":
         failures.append({"gap": 0.3, "kind": "expected collapse"})
 
-    c, tb, _ = _corridor_setup()
+    c, tb = _corridor_setup()
     far = umkehr(fx.corridor_trio(74.8), c, tb, UmkehrConfig(epsilon=cfg.epsilon, density=24))
     checked += 1
     tops = []
@@ -490,7 +483,7 @@ def check_nontriviality(seed: int = 0) -> SuiteReport:
 
 def check_homotopy(seed: int = 0, perturbations: int = 10) -> SuiteReport:
     """Bit-stability at t = 1 and exact agreement of t = 0 with defaults."""
-    c, tb, _ = _corridor_setup()
+    c, tb = _corridor_setup()
     eps = fx.CORRIDOR_EPSILON
     failures: list = []
     checked = 0

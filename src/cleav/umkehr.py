@@ -10,17 +10,13 @@ the point at infinity; everything else is reported as tangent data.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blueprint import (
-    Blueprint,
-    ThickenedBlueprint,
-    _require_circle,
-    alpha_preimage,
-)
+from .blueprint import Blueprint, ThickenedBlueprint, _require_circle
 from .geom import TOL, TWO_PI
 
 INF = math.inf
@@ -104,7 +100,10 @@ def metric_from_json(doc: object) -> FlatMetric:
     if isinstance(d, bool) or not isinstance(d, int):
         raise UmkehrError(f"metric field 'd' must be an integer, got {d!r}")
     if kind == "torus":
-        return FlatMetric("torus", d, doc.get("L"))
+        L = doc.get("L")
+        if isinstance(L, bool) or not isinstance(L, (int, float)):
+            raise UmkehrError(f"metric field 'L' must be a real number, got {L!r}")
+        return FlatMetric("torus", d, L)
     return FlatMetric(kind if isinstance(kind, str) else repr(kind), d)
 
 
@@ -270,13 +269,6 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, chunk: int = 65536
 
 # ---------------------------------------------------------------------------
 # Tube clearance and the scaling factor.
-
-
-def cigar_radius(epsilon: float, t: float) -> float:
-    """Radius of the tapered tube at fraction t along the geodesic."""
-    if not 0.0 < t < 1.0:
-        raise UmkehrError(f"tube radius is defined for 0 < t < 1, got {t!r}")
-    return epsilon * (0.5 - abs(t - 0.5))
 
 
 @dataclass(frozen=True)
@@ -533,13 +525,6 @@ class ThomValue:
         }
 
 
-def _preimage_angles(bp: Blueprint, point, tol: float):
-    out = []
-    for label, s in alpha_preimage(bp, point, tol):
-        out.append((label, math.atan2(s[1], s[0]) % TWO_PI))
-    return out
-
-
 def umkehr(
     gamma: DiscreteEmbedding,
     c,
@@ -548,11 +533,11 @@ def umkehr(
 ) -> ThomValue:
     """Evaluate the collapse of the strand family on the thickened diagram.
 
-    Per sample, per ordered pair of participants, the geodesic between the
-    two collapsing strand points is scaled by tube clearance; the pooled
-    supremum (cfg.sup_scope) decides which components collapse to the
-    infinity point.  Scales within tol of 1 are flagged as boundary pairs
-    but stay finite.  In mapping mode, pairs closer than tol are glued:
+    Per sample, per ordered pair of its stored preimages, the geodesic
+    between the two collapsing strand points is scaled by tube clearance;
+    the pooled supremum (cfg.sup_scope) decides which components collapse
+    to the infinity point.  Scales within tol of 1 are flagged as boundary
+    pairs but stay finite.  In mapping mode, pairs closer than tol are glued:
     zero vector, scale 0, sample recorded in the uf_mask.
     """
     _require_circle(c)
@@ -579,39 +564,34 @@ def umkehr(
     sample_entries: list[list[Entry]] = []
     sample_glued: list[bool] = []
     for idx, sample in enumerate(tb.samples):
-        angles = dict(_preimage_angles(tb.blueprint, sample.point, cfg.tol))
-        labels = sorted(sample.participants)
         entries: list[Entry] = []
         glued = False
-        for a_pos in range(len(labels)):
-            for b_pos in range(a_pos + 1, len(labels)):
-                i, j = labels[a_pos], labels[b_pos]
-                th_i, th_j = angles[i], angles[j]
-                p_i = gamma.point(i, th_i)
-                p_j = gamma.point(j, th_j)
-                g = geodesic(metric, p_i, p_j, cfg.tol)
-                if cfg.mapping and g.length <= cfg.tol:
-                    zero = (0.0,) * metric.d
-                    base = tuple(float(x) for x in p_i)
-                    entries.append(Entry(idx, (i, j), 0.0, zero, base, base))
-                    entries.append(Entry(idx, (j, i), 0.0, zero, base, base))
-                    glued = True
-                    continue
-                if g.length > eps:
-                    s_val = INF
-                elif t_hom == 1.0:
-                    s_val = scaling(g.length, eps, 1.0, 1.0)
-                else:
-                    inf_delta, _w = clearance(
-                        gamma, g, cfg, exclude=((i, th_i), (j, th_j))
-                    )
-                    s_val = scaling(g.length, eps, inf_delta, t_hom)
-                tang = tuple(float(x) for x in g.tangent)
-                neg = tuple(-x for x in tang)
-                src = tuple(float(x) for x in p_i)
-                dst = tuple(float(x) for x in (p_i + g.disp))
-                entries.append(Entry(idx, (i, j), s_val, tang, src, dst))
-                entries.append(Entry(idx, (j, i), s_val, neg, dst, src))
+        for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
+            p_i = gamma.point(i, th_i)
+            p_j = gamma.point(j, th_j)
+            g = geodesic(metric, p_i, p_j, cfg.tol)
+            if cfg.mapping and g.length <= cfg.tol:
+                zero = (0.0,) * metric.d
+                base = tuple(float(x) for x in p_i)
+                entries.append(Entry(idx, (i, j), 0.0, zero, base, base))
+                entries.append(Entry(idx, (j, i), 0.0, zero, base, base))
+                glued = True
+                continue
+            if g.length > eps:
+                s_val = INF
+            elif t_hom == 1.0:
+                s_val = scaling(g.length, eps, 1.0, 1.0)
+            else:
+                inf_delta, _w = clearance(
+                    gamma, g, cfg, exclude=((i, th_i), (j, th_j))
+                )
+                s_val = scaling(g.length, eps, inf_delta, t_hom)
+            tang = tuple(float(x) for x in g.tangent)
+            neg = tuple(-x for x in tang)
+            src = tuple(float(x) for x in p_i)
+            dst = tuple(float(x) for x in (p_i + g.disp))
+            entries.append(Entry(idx, (i, j), s_val, tang, src, dst))
+            entries.append(Entry(idx, (j, i), s_val, neg, dst, src))
         sample_entries.append(entries)
         sample_glued.append(glued)
 
@@ -664,20 +644,6 @@ def umkehr(
     config = cfg.to_json()
     config["eta_radians"] = cfg.eta_radians(gamma)
     return ThomValue(tuple(components), restriction, config)
-
-
-def umkehr_mapping(
-    gamma: DiscreteEmbedding,
-    c,
-    tb: ThickenedBlueprint,
-    cfg: UmkehrConfig,
-) -> ThomValue:
-    """Mapping-mode evaluation: coincidences glue instead of collapsing.
-
-    Forces t_homotopy to 1, so tube clearance is disabled and the result
-    on disjoint strands agrees with umkehr at t = 1.
-    """
-    return umkehr(gamma, c, tb, replace(cfg, mapping=True, t_homotopy=1.0))
 
 
 # ---------------------------------------------------------------------------

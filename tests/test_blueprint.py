@@ -309,10 +309,21 @@ class TestThicken:
         tb = bp_mod.thicken(c, density=5)
         for s in tb.samples:
             pre = bp_mod.alpha_preimage(tb.blueprint, s.point)
-            assert len(pre) == len(s.participants)
+            assert s.preimages == tuple(
+                (label, math.atan2(p[1], p[0]) % (2 * math.pi)) for label, p in pre
+            )
+            assert s.participants == tuple(label for label, _ in pre)
             for label, sphere_pt in pre:
                 hit = bp_mod.alpha(c, label, sphere_pt)
                 assert hit.point == pytest.approx(s.point, abs=1e-8)
+
+    def test_chord_sample_spines(self):
+        tb = bp_mod.thicken(chord_cleavage(), density=3)
+        assert tb.n_components == 1
+        assert len(tb.samples) == 3
+        s0 = tb.samples[0]
+        assert s0.participants == (1, 2)
+        assert s0.spines[0].edges == ((0, 1),)
 
 
 class TestStableDegree:
@@ -347,28 +358,6 @@ class TestStableDegree:
 
 
 class TestExport:
-    def test_blueprint_json_roundtrips_through_json(self):
-        import json
-
-        bp = bp_mod.build_blueprint(tee_cleavage())
-        doc = json.loads(json.dumps(bp_mod.blueprint_to_json(bp)))
-        assert doc["n_components"] == 1
-        assert len(doc["pieces"]) == 2
-        assert {p["component"] for p in doc["pieces"]} == {0}
-        assert len(doc["faces"]) == 3
-        for timber_faces in doc["faces"]:
-            for f in timber_faces:
-                assert set(f) == {"constraint", "plane", "side", "a", "b"}
-
-    def test_thickened_json(self):
-        tb = bp_mod.thicken(chord_cleavage(), density=3)
-        doc = bp_mod.thickened_to_json(tb)
-        assert doc["n_components"] == 1
-        assert len(doc["samples"]) == 3
-        s0 = doc["samples"][0]
-        assert s0["participants"] == [1, 2]
-        assert s0["spines"][0]["edges"] == [[0, 1]]
-
     def test_obj_export(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         text = bp_mod.export_obj(bp)

@@ -1,16 +1,13 @@
 """Checks that the shared strand families keep their designed margins."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 import cleav.fixtures as fx
-from cleav.blueprint import alpha_preimage, thicken
+from cleav.blueprint import thicken
 from cleav.umkehr import UmkehrConfig, strand_distance, umkehr
-
-TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +47,7 @@ class TestCorridor:
         c, tb = corridor
         emb = fx.corridor_trio(70.0)
         corner = max(tb.samples, key=lambda s: s.point[1] - 10 * abs(s.point[0] - 0.5))
-        pre = dict(
-            (lab, math.atan2(p[1], p[0]) % TWO_PI)
-            for lab, p in alpha_preimage(tb.blueprint, corner.point)
-        )
+        pre = dict(corner.preimages)
         assert sorted(pre) == [1, 2]
         gap = np.linalg.norm(emb.point(1, pre[1]) - emb.point(2, pre[2]))
         assert abs(gap - fx.CORRIDOR_GAP) < 1e-12

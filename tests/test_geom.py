@@ -151,7 +151,7 @@ class TestTrace:
     def test_dim3_trace_counts(self):
         b = geom.clip(geom.unit_disk(3), geom.OrientedHyperplane([1, 0, 0], 0.0), 1)
         tr = geom.sphere_trace(b)
-        frac = tr.measure_fraction()
+        frac = float(tr.mask.mean())
         assert 0.45 < frac < 0.55
         assert tr.is_nonempty()
 
@@ -323,16 +323,3 @@ class TestActiveConstraints:
         b = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
         b = geom.clip(b, geom.OrientedHyperplane([0, 1], 0.0), 1)
         assert geom.active_constraints(b) == [True, True]
-
-    def test_reduce_drops_redundant(self):
-        b = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], -0.5), 1)
-        b = geom.clip(b, geom.OrientedHyperplane([1, 0], 0.0), 1)
-        r = geom.reduce(b)
-        assert len(r.constraints) == 1
-        assert r.constraints[0][0].offset == 0.0
-        assert geom.sphere_trace(r).arcs.sym_diff_measure(geom.sphere_trace(b).arcs) < 1e-12
-
-    def test_reduce_keeps_active(self):
-        b = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
-        b = geom.clip(b, geom.OrientedHyperplane([0, 1], 0.0), 1)
-        assert geom.reduce(b).constraints == b.constraints

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleav import blueprint as bp_mod
+from cleav import fixtures as fx
 from cleav import operad
 from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
@@ -81,6 +83,9 @@ class TestMetric:
             um.metric_from_json([1, 2])
         with pytest.raises(um.UmkehrError):
             um.metric_from_json({"kind": "torus", "d": 2.5, "L": 1.0})
+        for bad_period in ([1], True, "1.0", None):
+            with pytest.raises(um.UmkehrError):
+                um.metric_from_json({"kind": "torus", "d": 2, "L": bad_period})
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=80, deadline=None)
@@ -161,17 +166,6 @@ class TestEmbedding:
             assert np.array_equal(a, b)
         with pytest.raises(um.UmkehrError):
             um.embedding_from_json({"metric": EUCLID.to_json(), "loops": []})
-
-
-class TestCigarRadius:
-    def test_values(self):
-        assert um.cigar_radius(0.2, 0.5) == pytest.approx(0.1, abs=1e-15)
-        assert um.cigar_radius(0.2, 0.25) == pytest.approx(0.05, abs=1e-15)
-
-    def test_domain(self):
-        for t in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(um.UmkehrError):
-                um.cigar_radius(0.2, t)
 
 
 class TestScaling:
@@ -382,8 +376,7 @@ class TestUmkehr:
         # the excursion lives in the annulus between the loops (no crossing)
         # and uses parameters where no collapse endpoint lands
         mid = min(self.tb.samples, key=lambda s: abs(s.point[1]))
-        pre = dict(bp_mod.alpha_preimage(self.tb.blueprint, mid.point))
-        th1 = math.atan2(pre[1][1], pre[1][0]) % (2 * PI)
+        th1 = dict(mid.preimages)[1]
         assert PI / 2 + 0.3 < th1 < 3 * PI / 2 - 0.3
         loop1 = circle(0.5, 96)
         for j, a in enumerate(np.linspace(0.12, th1 - 0.08, 11)):
@@ -401,7 +394,7 @@ class TestUmkehr:
 
     def test_mapping_glues_coincident(self):
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5), circle(0.5, mirrored=True)))
-        tv = um.umkehr_mapping(emb, self.c, self.tb, self.cfg)
+        tv = um.umkehr(emb, self.c, self.tb, replace(self.cfg, mapping=True, t_homotopy=1.0))
         comp = tv.components[0]
         assert comp.status == "finite"
         assert comp.uf_mask == tuple(range(8))
@@ -414,9 +407,11 @@ class TestUmkehr:
         emb = um.DiscreteEmbedding(
             EUCLID, (circle(0.5), circle(0.5 - 1e-6, mirrored=True))
         )
-        glued = um.umkehr_mapping(emb, self.c, self.tb, um.UmkehrConfig(epsilon=0.2, tol=1e-5))
+        glued = um.umkehr(emb, self.c, self.tb, um.UmkehrConfig(
+            epsilon=0.2, tol=1e-5, mapping=True, t_homotopy=1.0))
         assert glued.components[0].uf_mask == tuple(range(8))
-        halved = um.umkehr_mapping(emb, self.c, self.tb, um.UmkehrConfig(epsilon=0.2, tol=1e-7))
+        halved = um.umkehr(emb, self.c, self.tb, um.UmkehrConfig(
+            epsilon=0.2, tol=1e-7, mapping=True, t_homotopy=1.0))
         plain = um.umkehr(
             emb, self.c, self.tb, um.UmkehrConfig(epsilon=0.2, t_homotopy=1.0, tol=1e-7)
         )
@@ -437,6 +432,23 @@ class TestUmkehr:
         assert doc["config"]["eta_radians"] == [2.0 * 2 * PI / 96] * 2
         again = um.umkehr(concentric(0.05), self.c, self.tb, self.cfg)
         assert json.dumps(doc) == json.dumps(again.to_json())
+
+    def test_tighter_config_tol_keeps_the_thickened_preimages(self):
+        # samples carry the preimages found at the thickening tol, so an
+        # evaluation tol below the samples' own rounding cannot push one
+        # off the diagram
+        c = fx.corridor_cleavage()
+        tb = bp_mod.thicken(c, density=24)
+        loops = tuple(
+            fx.fourier_loop(seed, base=0.18, wobble=0.04, drift=0.02) + [x, 0.0]
+            for seed, x in ((1, -0.6), (2, 0.0), (3, 0.6))
+        )
+        emb = um.DiscreteEmbedding(EUCLID, loops)
+        default = um.umkehr(emb, c, tb, um.UmkehrConfig(epsilon=0.2, density=24))
+        tight = um.umkehr(emb, c, tb, um.UmkehrConfig(epsilon=0.2, density=24, tol=1e-16))
+        assert [cv.status for cv in tight.components] == [
+            cv.status for cv in default.components
+        ]
 
 
 class TestRestrict:
