@@ -38,6 +38,12 @@ class SelfIntersecting(UmkehrError):
 # Flat metrics and geodesics.
 
 
+def _tie_error(delta: np.ndarray) -> NonUniqueGeodesic:
+    return NonUniqueGeodesic(
+        f"displacement {delta.tolist()} sits half a period away on some axis"
+    )
+
+
 @dataclass(frozen=True)
 class FlatMetric:
     """Euclidean R^d, or the flat torus with period L along every axis."""
@@ -64,15 +70,9 @@ class FlatMetric:
         b = np.asarray(b, dtype=float)
         if a.shape != (self.d,) or b.shape != (self.d,):
             raise UmkehrError(f"points must have dimension {self.d}")
-        delta = b - a
-        if self.kind == "euclidean":
-            return delta
-        L = self.L
-        w = np.mod(delta + 0.5 * L, L) - 0.5 * L
-        if np.any(np.abs(np.abs(w) - 0.5 * L) <= tol):
-            raise NonUniqueGeodesic(
-                f"displacement {delta.tolist()} sits half a period away on some axis"
-            )
+        w = self.displacement_many(a, b)
+        if self.ties(w, tol):
+            raise _tie_error(b - a)
         return w
 
     def displacement_many(self, a, B) -> np.ndarray:
@@ -84,6 +84,13 @@ class FlatMetric:
             return delta
         L = self.L
         return np.mod(delta + 0.5 * L, L) - 0.5 * L
+
+    def ties(self, W, tol: float = TOL) -> np.ndarray:
+        """Row-wise: does the shortest vector sit half a period away on some axis?"""
+        W = np.asarray(W, dtype=float)
+        if self.kind == "euclidean":
+            return np.zeros(W.shape[:-1], dtype=bool)
+        return np.any(np.abs(np.abs(W) - 0.5 * self.L) <= tol, axis=-1)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "d": self.d}
@@ -166,15 +173,17 @@ class DiscreteEmbedding:
                 )
             if not np.all(np.isfinite(loop)):
                 raise UmkehrError(f"strand {idx + 1} has non-finite coordinates")
-            disp = np.empty_like(loop)
-            for j in range(loop.shape[0]):
-                nxt = (j + 1) % loop.shape[0]
-                step = self.metric.displacement(loop[j], loop[nxt])
-                if float(np.linalg.norm(step)) == 0.0:
-                    raise UmkehrError(
-                        f"strand {idx + 1} repeats vertex {j}; consecutive points must differ"
-                    )
-                disp[j] = step
+            delta = np.roll(loop, -1, axis=0) - loop
+            disp = self.metric.displacement_many(np.zeros(self.metric.d), delta)
+            tie = self.metric.ties(disp)
+            bad = np.flatnonzero(tie | (np.linalg.norm(disp, axis=1) == 0.0))
+            if bad.size:
+                j = int(bad[0])
+                if tie[j]:
+                    raise _tie_error(delta[j])
+                raise UmkehrError(
+                    f"strand {idx + 1} repeats vertex {j}; consecutive points must differ"
+                )
             edges.append(disp)
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "_edges", tuple(edges))
@@ -240,30 +249,77 @@ def _seg_seg_distance_batch(P1, D1, P2, D2) -> np.ndarray:
     return np.linalg.norm(closest, axis=1)
 
 
-def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, chunk: int = 65536) -> float:
+_BLOCK = 32  # edges per bounding box in the strand precheck
+_BATCH = 8  # box pairs per exact-distance batch
+
+
+def _block_index(m: int) -> np.ndarray:
+    """Edge indices by block of _BLOCK; the last block repeats its final edge."""
+    blocks = -(-m // _BLOCK)
+    return np.minimum(np.arange(blocks * _BLOCK).reshape(blocks, _BLOCK), m - 1)
+
+
+def _block_boxes(P, D, idx):
+    """Lower and upper corners of the box around each block of edges P + s*D."""
+    Q = P + D
+    return np.minimum(P, Q)[..., idx, :].min(axis=-2), np.maximum(P, Q)[..., idx, :].max(axis=-2)
+
+
+def strand_distance(gamma: DiscreteEmbedding, i: int, j: int) -> float:
     """Minimum distance between strands i and j over all edge pairs.
 
-    Torus edges are compared after lifting strand j's edge start to the
-    image nearest the corresponding edge start of strand i.
+    On the torus both strands' vertices are first reduced into [0, L)^d
+    and strand j is compared in every image shifted by n*L, n in
+    {-2,...,2}^d.  That set is complete: edge components lie in
+    [-L/2, L/2], so reduced segment points lie in [-L/2, 3L/2], any
+    difference of two of them in [-2L, 2L], and the image nearest to it
+    is one of those shifts.
+
+    The edges are grouped in blocks of _BLOCK with one bounding box per
+    block.  Box pairs (block of i, block of j, image) are visited in
+    ascending box distance, a lower bound for every edge pair inside, and
+    the search stops once the next box is no closer than the best edge
+    pair so far.  Edge pairs go through the same row-wise kernel as an
+    all-pairs scan, so the minimum equals the all-pairs minimum exactly:
+    each box spans the rounded edge ends the kernel uses and rounding is
+    monotone, so no computed edge-pair distance falls below its box's.
     """
     metric = gamma.metric
-    A = gamma.loops[i - 1]
-    DA = gamma._edges[i - 1]
-    B = gamma.loops[j - 1]
-    DB = gamma._edges[j - 1]
-    na, nb = A.shape[0], B.shape[0]
-    best = INF
-    idx = np.arange(na * nb)
-    for lo in range(0, idx.size, chunk):
-        sel = idx[lo : lo + chunk]
-        ia, ib = sel // nb, sel % nb
-        P1, D1 = A[ia], DA[ia]
-        if metric.kind == "torus":
-            P2 = P1 + metric.displacement_many(np.zeros(metric.d), B[ib] - P1)
-        else:
-            P2 = B[ib]
-        d = _seg_seg_distance_batch(P1, D1, P2, DB[ib])
-        best = min(best, float(d.min()))
+    A, DA = gamma.loops[i - 1], gamma._edges[i - 1]
+    B, DB = gamma.loops[j - 1], gamma._edges[j - 1]
+    if metric.kind == "torus":
+        L = metric.L
+        A = np.mod(A, L)
+        shifts = L * np.array(list(itertools.product(range(-2, 3), repeat=metric.d)), dtype=float)
+        images = np.mod(B, L)[None] + shifts[:, None]
+    else:
+        images = B[None]
+    idx_a, idx_b = _block_index(A.shape[0]), _block_index(B.shape[0])
+    lo_a, hi_a = _block_boxes(A, DA, idx_a)
+    lo_b, hi_b = _block_boxes(images, DB, idx_b)
+    lo_a, hi_a = lo_a[:, None, None], hi_a[:, None, None]
+    gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+    box = np.linalg.norm(gap, axis=-1)  # (block of i, image, block of j)
+
+    def nearest(sel) -> float:
+        a, n, b = np.unravel_index(sel, box.shape)
+        pairs = (sel.size, _BLOCK, _BLOCK)
+        ia = np.broadcast_to(idx_a[a][:, :, None], pairs).ravel()
+        ib = np.broadcast_to(idx_b[b][:, None, :], pairs).ravel()
+        im = np.repeat(n, _BLOCK * _BLOCK)
+        return float(_seg_seg_distance_batch(A[ia], DA[ia], images[im, ib], DB[ib]).min())
+
+    # The closest box pair bounds the answer; only boxes under it get ranked.
+    flat = box.ravel()
+    best = nearest(np.array([np.argmin(flat)]))
+    order = np.flatnonzero(flat < best)
+    order = order[np.argsort(flat[order], kind="stable")]
+    for lo in range(0, order.size, _BATCH):
+        sel = order[lo : lo + _BATCH]
+        sel = sel[flat[sel] < best]
+        if sel.size == 0:
+            break
+        best = min(best, nearest(sel))
     return best
 
 

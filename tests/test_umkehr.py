@@ -1,5 +1,6 @@
 """Metric, clearance, and collapse evaluator tests."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cleav import blueprint as bp_mod
 from cleav import fixtures as fx
 from cleav import operad
+from cleav import sampling
 from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
 
@@ -157,6 +159,33 @@ class TestEmbedding:
         mid = emb.point(1, (2 * PI / 8) / 2)
         assert um.geodesic(torus, mid, [0.0, 0.0]).length == pytest.approx(0.0, abs=1e-9)
 
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["euclidean", "torus"]), st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_edges_match_scalar_displacement(self, seed, kind, d):
+        rng = np.random.default_rng(seed)
+        metric = um.FlatMetric(kind, d, 1.0 if kind == "torus" else None)
+        loop = random_strand(rng, int(rng.integers(8, 40)), d, 0.45)
+        emb = um.DiscreteEmbedding(metric, (loop,))
+        ref = scalar_edges(metric, emb.loops[0])
+        assert emb._edges[0].tobytes() == ref.tobytes()
+
+    def test_bad_edges_raise_for_the_first_offending_vertex(self):
+        torus = um.FlatMetric("torus", 2, 2.0)
+        base = circle(0.3, 8)
+        tie_then_repeat = base.copy()
+        tie_then_repeat[2] = tie_then_repeat[1] + [1.0, 0.0]
+        tie_then_repeat[5] = tie_then_repeat[4]
+        repeat_then_tie = base.copy()
+        repeat_then_tie[2] = repeat_then_tie[1]
+        repeat_then_tie[6] = repeat_then_tie[5] + [0.0, -1.0]
+        for loop, kind in ((tie_then_repeat, um.NonUniqueGeodesic), (repeat_then_tie, um.UmkehrError)):
+            with pytest.raises(kind) as ref:
+                scalar_edges(torus, loop)
+            with pytest.raises(kind) as got:
+                um.DiscreteEmbedding(torus, (loop,))
+            assert type(got.value) is type(ref.value)
+            assert str(got.value) == str(ref.value)
+
     def test_json_roundtrip(self):
         emb = concentric(0.05)
         doc = json.loads(json.dumps(emb.to_json()))
@@ -166,6 +195,89 @@ class TestEmbedding:
             assert np.array_equal(a, b)
         with pytest.raises(um.UmkehrError):
             um.embedding_from_json({"metric": EUCLID.to_json(), "loops": []})
+
+
+def random_strand(rng, m, d, step):
+    """Random-walk closed strand; steps up to `step` per axis."""
+    return rng.uniform(0.0, 1.0, size=d) + np.cumsum(rng.uniform(-step, step, size=(m, d)), axis=0)
+
+
+def scalar_edges(metric, loop):
+    """Edge displacements one vertex at a time, as the reference for the batch build."""
+    out = []
+    for j in range(loop.shape[0]):
+        step = metric.displacement(loop[j], loop[(j + 1) % loop.shape[0]])
+        if float(np.linalg.norm(step)) == 0.0:
+            raise um.UmkehrError(f"strand 1 repeats vertex {j}; consecutive points must differ")
+        out.append(step)
+    return np.array(out)
+
+
+def brute_strand_distance(gamma, i, j):
+    """All edge pairs; on the torus, of the reduced strands in every image n*L, |n_k| <= 2."""
+    metric = gamma.metric
+    A, DA = gamma.loops[i - 1], gamma._edges[i - 1]
+    B, DB = gamma.loops[j - 1], gamma._edges[j - 1]
+    shifts = [np.zeros(metric.d)]
+    if metric.kind == "torus":
+        A, B = np.mod(A, metric.L), np.mod(B, metric.L)
+        shifts = [metric.L * np.array(n, dtype=float)
+                  for n in itertools.product(range(-2, 3), repeat=metric.d)]
+    ia, ib = np.divmod(np.arange(A.shape[0] * B.shape[0]), B.shape[0])
+    best = math.inf
+    for shift in shifts:
+        img = B + shift if metric.kind == "torus" else B
+        d = um._seg_seg_distance_batch(A[ia], DA[ia], img[ib], DB[ib])
+        best = min(best, float(d.min()))
+    return best
+
+
+class TestStrandDistance:
+    A = [(0.5, y) for y in (0.9, 0.45, 0.35, 0.25, 0.15, 0.05, 0.97, 0.93)]
+    B = [(0.3, 0.38), (0.7, 0.62), (0.8, 0.6), (0.9, 0.55), (0.0, 0.5), (0.1, 0.45), (0.2, 0.4), (0.25, 0.39)]
+
+    def test_torus_edges_crossing_in_another_image(self):
+        # A winds once vertically and B once horizontally, so they must cross:
+        # B's first edge meets A's first edge at (0.5, 0.5), in the image a
+        # lift of B's edge start next to A's edge start (0.5, 0.9) skips.
+        torus = um.FlatMetric("torus", 2, 1.0)
+        emb = um.DiscreteEmbedding(torus, (self.A, self.B))
+        assert um.strand_distance(emb, 1, 2) == 0.0
+        assert um.strand_distance(emb, 2, 1) == 0.0
+        c = sampling.random_cleavage(0, 2)
+        with pytest.raises(um.SelfIntersecting):
+            um.umkehr(emb, c, bp_mod.thicken(c), um.UmkehrConfig(epsilon=0.2))
+
+    def test_corridor_minimum_matches_all_pairs(self):
+        emb = fx.corridor_trio(63.2)
+        assert um.strand_distance(emb, 2, 3) == brute_strand_distance(emb, 2, 3)
+
+    @given(
+        st.integers(0, 10 ** 6),
+        st.sampled_from(["euclidean", "torus"]),
+        st.sampled_from([2, 3]),
+        st.integers(8, 100),
+        st.integers(8, 100),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, seed, kind, d, m1, m2):
+        rng = np.random.default_rng(seed)
+        L = float(rng.uniform(0.5, 2.0))
+        metric = um.FlatMetric(kind, d, L if kind == "torus" else None)
+        # Long steps make torus edges wrap; whole-period offsets leave the
+        # strands unchanged on the torus but exercise the reduction.
+        step = 0.45 * L if kind == "torus" else float(rng.uniform(0.02, 0.3))
+        loops = [random_strand(rng, m, d, step) for m in (m1, m2)]
+        if kind == "torus":
+            loops = [loop + L * rng.integers(-3, 4, size=loop.shape) for loop in loops]
+        else:
+            loops[1] = loops[1] + rng.uniform(-2.0, 2.0, size=d)
+        try:
+            emb = um.DiscreteEmbedding(metric, tuple(loops))
+        except um.NonUniqueGeodesic:
+            return
+        assert um.strand_distance(emb, 1, 2) == brute_strand_distance(emb, 1, 2)
+        assert um.strand_distance(emb, 2, 1) == brute_strand_distance(emb, 2, 1)
 
 
 class TestScaling:
