@@ -18,12 +18,14 @@ from .geom import (
     TOL,
     TWO_PI,
     OrientedHyperplane,
+    _as_vector,
     _face_interval,
     active_constraints,
     centroid,
     clip,
+    finite_real,
     segment_boundary_hit,
-    signed_eval,
+    whole_number,
 )
 from .operad import Cleavage
 
@@ -41,6 +43,11 @@ def _require_circle(c: Cleavage) -> None:
         raise BlueprintError(
             f"cut-locus analysis is implemented for the circle only, got n = {c.n}"
         )
+
+
+def _require_tol(tol) -> None:
+    if not (finite_real(tol) and tol > 0.0):
+        raise BlueprintError(f"tol must be a positive finite number, got {tol!r}")
 
 
 def _point_seg_distance(p, a, b) -> float:
@@ -133,6 +140,7 @@ class Blueprint:
 def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
     """Extract cut pieces and timber faces; group touching pieces."""
     _require_circle(c)
+    _require_tol(tol)
     pieces = []
     for cut in c.cuts:
         with_cut = clip(cut.body, cut.plane, 1)
@@ -193,13 +201,13 @@ def blueprint_distance(bp: Blueprint, b) -> float:
 
 def participants(c: Cleavage, b, tol: float = TOL) -> tuple[int, ...]:
     """Labels whose timber contains b with b on one of its cut planes."""
-    b = np.asarray(b, dtype=float)
+    b = _as_vector(b, c.timber(1).dim)
+    if float(np.linalg.norm(b)) > 1.0 + tol:
+        return ()
     out = []
     for label in range(1, c.k + 1):
-        body = c.timber(label)
-        if not body.contains(b, tol):
-            continue
-        if any(abs(signed_eval(h, b)) <= tol for h, _ in body.constraints):
+        margins = c.timber(label)._margins(b)
+        if (margins >= -tol).all() and (np.abs(margins) <= tol).any():
             out.append(label)
     return tuple(out)
 
@@ -340,43 +348,78 @@ def components(c, tol: float = TOL) -> int:
     return _as_blueprint(c, tol).n_components
 
 
+_DEDUP_PAIRS = 1 << 12  # candidate pairs per block of the dedup distance matrix
+
+
+def _first_kept(points: np.ndarray, tol: float) -> list[int]:
+    """Indices of the points kept when each is dropped within tol of one kept before it.
+
+    The distances come from one pairwise matrix, built in row blocks of
+    about _DEDUP_PAIRS entries; each entry is the sqrt of the row-wise
+    1 x d by d x 1 product of the difference with itself, the same dot
+    that np.linalg.norm takes on one difference vector.  A pass in
+    candidate order then keeps a point unless a point kept before it lies
+    within tol, so a point dropped as a duplicate never drops another.
+    """
+    n = points.shape[0]
+    later: dict[int, list[int]] = {}
+    step = max(1, _DEDUP_PAIRS // max(n, 1))
+    for lo in range(0, n, step):
+        diff = points[lo : lo + step, None, :] - points[None, :, :]
+        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+        rows, cols = np.nonzero(dist <= tol)
+        rows += lo
+        ahead = cols > rows
+        for i, j in zip(rows[ahead].tolist(), cols[ahead].tolist()):
+            later.setdefault(i, []).append(j)
+    kept = []
+    dropped = set()
+    for i in range(n):
+        if i not in dropped:
+            kept.append(i)
+            dropped.update(later.get(i, ()))
+    return kept
+
+
 def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
     """Sample every piece uniformly plus all pairwise crossing points.
 
-    Accepts a Cleavage or a prebuilt Blueprint. density counts samples per
-    piece including both endpoints; duplicate points (shared endpoints,
-    crossings) are kept once.  Each sample carries its component id and
-    its collapse preimages, looked up once here at the blueprint's tol:
-    one (label, exit angle) pair per participant, sorted by label.  Its
-    spines are the vertex stars of the simplex on that participant set.
+    Accepts a Cleavage or a prebuilt Blueprint. density, an integer >= 2,
+    counts samples per piece including both endpoints.  Candidates come
+    piece by piece, then the crossings; a candidate within tol of an
+    earlier kept one (shared endpoints, crossings) is dropped, first kept
+    wins, so the samples keep candidate order.  Each sample carries its
+    component id and its collapse preimages, looked up once here at the
+    blueprint's tol: one (label, exit angle) pair per participant, sorted
+    by label.  Its spines are the vertex stars of the simplex on that
+    participant set.
     """
-    if density < 2:
-        raise BlueprintError(f"density must be >= 2, got {density}")
+    if not (whole_number(density) and density >= 2):
+        raise BlueprintError(f"density must be an integer >= 2, got {density!r}")
+    _require_tol(tol)
     bp = _as_blueprint(c, tol)
     tol = bp.tol
-    candidates: list[tuple[np.ndarray, int]] = []
-    for idx, piece in enumerate(bp.pieces):
-        for t in np.linspace(0.0, 1.0, density):
-            candidates.append((piece.a + t * (piece.b - piece.a), idx))
+    steps = np.linspace(0.0, 1.0, density)[:, None]
+    points = [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces]
+    owners = [idx for idx in range(len(bp.pieces)) for _ in range(density)]
     for i in range(len(bp.pieces)):
         for j in range(i + 1, len(bp.pieces)):
             pa, pb = _closest_points(
                 bp.pieces[i].a, bp.pieces[i].b, bp.pieces[j].a, bp.pieces[j].b
             )
             if float(np.linalg.norm(pa - pb)) <= tol:
-                candidates.append(((pa + pb) / 2.0, i))
+                points.append(((pa + pb) / 2.0)[None])
+                owners.append(i)
+    points = np.concatenate(points) if points else np.zeros((0, 2))
 
     samples = []
-    kept: list[np.ndarray] = []
-    for point, idx in candidates:
-        if any(float(np.linalg.norm(point - q)) <= tol for q in kept):
-            continue
-        kept.append(point)
+    kept = _first_kept(points, tol)
+    for idx, point in zip(kept, points[kept]):
         preimages = tuple(
             (label, math.atan2(s[1], s[0]) % TWO_PI)
             for label, s in alpha_preimage(bp, point, tol)
         )
-        samples.append(BlueprintSample(point, bp.piece_components[idx], preimages))
+        samples.append(BlueprintSample(point, bp.piece_components[owners[idx]], preimages))
     return ThickenedBlueprint(tuple(samples), bp.n_components, bp)
 
 

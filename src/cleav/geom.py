@@ -9,7 +9,9 @@ dimensions fall back to seeded sampling with documented budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,16 @@ class EmptyBodyError(GeometryError):
 
 class BoundaryHitError(GeometryError):
     pass
+
+
+def finite_real(x) -> bool:
+    """x is a finite real number, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def whole_number(x) -> bool:
+    """x is an integer, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -109,16 +121,39 @@ class ConvexBody:
             if h.dim != self.dim:
                 raise DimensionMismatch("constraint dimension differs from body dimension")
 
+    @cached_property
+    def _planes(self) -> np.ndarray:
+        """One row [normal, offset, side] per constraint, built on first use.
+
+        One array rather than three keeps the cache small where many
+        bodies stay alive.
+        """
+        return np.array(
+            [[*h.normal, h.offset, side] for h, side in self.constraints], dtype=float
+        ).reshape(-1, self.dim + 2)
+
     def contains(self, x, tol: float = TOL) -> bool:
         v = _as_vector(x, self.dim)
         if float(np.linalg.norm(v)) > 1.0 + tol:
             return False
-        return all(side * signed_eval(h, v) >= -tol for h, side in self.constraints)
+        return bool((self._margins(v) >= -tol).all())
 
     def margins(self, x) -> np.ndarray:
-        """Signed slack of each plane constraint at x (>= 0 means satisfied)."""
-        v = _as_vector(x, self.dim)
-        return np.array([side * signed_eval(h, v) for h, side in self.constraints])
+        """Signed slack of each plane constraint at x (>= 0 means satisfied).
+
+        One array expression over all constraints, equal bit for bit to
+        side * signed_eval(h, x) per constraint: each row is its own 1 x d
+        by d x 1 product, the same dot signed_eval takes, and never a
+        matrix-vector product, which can round rows differently.  A body
+        without constraints has no margins.
+        """
+        return self._margins(_as_vector(x, self.dim))
+
+    def _margins(self, v: np.ndarray) -> np.ndarray:
+        """margins for a vector already checked by _as_vector."""
+        planes = self._planes
+        dots = np.matmul(planes[:, None, : self.dim], v[:, None])[:, 0, 0]
+        return planes[:, -1] * (dots - planes[:, -2])
 
 
 def unit_disk(dim: int = 2) -> ConvexBody:

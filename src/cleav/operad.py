@@ -21,6 +21,7 @@ from .geom import (
     OrientedHyperplane,
     SphereRegion,
     clip,
+    finite_real,
     sphere_trace,
     unit_disk,
 )
@@ -148,6 +149,8 @@ def validate(
     """
     if n < 1:
         raise OperadError(f"sphere dimension must be >= 1, got {n}")
+    if not (finite_real(tol) and tol > 0.0):
+        raise OperadError(f"tol must be a positive finite number, got {tol!r}")
     dim = n + 1
     root_body = unit_disk(dim) if within is None else within
     if root_body.dim != dim:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .blueprint import Blueprint, ThickenedBlueprint, _require_circle
-from .geom import TOL, TWO_PI
+from .geom import TOL, TWO_PI, finite_real, whole_number
 
 INF = math.inf
 
@@ -187,6 +188,20 @@ class DiscreteEmbedding:
             edges.append(disp)
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "_edges", tuple(edges))
+
+    @cached_property
+    def _table(self):
+        """(points, labels, params) of every vertex in label order, built on first use.
+
+        Only clearance reads it, so embeddings that never meet a tube
+        query do not hold a second copy of their vertices.
+        """
+        labels = range(1, self.k + 1)
+        return (
+            np.concatenate(self.loops),
+            np.repeat(np.array(labels), [self.m(label) for label in labels]),
+            np.concatenate([self.params(label) for label in labels]),
+        )
 
     @property
     def k(self) -> int:
@@ -358,16 +373,18 @@ class UmkehrConfig:
     mapping: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise UmkehrError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not 0.0 <= self.t_homotopy <= 1.0:
+        if not (finite_real(self.epsilon) and self.epsilon > 0.0):
+            raise UmkehrError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
+        if not (finite_real(self.t_homotopy) and 0.0 <= self.t_homotopy <= 1.0):
             raise UmkehrError(f"t_homotopy must lie in [0, 1], got {self.t_homotopy!r}")
-        if self.density < 2:
-            raise UmkehrError(f"density must be >= 2, got {self.density!r}")
-        if self.eta is not None and not self.eta >= 0.0:
-            raise UmkehrError(f"eta must be >= 0, got {self.eta!r}")
-        if not self.tol > 0.0:
-            raise UmkehrError(f"tol must be positive, got {self.tol!r}")
+        if not (whole_number(self.density) and self.density >= 2):
+            raise UmkehrError(f"density must be an integer >= 2, got {self.density!r}")
+        if self.eta is not None and not (finite_real(self.eta) and self.eta >= 0.0):
+            raise UmkehrError(f"eta must be a finite number >= 0, got {self.eta!r}")
+        if not (finite_real(self.eta_steps) and self.eta_steps >= 0.0):
+            raise UmkehrError(f"eta_steps must be a finite number >= 0, got {self.eta_steps!r}")
+        if not (finite_real(self.tol) and self.tol > 0.0):
+            raise UmkehrError(f"tol must be a positive finite number, got {self.tol!r}")
         if self.sup_scope not in ("component", "blueprint", "sample"):
             raise UmkehrError(f"unknown sup_scope {self.sup_scope!r}")
 
@@ -397,62 +414,59 @@ def clearance(
 ):
     """Least scaled depth of any strand vertex inside the tube around g.
 
-    Scans every strand's vertices except those within parameter radius eta
-    of an excluded (label, param) point on the same strand.  A vertex
-    within tol of the geodesic segment forces clearance 0.  Vertices
-    strictly inside the open tube contribute their distance-to-radius
-    ratio; the infimum over all of them is returned with its witness, or
-    (1.0, None) when no vertex enters the tube.
+    One pass over the embedding's flat vertex table, all strands in label
+    order.  Each excluded (label, param) point drops the vertices of its
+    own strand within parameter radius eta of it.  A kept vertex within tol
+    of the geodesic segment forces clearance 0, witnessed by the first such
+    vertex in label order.  Otherwise vertices strictly inside the open
+    tube contribute their distance-to-radius ratio, and the least ratio
+    below 1 is returned with the first vertex attaining it, or (1.0, None)
+    when no vertex enters the tube.
+
+    Every vertex gets the same arithmetic as a per-strand scan: the
+    projections come from one matrix-vector product over the kept rows,
+    except that a strand keeping a single vertex takes the 1 x d by d
+    product a one-row scan would.
     """
     if not g.length > 0.0:
         raise UmkehrError("clearance needs a geodesic of positive length")
-    etas = cfg.eta_radians(gamma)
-    best = 1.0
-    witness = None
-    zero_witness = None
-    ell2 = g.length * g.length
-    for label in range(1, gamma.k + 1):
-        loop = gamma.loops[label - 1]
-        params = gamma.params(label)
-        keep = np.ones(loop.shape[0], dtype=bool)
+    verts, labels, params = gamma._table
+    keep = np.ones(labels.shape[0], dtype=bool)
+    if exclude:
+        eta = np.asarray(cfg.eta_radians(gamma))[labels - 1]
         for exc_label, exc_param in exclude:
-            if exc_label != label:
-                continue
             gap = np.abs(params - (exc_param % TWO_PI))
             gap = np.minimum(gap, TWO_PI - gap)
-            keep &= gap > etas[label - 1]
-        if not np.any(keep):
-            continue
-        w = gamma.metric.displacement_many(g.a, loop[keep])
-        t = (w @ g.disp) / ell2
-        perp = w - t[:, None] * g.disp
-        pd = np.linalg.norm(perp, axis=1)
-        seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
-        kept_params = params[keep]
-        on_seg = seg <= cfg.tol
-        if np.any(on_seg) and zero_witness is None:
-            first = int(np.argmax(on_seg))
-            zero_witness = ClearanceWitness(
-                label, float(kept_params[first]), 0.0, loop[keep][first]
-            )
-        inside = (t > 0.0) & (t < 1.0) & ~on_seg
-        if not np.any(inside):
-            continue
-        radius = cfg.epsilon * (0.5 - np.abs(t[inside] - 0.5))
-        ratio = pd[inside] / radius
-        hit = ratio < 1.0
-        if not np.any(hit):
-            continue
-        ratios = ratio[hit]
-        arg = int(np.argmin(ratios))
-        if float(ratios[arg]) < best:
-            best = float(ratios[arg])
-            sub_params = kept_params[inside][hit]
-            sub_points = loop[keep][inside][hit]
-            witness = ClearanceWitness(label, float(sub_params[arg]), best, sub_points[arg])
-    if zero_witness is not None:
-        return 0.0, zero_witness
-    return best, witness
+            keep &= (labels != exc_label) | (gap > eta)
+    rows = keep.nonzero()[0]
+    if rows.size == 0:
+        return 1.0, None
+    w = gamma.metric.displacement_many(g.a, verts[rows])
+    dots = w @ g.disp
+    if exclude and rows.size > 1:
+        kept_labels = labels[rows]
+        for r in (np.bincount(kept_labels)[kept_labels] == 1).nonzero()[0].tolist():
+            dots[r] = (w[r : r + 1] @ g.disp)[0]
+    t = dots / (g.length * g.length)
+
+    def witness(row: int, delta: float) -> ClearanceWitness:
+        v = int(rows[row])
+        return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
+
+    seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
+    on_seg = seg <= cfg.tol
+    if on_seg.any():
+        return 0.0, witness(int(np.argmax(on_seg)), 0.0)
+    inside = ((t > 0.0) & (t < 1.0)).nonzero()[0]
+    t_in = t[inside]
+    pd = np.linalg.norm(w[inside] - t_in[:, None] * g.disp, axis=1)
+    ratio = pd / (cfg.epsilon * (0.5 - np.abs(t_in - 0.5)))
+    hit = (ratio < 1.0).nonzero()[0]
+    if hit.size == 0:
+        return 1.0, None
+    arg = int(hit[np.argmin(ratio[hit])])
+    best = float(ratio[arg])
+    return best, witness(int(inside[arg]), best)
 
 
 def scaling(dist: float, epsilon: float, inf_delta: float, t: float) -> float:
@@ -617,18 +631,31 @@ def umkehr(
     t_hom = cfg.t_homotopy
     eps = cfg.epsilon
 
+    # Every preimage's strand point, from one points_at call per label.
+    flat = [pre for sample in tb.samples for pre in sample.preimages]
+    flat_labels = np.array([label for label, _ in flat], dtype=int)
+    flat_angles = np.array([angle for _, angle in flat], dtype=float)
+    flat_points = np.zeros((len(flat), metric.d))
+    for label in sorted({label for label, _ in flat}):
+        sel = flat_labels == label
+        flat_points[sel] = gamma.points_at(label, flat_angles[sel])
+
     sample_entries: list[list[Entry]] = []
     sample_glued: list[bool] = []
+    start = 0
     for idx, sample in enumerate(tb.samples):
         entries: list[Entry] = []
         glued = False
-        for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
-            p_i = gamma.point(i, th_i)
-            p_j = gamma.point(j, th_j)
-            g = geodesic(metric, p_i, p_j, cfg.tol)
+        points = flat_points[start : start + len(sample.preimages)]
+        start += len(sample.preimages)
+        for (a, (i, th_i)), (b, (j, th_j)) in itertools.combinations(
+            enumerate(sample.preimages), 2
+        ):
+            p_i = points[a]
+            g = geodesic(metric, p_i, points[b], cfg.tol)
             if cfg.mapping and g.length <= cfg.tol:
                 zero = (0.0,) * metric.d
-                base = tuple(float(x) for x in p_i)
+                base = tuple(p_i.tolist())
                 entries.append(Entry(idx, (i, j), 0.0, zero, base, base))
                 entries.append(Entry(idx, (j, i), 0.0, zero, base, base))
                 glued = True
@@ -642,10 +669,10 @@ def umkehr(
                     gamma, g, cfg, exclude=((i, th_i), (j, th_j))
                 )
                 s_val = scaling(g.length, eps, inf_delta, t_hom)
-            tang = tuple(float(x) for x in g.tangent)
+            tang = tuple(g.tangent.tolist())
             neg = tuple(-x for x in tang)
-            src = tuple(float(x) for x in p_i)
-            dst = tuple(float(x) for x in (p_i + g.disp))
+            src = tuple(p_i.tolist())
+            dst = tuple((p_i + g.disp).tolist())
             entries.append(Entry(idx, (i, j), s_val, tang, src, dst))
             entries.append(Entry(idx, (j, i), s_val, neg, dst, src))
         sample_entries.append(entries)

@@ -1,11 +1,13 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cleav import blueprint as bp_mod
-from cleav import geom, operad
+from cleav import geom, operad, sampling
 
 PI = math.pi
 
@@ -141,6 +143,41 @@ class TestParticipants:
         assert bp_mod.participants(c, [0.0, 0.0]) == (1, 2, 3, 4)
 
 
+def loop_participants(c, b, tol=geom.TOL):
+    """One signed_eval per constraint per timber, the reference for participants."""
+    b = np.asarray(b, dtype=float)
+    out = []
+    for label in range(1, c.k + 1):
+        body = c.timber(label)
+        if float(np.linalg.norm(b)) > 1.0 + tol:
+            continue
+        if not all(side * geom.signed_eval(h, b) >= -tol for h, side in body.constraints):
+            continue
+        if any(abs(geom.signed_eval(h, b)) <= tol for h, _ in body.constraints):
+            out.append(label)
+    return tuple(out)
+
+
+class TestParticipantsOracle:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.sampled_from([geom.TOL, 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_constraint_loop(self, seed, k, tol):
+        rng = np.random.default_rng(seed)
+        c = operad.validate(operad.Leaf(1)) if k == 1 else sampling.random_cleavage(seed, k)
+        bp = bp_mod.build_blueprint(c)
+        points = list(rng.uniform(-1.1, 1.1, size=(20, 2)))
+        for piece in bp.pieces:
+            points += [piece.a, piece.b, piece.a + rng.uniform() * (piece.b - piece.a)]
+        for b in points:
+            assert bp_mod.participants(c, b, tol) == loop_participants(c, b, tol)
+
+    def test_bad_points_still_raise(self):
+        with pytest.raises(geom.DimensionMismatch):
+            bp_mod.participants(chord_cleavage(), [0.0, 0.0, 0.0])
+        with pytest.raises(geom.GeometryError):
+            bp_mod.participants(chord_cleavage(), [math.inf, 0.0])
+
+
 class TestAlpha:
     def test_frozen_oracle(self):
         c = chord_cleavage()
@@ -255,6 +292,38 @@ class TestSpine:
             bp_mod.spine(2, -1)
 
 
+def reference_thicken(c, density, tol):
+    """Candidates piece by piece, then crossings; each checked against every kept one.
+
+    The O(n^2) first-kept-wins scan, the reference for thicken.
+    Returns (point, component, preimages) per kept sample.
+    """
+    bp = bp_mod.build_blueprint(c, tol)
+    candidates = []
+    for idx, piece in enumerate(bp.pieces):
+        for t in np.linspace(0.0, 1.0, density):
+            candidates.append((piece.a + t * (piece.b - piece.a), idx))
+    for i in range(len(bp.pieces)):
+        for j in range(i + 1, len(bp.pieces)):
+            pa, pb = bp_mod._closest_points(
+                bp.pieces[i].a, bp.pieces[i].b, bp.pieces[j].a, bp.pieces[j].b
+            )
+            if float(np.linalg.norm(pa - pb)) <= tol:
+                candidates.append(((pa + pb) / 2.0, i))
+    kept = []
+    out = []
+    for point, idx in candidates:
+        if any(float(np.linalg.norm(point - q)) <= tol for q in kept):
+            continue
+        kept.append(point)
+        preimages = tuple(
+            (label, math.atan2(s[1], s[0]) % (2 * PI))
+            for label, s in bp_mod.alpha_preimage(bp, point, tol)
+        )
+        out.append((point, bp.piece_components[idx], preimages))
+    return out
+
+
 class TestThicken:
     def test_single_chord_counts(self):
         tb = bp_mod.thicken(chord_cleavage(), density=5)
@@ -285,6 +354,47 @@ class TestThicken:
     def test_density_validated(self):
         with pytest.raises(bp_mod.BlueprintError):
             bp_mod.thicken(chord_cleavage(), density=1)
+
+    @pytest.mark.parametrize("density", [2.5, True, "8", None])
+    def test_non_integer_density_is_a_domain_error(self, density):
+        with pytest.raises(bp_mod.BlueprintError, match="density"):
+            bp_mod.thicken(chord_cleavage(), density=density)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True])
+    def test_bad_tol_is_a_domain_error(self, tol):
+        with pytest.raises(bp_mod.BlueprintError, match="tol"):
+            bp_mod.thicken(chord_cleavage(), tol=tol)
+        with pytest.raises(bp_mod.BlueprintError, match="tol"):
+            bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), tol=tol)
+        with pytest.raises(bp_mod.BlueprintError, match="tol"):
+            bp_mod.build_blueprint(chord_cleavage(), tol=tol)
+
+    def test_numpy_integer_density(self):
+        assert len(bp_mod.thicken(chord_cleavage(), density=np.int64(4)).samples) == 4
+
+    @given(
+        st.integers(0, 10 ** 6),
+        st.integers(2, 6),
+        st.integers(2, 32),
+        st.sampled_from([geom.TOL, 1e-3, 0.05]),
+        st.sampled_from([1 << 16, 64, 5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_first_kept_wins_scan(self, seed, k, density, tol, block):
+        c = sampling.random_cleavage(seed, k)
+        try:
+            ref = reference_thicken(c, density, tol)
+        except bp_mod.BlueprintError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bp_mod.thicken(c, density, tol)
+            return
+        with mock.patch.object(bp_mod, "_DEDUP_PAIRS", block):
+            tb = bp_mod.thicken(c, density, tol)
+        assert len(tb.samples) == len(ref)
+        for s, (point, component, preimages) in zip(tb.samples, ref):
+            assert s.point.tobytes() == point.tobytes()
+            assert s.component == component
+            assert s.preimages == preimages
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

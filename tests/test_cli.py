@@ -177,6 +177,18 @@ class TestUmkehr:
         glued = {e["sample"] for e in comp["entries"] if e["scale"] == 0.0}
         assert set(comp["uf_mask"]) <= glued
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "inf"), ("--tol", "nan"), ("--epsilon", "inf"), ("--eta", "inf"),
+    ])
+    def test_non_finite_knob_is_a_one_line_domain_error(self, capsys, tmp_path, flag, value):
+        doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
+        loops = write_json(tmp_path, "loops.json", fx.mirrored_pair(0.05).to_json())
+        argv = ["umkehr", doc, loops, "--epsilon", 0.2, flag, value]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag.lstrip("-") in err and "come within" not in err
+
     def test_epsilon_is_required(self, capsys, tmp_path):
         doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
         loops = write_json(tmp_path, "loops.json", fx.mirrored_pair(0.1).to_json())

@@ -346,3 +346,47 @@ class TestActiveConstraints:
         b = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
         b = geom.clip(b, geom.OrientedHyperplane([0, 1], 0.0), 1)
         assert geom.active_constraints(b) == [True, True]
+
+
+def loop_margins(body, x):
+    """One signed_eval per constraint, the reference for ConvexBody.margins."""
+    return np.array([side * geom.signed_eval(h, x) for h, side in body.constraints])
+
+
+def loop_contains(body, x, tol):
+    """The per-constraint membership test, the reference for ConvexBody.contains."""
+    if float(np.linalg.norm(x)) > 1.0 + tol:
+        return False
+    return all(side * geom.signed_eval(h, x) >= -tol for h, side in body.constraints)
+
+
+class TestMembership:
+    @given(st.integers(0, 10 ** 6), st.integers(0, 6), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_constraint_loop(self, seed, planes, dim):
+        rng = np.random.default_rng(seed)
+        body = geom.unit_disk(dim)
+        for _ in range(planes):
+            h = geom.OrientedHyperplane(rng.normal(size=dim), rng.uniform(-0.9, 0.9))
+            body = geom.clip(body, h, 1 if rng.random() < 0.5 else -1)
+        points = list(rng.uniform(-1.2, 1.2, size=(20, dim)))
+        # Points on each plane, where the margins sit at rounding level.
+        for h, _ in body.constraints:
+            along = rng.normal(size=dim)
+            along -= (along @ h.normal) * h.normal
+            points.append(h.offset * h.normal + 0.3 * along)
+        for x in points:
+            got = body.margins(x)
+            assert got.shape == (planes,)
+            assert got.tobytes() == loop_margins(body, x).tobytes()
+            for tol in (0.0, geom.TOL, 0.05, -1e-6):
+                assert body.contains(x, tol) is loop_contains(body, x, tol)
+
+    def test_bad_points_still_raise(self):
+        body = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
+        with pytest.raises(geom.DimensionMismatch):
+            body.margins([0.0, 0.0, 0.0])
+        with pytest.raises(geom.GeometryError):
+            body.contains([math.nan, 0.0])
+        with pytest.raises(geom.DimensionMismatch):
+            geom.unit_disk().margins([0.0])

@@ -73,6 +73,12 @@ class TestValidate:
         c = operad.validate(chord_tree(0.999), tol=1e-6)
         assert c.trace(1).arcs.measure() > 0
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, True])
+    def test_bad_tol_is_a_domain_error(self, tol):
+        # tol = inf used to be reported as a cut leaving no sphere trace.
+        with pytest.raises(operad.OperadError, match="tol"):
+            operad.validate(chord_tree(0.0), tol=tol)
+
     def test_recleave_same_plane(self):
         tree = operad.Internal(
             chord(1, 0, 0.0),

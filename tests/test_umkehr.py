@@ -368,6 +368,162 @@ class TestClearance:
             um.clearance(emb, g, um.UmkehrConfig(epsilon=0.2))
 
 
+def reference_clearance(gamma, g, cfg, exclude=()):
+    """Strand-by-strand tube scan, the reference for the one-pass clearance."""
+    etas = cfg.eta_radians(gamma)
+    best = 1.0
+    witness = None
+    zero_witness = None
+    ell2 = g.length * g.length
+    for label in range(1, gamma.k + 1):
+        loop = gamma.loops[label - 1]
+        params = gamma.params(label)
+        keep = np.ones(loop.shape[0], dtype=bool)
+        for exc_label, exc_param in exclude:
+            if exc_label != label:
+                continue
+            gap = np.abs(params - (exc_param % (2 * PI)))
+            gap = np.minimum(gap, 2 * PI - gap)
+            keep &= gap > etas[label - 1]
+        if not np.any(keep):
+            continue
+        w = gamma.metric.displacement_many(g.a, loop[keep])
+        t = (w @ g.disp) / ell2
+        perp = w - t[:, None] * g.disp
+        pd = np.linalg.norm(perp, axis=1)
+        seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
+        kept_params = params[keep]
+        on_seg = seg <= cfg.tol
+        if np.any(on_seg) and zero_witness is None:
+            first = int(np.argmax(on_seg))
+            zero_witness = um.ClearanceWitness(
+                label, float(kept_params[first]), 0.0, loop[keep][first]
+            )
+        inside = (t > 0.0) & (t < 1.0) & ~on_seg
+        if not np.any(inside):
+            continue
+        radius = cfg.epsilon * (0.5 - np.abs(t[inside] - 0.5))
+        ratio = pd[inside] / radius
+        hit = ratio < 1.0
+        if not np.any(hit):
+            continue
+        ratios = ratio[hit]
+        arg = int(np.argmin(ratios))
+        if float(ratios[arg]) < best:
+            best = float(ratios[arg])
+            sub_params = kept_params[inside][hit]
+            sub_points = loop[keep][inside][hit]
+            witness = um.ClearanceWitness(label, float(sub_params[arg]), best, sub_points[arg])
+    if zero_witness is not None:
+        return 0.0, zero_witness
+    return best, witness
+
+
+def assert_same_clearance(got, ref):
+    assert got[0] == ref[0]
+    if ref[1] is None:
+        assert got[1] is None
+        return
+    assert (got[1].label, got[1].param, got[1].delta) == (ref[1].label, ref[1].param, ref[1].delta)
+    assert got[1].point.tobytes() == ref[1].point.tobytes()
+
+
+class TestClearanceOracle:
+    @given(
+        st.integers(0, 10 ** 6),
+        st.sampled_from(["euclidean", "torus"]),
+        st.sampled_from([2, 3]),
+        st.integers(2, 6),
+        st.one_of(st.none(), st.floats(0.0, 3.5), st.just(PI - 1e-9)),
+        st.floats(0.0, 40.0),
+        st.sampled_from([1e-9, 1e-3, 0.05]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_strand_scan(self, seed, kind, d, k, eta, eta_steps, tol):
+        rng = np.random.default_rng(seed)
+        metric = um.FlatMetric(kind, d, 1.0 if kind == "torus" else None)
+        loops = [random_strand(rng, int(rng.integers(8, 201)), d, float(rng.uniform(0.01, 0.3)))
+                 for _ in range(k)]
+        try:
+            emb = um.DiscreteEmbedding(metric, tuple(loops))
+        except um.NonUniqueGeodesic:
+            return
+        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)), eta=eta,
+                              eta_steps=eta_steps, tol=tol)
+        # A geodesic between two strand points, as umkehr draws them, or
+        # between two free points; its ends are excluded or not at random.
+        ends = [(int(rng.integers(1, k + 1)), float(rng.uniform(-7.0, 7.0))) for _ in range(2)]
+        if rng.random() < 0.8:
+            a, b = (emb.point(label, s) for label, s in ends)
+        else:
+            a, b = rng.uniform(-0.5, 1.5, size=(2, d))
+        try:
+            g = um.geodesic(metric, a, b, tol)
+        except um.NonUniqueGeodesic:
+            return
+        if not g.length > 0.0:
+            return
+        exclude = tuple(ends[: int(rng.integers(0, 3))])
+        exclude += tuple((int(rng.integers(0, k + 2)), float(rng.uniform(0.0, 7.0)))
+                         for _ in range(int(rng.integers(0, 3))))
+        assert_same_clearance(um.clearance(emb, g, cfg, exclude),
+                              reference_clearance(emb, g, cfg, exclude))
+
+    def test_strands_keeping_one_vertex(self):
+        # eta just under pi leaves an excluded strand with an even vertex
+        # count only the vertex opposite parameter 0; its projection takes
+        # a 1 x d by d product, which can round unlike its row of a
+        # matrix-vector product (seeds 0-199 hold a few such rows).
+        cfg = um.UmkehrConfig(epsilon=50.0, eta=PI - 1e-9)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(2, 7))
+            emb = um.DiscreteEmbedding(EUCLID, tuple(
+                random_strand(rng, int(rng.integers(8, 30)), 2, 0.2) for _ in range(k)))
+            a, b = (emb.point(int(rng.integers(1, k + 1)), float(rng.uniform(0.0, 7.0)))
+                    for _ in range(2))
+            g = um.geodesic(EUCLID, a, b)
+            exclude = tuple((label, 0.0) for label in range(1, int(rng.integers(2, k + 1))))
+            assert_same_clearance(um.clearance(emb, g, cfg, exclude),
+                                  reference_clearance(emb, g, cfg, exclude))
+
+    def test_ties_go_to_the_first_vertex_in_label_order(self):
+        g = um.geodesic(EUCLID, [0.0, 0.0], [1.0, 0.0])
+        cfg = um.UmkehrConfig(epsilon=0.5)
+        far = circle(0.1, 8, center=(5.0, 5.0))
+        # Strands 2 and 3 both hold the deepest point, strand 2 twice
+        # (vertices 3 and 5, the latter mirrored), so the witness is strand
+        # 2's vertex 3; at tol 0.06 every one of them is on the segment.
+        twin = circle(0.1, 8, center=(0.5, 0.5))
+        twin[3], twin[5] = [0.5, 0.05], [0.5, -0.05]
+        other = circle(0.1, 8, center=(0.5, -0.5))
+        other[1] = [0.5, 0.05]
+        emb = um.DiscreteEmbedding(EUCLID, (far, twin, other))
+        delta, witness = um.clearance(emb, g, cfg)
+        assert delta == pytest.approx(0.2, abs=1e-12)
+        assert (witness.label, witness.param) == (2, emb.params(2)[3])
+        delta, witness = um.clearance(emb, g, replace(cfg, tol=0.06))
+        assert (delta, witness.label, witness.param) == (0.0, 2, emb.params(2)[3])
+        for tol in (cfg.tol, 0.06):
+            assert_same_clearance(um.clearance(emb, g, replace(cfg, tol=tol)),
+                                  reference_clearance(emb, g, replace(cfg, tol=tol)))
+
+    @pytest.mark.parametrize("tip", [61.6, 63.2, 72.4])
+    def test_corridor_samples_match_per_strand_scan(self, tip):
+        emb = fx.corridor_trio(tip)
+        c = fx.corridor_cleavage()
+        tb = bp_mod.thicken(c, density=24)
+        cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
+        for sample in tb.samples:
+            for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
+                g = um.geodesic(emb.metric, emb.point(i, th_i), emb.point(j, th_j))
+                if not 0.0 < g.length <= cfg.epsilon:
+                    continue
+                exclude = ((i, th_i), (j, th_j))
+                assert_same_clearance(um.clearance(emb, g, cfg, exclude),
+                                      reference_clearance(emb, g, cfg, exclude))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(um.UmkehrError):
@@ -380,6 +536,37 @@ class TestConfig:
             um.UmkehrConfig(epsilon=0.2, eta=-0.1)
         with pytest.raises(um.UmkehrError):
             um.UmkehrConfig(epsilon=0.2, sup_scope="galaxy")
+
+    @pytest.mark.parametrize("knob", [
+        {"epsilon": math.inf}, {"epsilon": math.nan}, {"epsilon": True},
+        {"t_homotopy": math.nan}, {"t_homotopy": True},
+        {"density": 2.5}, {"density": True}, {"density": "8"},
+        {"eta": math.inf}, {"eta": math.nan},
+        {"eta_steps": -1}, {"eta_steps": math.nan}, {"eta_steps": math.inf},
+        {"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-9},
+    ], ids=lambda knob: ",".join(f"{k}={v!r}" for k, v in knob.items()))
+    def test_bad_knobs_raise_domain_errors(self, knob):
+        with pytest.raises(um.UmkehrError):
+            um.UmkehrConfig(**{"epsilon": 0.2, **knob})
+
+    def test_negative_eta_steps_cannot_flip_a_finite_component(self):
+        # A negative exclusion radius used to let the geodesic's own ends
+        # count as tube hits and sent this finite component to infinity.
+        c = fx.chord_cleavage()
+        tb = bp_mod.thicken(c)
+        out = um.umkehr(fx.mirrored_pair(0.05), c, tb, um.UmkehrConfig(epsilon=0.2))
+        assert out.components[0].status == "finite"
+        with pytest.raises(um.UmkehrError, match="eta_steps"):
+            um.UmkehrConfig(epsilon=0.2, eta_steps=-1)
+
+    def test_infinite_tol_is_not_reported_as_self_intersection(self):
+        with pytest.raises(um.UmkehrError, match="tol") as err:
+            um.UmkehrConfig(epsilon=0.2, tol=math.inf)
+        assert not isinstance(err.value, um.SelfIntersecting)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = um.UmkehrConfig(epsilon=np.float64(0.2), density=np.int64(8), eta_steps=np.float64(2.0))
+        assert cfg.density == 8
 
     def test_eta_default_follows_sampling(self):
         cfg = um.UmkehrConfig(epsilon=0.2)
