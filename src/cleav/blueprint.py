@@ -9,6 +9,7 @@ the collapse backwards.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +18,12 @@ import numpy as np
 from .geom import (
     TOL,
     TWO_PI,
+    BoundaryHit,
     OrientedHyperplane,
-    _as_vector,
+    _as_stack,
     _face_interval,
+    _rowdot,
+    _rowwise,
     active_constraints,
     centroid,
     clip,
@@ -48,15 +52,6 @@ def _require_circle(c: Cleavage) -> None:
 def _require_tol(tol) -> None:
     if not (finite_real(tol) and tol > 0.0):
         raise BlueprintError(f"tol must be a positive finite number, got {tol!r}")
-
-
-def _point_seg_distance(p, a, b) -> float:
-    d = b - a
-    dd = float(d @ d)
-    if dd <= 1e-18:
-        return float(np.linalg.norm(p - a))
-    t = min(1.0, max(0.0, float((p - a) @ d) / dd))
-    return float(np.linalg.norm(p - (a + t * d)))
 
 
 def _closest_points(p1, q1, p2, q2):
@@ -191,94 +186,128 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
     )
 
 
-def blueprint_distance(bp: Blueprint, b) -> float:
-    """Distance from b to the nearest cut piece (inf when there are none)."""
+def blueprint_distance(bp: Blueprint, b):
+    """Distance from b to the nearest cut piece (inf when there are none).
+
+    An (n, 2) stack gives one distance per row, from one (points x pieces)
+    array whose entries take the one-pair arithmetic.
+    """
     b = np.asarray(b, dtype=float)
+    p = b.reshape(-1, 1, b.shape[-1])
     if not bp.pieces:
-        return math.inf
-    return min(_point_seg_distance(b, p.a, p.b) for p in bp.pieces)
+        return math.inf if b.ndim == 1 else np.full(len(p), math.inf)
+    a, d = np.array([[piece.a, piece.b - piece.a] for piece in bp.pieces]).transpose(1, 0, 2)
+    dd = _rowdot(d, d)
+    with np.errstate(all="ignore"):  # a piece shorter than 1e-9 counts as its first end
+        t = np.where(dd > 1e-18, np.minimum(1.0, np.maximum(0.0, _rowdot(p - a, d) / dd)), 0.0)
+    off = p - (a + t[..., None] * d)
+    dist = np.sqrt(_rowdot(off, off)).min(axis=1)
+    return float(dist[0]) if b.ndim == 1 else dist
 
 
-def participants(c: Cleavage, b, tol: float = TOL) -> tuple[int, ...]:
-    """Labels whose timber contains b with b on one of its cut planes."""
-    b = _as_vector(b, c.timber(1).dim)
-    if float(np.linalg.norm(b)) > 1.0 + tol:
-        return ()
-    out = []
+@_rowwise(1)
+def participants(c: Cleavage, b, tol: float = TOL):
+    """Labels whose timber contains b with b on one of its cut planes.
+
+    An (n, d) stack of points gives an (n, k) bool array whose row r marks
+    the labels of the one-point call on row r.
+    """
+    b, single = _as_stack(b, c.timber(1).dim)
+    inside = np.sqrt(_rowdot(b, b)) <= 1.0 + tol
+    mask = np.empty((b.shape[0], c.k), dtype=bool)
     for label in range(1, c.k + 1):
         margins = c.timber(label)._margins(b)
-        if (margins >= -tol).all() and (np.abs(margins) <= tol).any():
-            out.append(label)
-    return tuple(out)
+        mask[:, label - 1] = (
+            inside & (margins >= -tol).all(axis=0) & (np.abs(margins) <= tol).any(axis=0)
+        )
+    if single:
+        return tuple((mask[0].nonzero()[0] + 1).tolist())
+    return mask
 
 
-@dataclass(frozen=True)
-class AlphaHit:
-    """Where a collapsed outside point lands on the timber boundary."""
-
-    point: np.ndarray
-    plane: OrientedHyperplane | None
-    face_index: int
-    corner: bool
-    t: float
-
-
-def alpha(c: Cleavage, i: int, s, tol: float = TOL, centroid_point=None) -> AlphaHit:
+@_rowwise(2)
+def alpha(c: Cleavage, i: int, s, tol: float = TOL, centroid_point=None) -> BoundaryHit:
     """Project the sphere point s onto timber i along the ray to its centroid.
 
     s must lie outside the sphere trace of timber i (within tol).  The
     landing point is the first boundary crossing of the segment from s to
     the centroid; for admissible s that crossing is on a cut plane, with
     the corner flag raised when several faces tie.
+
+    s may be an (n, 2) stack: row r of the hit equals the one-point call
+    on row r bit for bit.
     """
     _require_circle(c)
     if not 1 <= i <= c.k:
         raise BlueprintError(f"label {i} out of range 1..{c.k}")
-    s = np.asarray(s, dtype=float)
-    nrm = float(np.linalg.norm(s))
-    if abs(nrm - 1.0) > 1e-6:
+    s, single = _as_stack(s, 2)
+    nrm = np.sqrt(_rowdot(s, s))
+    bad = np.abs(nrm - 1.0) > 1e-6
+    if bad.any():
+        nrm = float(nrm[bad.argmax()])
         raise AlphaDomainError(f"query point has norm {nrm!r}, expected a circle point")
-    s = s / nrm
-    theta = math.atan2(s[1], s[0])
+    s = s / nrm[:, None]
+    # np.arctan2 can round unlike math.atan2 in the last bit, moving the
+    # distance by a few ulps: rows that close to tol are settled by math.atan2.
     outside = c.trace(i).arcs.complement()
-    if outside.distance(theta) > tol:
+    dist = outside.distance(np.arctan2(s[:, 1], s[:, 0]))
+    near = (np.abs(dist - tol) <= 1e-12).nonzero()[0]
+    if near.size:
+        dist[near] = outside.distance([math.atan2(y, x) for x, y in s[near].tolist()])
+    if (dist > tol).any():
+        x, y = s[(dist > tol).argmax()]
         raise AlphaDomainError(
-            f"angle {theta:.9f} lies inside the sphere trace of timber {i}"
+            f"angle {math.atan2(y, x):.9f} lies inside the sphere trace of timber {i}"
         )
     if centroid_point is None:
         cpt = centroid(c.timber(i))
     else:
         cpt = np.asarray(centroid_point, dtype=float)
-    hit = segment_boundary_hit(c.timber(i), s, cpt, tol)
-    return AlphaHit(hit.point, hit.face, hit.face_index, hit.corner, hit.t)
+    return segment_boundary_hit(c.timber(i), s[0] if single else s, cpt, tol)
 
 
+def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit vectors where the rays from ci through the rows of b leave the circle."""
+    d = b - ci
+    qa = _rowdot(d, d)
+    qb = 2.0 * _rowdot(ci, d)
+    qc = float(ci @ ci) - 1.0
+    u = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+    s = ci + u[:, None] * d
+    return s / np.sqrt(_rowdot(s, s))[:, None]
+
+
+@_rowwise(1)
 def alpha_preimage(bp: Blueprint, b, tol: float | None = None):
     """All sphere points collapsing to the diagram point b, by timber label.
 
     For each participating timber the preimage is where the ray from its
     centroid through b exits the circle.  Returns [(label, point)] sorted
     by label; raises when b is not on the diagram within tol.
+
+    b may be an (n, 2) stack: the result is then (mask, points), mask an
+    (n, k) bool array marking each row's labels and points[r, label - 1]
+    that label's sphere point, so row r holds the one-point result bit for
+    bit.
     """
     tol = bp.tol if tol is None else tol
-    b = np.asarray(b, dtype=float)
+    b, single = _as_stack(b, 2)
     dist = blueprint_distance(bp, b)
-    if not dist <= tol:
+    if not (dist <= tol).all():
+        dist = dist[(~(dist <= tol)).argmax()]
         raise BlueprintError(f"b not on blueprint: nearest piece at distance {dist:.3e}")
-    out = []
-    for label in participants(bp.cleavage, b, tol):
-        ci = bp.centroids[label - 1]
-        d = b - ci
-        qa = float(d @ d)
-        if qa <= 1e-30:
-            raise BlueprintError(f"b coincides with the centroid of timber {label}")
-        qb = 2.0 * float(ci @ d)
-        qc = float(ci @ ci) - 1.0
-        disc = qb * qb - 4.0 * qa * qc
-        u = (-qb + math.sqrt(disc)) / (2.0 * qa)
-        s = ci + u * d
-        out.append((label, s / float(np.linalg.norm(s))))
-    return out
+    mask = participants(bp.cleavage, b, tol)
+    points = np.zeros(mask.shape + (2,))
+    for col in mask.any(axis=0).nonzero()[0].tolist():
+        ci = bp.centroids[col]
+        rows = mask[:, col].nonzero()[0]
+        d = b[rows] - ci
+        if (_rowdot(d, d) <= 1e-30).any():
+            raise BlueprintError(f"b coincides with the centroid of timber {col + 1}")
+        points[rows, col] = _exit_points(ci, b[rows])
+    if single:
+        return [(col + 1, points[0, col]) for col in mask[0].nonzero()[0].tolist()]
+    return mask, points
 
 
 @dataclass(frozen=True)
@@ -389,9 +418,9 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
     piece by piece, then the crossings; a candidate within tol of an
     earlier kept one (shared endpoints, crossings) is dropped, first kept
     wins, so the samples keep candidate order.  Each sample carries its
-    component id and its collapse preimages, looked up once here at the
-    blueprint's tol: one (label, exit angle) pair per participant, sorted
-    by label.  Its spines are the vertex stars of the simplex on that
+    component id and its collapse preimages, looked up here for all kept
+    samples in one stacked alpha_preimage call at the blueprint's tol: one
+    (label, exit angle) pair per participant, sorted by label.  Its spines are the vertex stars of the simplex on that
     participant set.
     """
     if not (whole_number(density) and density >= 2):
@@ -412,13 +441,15 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
                 owners.append(i)
     points = np.concatenate(points) if points else np.zeros((0, 2))
 
-    samples = []
     kept = _first_kept(points, tol)
-    for idx, point in zip(kept, points[kept]):
-        preimages = tuple(
-            (label, math.atan2(s[1], s[0]) % TWO_PI)
-            for label, s in alpha_preimage(bp, point, tol)
-        )
+    points = points[kept]
+    mask, exits = alpha_preimage(bp, points, tol)
+    rows, cols = mask.nonzero()
+    angles = [math.atan2(y, x) % TWO_PI for x, y in exits[rows, cols].tolist()]
+    pairs = zip((cols + 1).tolist(), angles)
+    samples = []
+    for idx, point, count in zip(kept, points, mask.sum(axis=1).tolist()):
+        preimages = tuple(itertools.islice(pairs, count))
         samples.append(BlueprintSample(point, bp.piece_components[owners[idx]], preimages))
     return ThickenedBlueprint(tuple(samples), bp.n_components, bp)
 

@@ -8,6 +8,7 @@ dimensions fall back to seeded sampling with documented budgets.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -59,6 +60,41 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
     return v
+
+
+def _as_stack(x, dim: int):
+    """x as an (n, dim) stack of checked points, and whether x was one point."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2:
+        return _as_vector(v, dim)[None], True
+    if v.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[1]}")
+    return _as_vector(v.reshape(-1)).reshape(v.shape), False
+
+
+def _rowwise(index: int):
+    """Let argument index be one point or a stack; a failing stack raises its first bad row's error."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except ValueError:
+                if len(args) > index and np.ndim(args[index]) == 2:
+                    for row in np.asarray(args[index], dtype=float):
+                        fn(*args[:index], row, *args[index + 1 :], **kwargs)
+                raise
+
+        return call
+
+    return wrap
+
+
+def _rowdot(x, y) -> np.ndarray:
+    """Row-wise dots, each a 1 x d by d x 1 product: unlike a matrix-vector
+    product or einsum, every row rounds as float(a @ b) does on its pair."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,28 +168,29 @@ class ConvexBody:
             [[*h.normal, h.offset, side] for h, side in self.constraints], dtype=float
         ).reshape(-1, self.dim + 2)
 
-    def contains(self, x, tol: float = TOL) -> bool:
-        v = _as_vector(x, self.dim)
-        if float(np.linalg.norm(v)) > 1.0 + tol:
-            return False
-        return bool((self._margins(v) >= -tol).all())
+    @_rowwise(1)
+    def contains(self, x, tol: float = TOL):
+        """Is x within tol of the body?  An (n, d) stack gives one bool per row."""
+        v, single = _as_stack(x, self.dim)
+        inside = (np.sqrt(_rowdot(v, v)) <= 1.0 + tol) & (self._margins(v) >= -tol).all(axis=0)
+        return bool(inside[0]) if single else inside
 
+    @_rowwise(1)
     def margins(self, x) -> np.ndarray:
         """Signed slack of each plane constraint at x (>= 0 means satisfied).
 
-        One array expression over all constraints, equal bit for bit to
-        side * signed_eval(h, x) per constraint: each row is its own 1 x d
-        by d x 1 product, the same dot signed_eval takes, and never a
-        matrix-vector product, which can round rows differently.  A body
-        without constraints has no margins.
+        Equal bit for bit to side * signed_eval(h, x) per constraint.  An
+        (n, d) stack gives one row per point.
         """
-        return self._margins(_as_vector(x, self.dim))
+        v, single = _as_stack(x, self.dim)
+        margins = self._margins(v)
+        return margins[:, 0] if single else margins.T
 
     def _margins(self, v: np.ndarray) -> np.ndarray:
-        """margins for a vector already checked by _as_vector."""
+        """margins of a checked (n, d) stack, plane by plane: (m, n), so reductions run on axis 0."""
         planes = self._planes
-        dots = np.matmul(planes[:, None, : self.dim], v[:, None])[:, 0, 0]
-        return planes[:, -1] * (dots - planes[:, -2])
+        dots = _rowdot(planes[:, None, : self.dim], v)
+        return planes[:, -1:] * (dots - planes[:, -2:-1])
 
 
 def unit_disk(dim: int = 2) -> ConvexBody:
@@ -248,19 +285,18 @@ class ArcSet:
         inter = self.intersect(other).measure()
         return self.measure() + other.measure() - 2.0 * inter
 
-    def distance(self, theta: float) -> float:
-        """Circular distance from the angle theta to this set (0 if inside)."""
-        if not self.arcs:
-            return math.pi
-        t = _norm_angle(theta)
-        best = math.pi
+    def distance(self, theta) -> np.ndarray:
+        """Circular distance from each of the angles theta to this set (0 if inside)."""
+        t = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+        t = np.where(t < 0.0, t + TWO_PI, t)
+        inside = np.zeros(t.shape, dtype=bool)
+        best = np.full(t.shape, math.pi)
         for s, e in self.arcs:
             for shift in (-TWO_PI, 0.0, TWO_PI):
                 ts = t + shift
-                if s <= ts <= e:
-                    return 0.0
-                best = min(best, abs(ts - s), abs(ts - e))
-        return best
+                inside |= (s <= ts) & (ts <= e)
+                best = np.fmin(best, np.fmin(np.abs(ts - s), np.abs(ts - e)))
+        return np.where(inside, 0.0, best)
 
     def __repr__(self):
         return f"ArcSet({list(self.arcs)!r})"
@@ -362,9 +398,7 @@ def sphere_trace(body: ConvexBody, budget: int = TRACE_BUDGET, seed: int = 0) ->
             arcs = arcs.intersect(_constraint_arcs(h, side))
         return SphereRegion(body, arcs=arcs)
     pts = sphere_points(body.dim, budget, seed)
-    mask = np.ones(len(pts), dtype=bool)
-    for h, side in body.constraints:
-        mask &= side * (pts @ h.normal - h.offset) >= 0.0
+    mask = (body._margins(pts) >= 0.0).all(axis=0)
     return SphereRegion(body, points=pts, mask=mask, budget=budget, seed=seed)
 
 
@@ -392,26 +426,17 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL,
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         radii = rng.random(budget) ** (1.0 / body.dim)
         pts *= radii[:, None] * (1.0 - tol)
-        ok = np.ones(budget, dtype=bool)
-        for h, side in body.constraints:
-            ok &= side * (pts @ h.normal - h.offset) > tol
-        return bool(ok.any())
+        return bool((body._margins(pts) > tol).all(axis=0).any())
 
     radius = 1.0 - tol
     if radius <= 0.0:
         return False
-    normals = []
-    offsets = []
-    for h, side in body.constraints:
-        # side * (n.x - c) >= tol  <=>  (side*n).x >= side*c + tol
-        normals.append(side * h.normal)
-        offsets.append(side * h.offset + tol)
-    normals = np.array(normals).reshape(-1, 2)
-    offsets = np.array(offsets)
+    # side * (n.x - c) >= tol  <=>  (side*n).x >= side*c + tol
+    planes = body._planes
+    normals = planes[:, -1:] * planes[:, :2]
+    offsets = planes[:, -1] * planes[:, -2] + tol
 
     def feasible(p: np.ndarray) -> bool:
-        if normals.size == 0:
-            return True
         return bool(np.all(normals @ p - offsets >= -1e-15))
 
     origin = np.zeros(2)
@@ -536,10 +561,7 @@ def centroid_mc(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED
     pts = rng.normal(size=(samples, d))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= (rng.random(samples) ** (1.0 / d))[:, None]
-    ok = np.ones(samples, dtype=bool)
-    for h, side in body.constraints:
-        ok &= side * (pts @ h.normal - h.offset) >= 0.0
-    hits = pts[ok]
+    hits = pts[(body._margins(pts) >= 0.0).all(axis=0)]
     if len(hits) < 10:
         raise EmptyBodyError("Monte Carlo centroid: body acceptance rate too low")
     mean = hits.mean(axis=0)
@@ -553,13 +575,15 @@ def centroid_mc(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED
 
 @dataclass(frozen=True)
 class BoundaryHit:
+    """A boundary crossing; a stacked call holds one array entry per source in each field."""
+
     point: np.ndarray
-    face: OrientedHyperplane | None
-    face_index: int  # -1 when the crossing lies on the sphere
+    face_index: int  # into body.constraints; -1 when the crossing lies on the sphere
     corner: bool
     t: float
 
 
+@_rowwise(1)
 def segment_boundary_hit(body: ConvexBody, src, dst, tol: float = TOL) -> BoundaryHit:
     """Unique crossing of segment [src, dst] with the body boundary.
 
@@ -567,50 +591,48 @@ def segment_boundary_hit(body: ConvexBody, src, dst, tol: float = TOL) -> Bounda
     the latest entry parameter among violated constraints; for a convex body
     that is the single boundary point of the segment. Ties within tol are
     corners: the lowest-index plane wins and the corner flag is set.
+
+    src may be an (n, d) stack sharing dst: row r of the hit equals the
+    one-point call on row r bit for bit.
     """
-    a = _as_vector(src, body.dim)
+    a, single = _as_stack(src, body.dim)
     b = _as_vector(dst, body.dim)
     seg = b - a
-    seg_len = float(np.linalg.norm(seg))
-    if seg_len <= tol:
+    qa = _rowdot(seg, seg)
+    seg_len = np.sqrt(qa)
+    if (seg_len <= tol).any():
         raise BoundaryHitError("segment is degenerate")
-    margins_dst = body.margins(b) if body.constraints else np.zeros(0)
+    margins_dst = body._margins(b[None])
     if float(np.linalg.norm(b)) >= 1.0 - tol or (margins_dst.size and margins_dst.min() <= tol):
         raise BoundaryHitError("destination point must be interior to the body")
 
-    entries = []  # (t, face_index)
-    for j, (h, side) in enumerate(body.constraints):
-        g0 = side * signed_eval(h, a)
-        g1 = side * signed_eval(h, b)
-        if g0 < 0.0:
-            entries.append((g0 / (g0 - g1), j))
-    na = float(np.linalg.norm(a))
-    if na > 1.0:
-        # Entry root of |a + t seg|^2 = 1.
-        qa = seg @ seg
-        qb = 2.0 * (a @ seg)
-        qc = a @ a - 1.0
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            raise BoundaryHitError("segment never enters the unit ball")
-        root = (-qb - math.sqrt(disc)) / (2.0 * qa)
-        entries.append((root, -1))
+    g0 = body._margins(a)
+    entering = g0 < 0.0
+    t = np.where(entering, g0 / np.where(entering, g0 - margins_dst, 1.0), -np.inf)
+    # Entry root of |a + t seg|^2 = 1, for sources outside the ball.
+    aa = _rowdot(a, a)
+    na = np.sqrt(aa)
+    outside = na > 1.0
+    qb = 2.0 * _rowdot(a, seg)
+    disc = qb * qb - 4.0 * qa * (aa - 1.0)
+    if (outside & (disc < 0.0)).any():
+        raise BoundaryHitError("segment never enters the unit ball")
+    with np.errstate(invalid="ignore"):  # disc < 0 only inside the ball
+        root = (-qb - np.sqrt(disc)) / (2.0 * qa)
+    t = np.vstack([t, np.where(outside, root, -np.inf)])
+    entered = entering.any(axis=0) | outside
+    if (~entered & (na < 1.0 - tol)).any():
+        raise BoundaryHitError("source point is interior to the body")
 
-    if not entries:
-        if na < 1.0 - tol:
-            raise BoundaryHitError("source point is interior to the body")
-        # src sits on the sphere with every plane constraint satisfied.
-        return BoundaryHit(point=a.copy(), face=None, face_index=-1, corner=False, t=0.0)
-
-    t_star = max(t for t, _ in entries)
-    tie = [idx for t, idx in entries if (t_star - t) * seg_len <= tol]
-    plane_ties = sorted(i for i in tie if i >= 0)
-    corner = len(tie) > 1
-    if plane_ties:
-        face_index = plane_ties[0]
-        face = body.constraints[face_index][0]
-    else:
-        face_index = -1
-        face = None
-    point = a + t_star * seg
-    return BoundaryHit(point=point, face=face, face_index=face_index, corner=corner, t=float(t_star))
+    # A source without entries sits on the sphere inside every plane: t = 0.
+    t_star = np.where(entered, t.max(axis=0), 0.0)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on rows without entries
+        tie = (t_star - t) * seg_len <= tol
+    # Every entered row ties with itself; the sphere is the last row of t.
+    first_tie = tie.argmax(axis=0)
+    face_index = np.where(entered & (first_tie < len(t) - 1), first_tie, -1)
+    corner = tie.sum(axis=0) > 1
+    point = np.where(entered[:, None], a + t_star[:, None] * seg, a)
+    if single:
+        return BoundaryHit(point[0], int(face_index[0]), bool(corner[0]), float(t_star[0]))
+    return BoundaryHit(point, face_index, corner, t_star)

@@ -208,9 +208,7 @@ def _cloud_traces_agree(ta: SphereRegion, tb: SphereRegion, tol: float) -> bool:
     band = max(tol, 1e-9)
     near = np.zeros(len(pts), dtype=bool)
     for region in (ta, tb):
-        for h, _side in region.body.constraints:
-            g = pts @ h.normal - h.offset
-            near |= np.abs(g) <= band
+        near |= (np.abs(region.body._margins(pts)) <= band).any(axis=0)
     return not np.any((ta.mask != tb.mask) & ~near)
 
 

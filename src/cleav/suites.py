@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fixtures as fx
 from .blueprint import alpha, alpha_preimage, build_blueprint, stable_degree, thicken
-from .geom import TOL, TWO_PI, centroid, segment_boundary_hit
+from .geom import TOL, TWO_PI, _rowdot, centroid, segment_boundary_hit
 from .operad import Permutation, permute
 from .sampling import fat_cleavage, random_cleavage
 from .umkehr import (
@@ -72,13 +72,6 @@ def _floats(x) -> list:
     return [float(v) for v in np.asarray(x).ravel()]
 
 
-def _member_mask(body, pts: np.ndarray, tol: float) -> np.ndarray:
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for h, side in body.constraints:
-        ok &= side * (pts @ h.normal - h.offset) >= -tol
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # partition: the timbers tile the sphere.
 
@@ -99,7 +92,7 @@ def check_partition(seed: int = 0, cleavages: int = 50, points: int = 10_000,
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         count = np.zeros(points, dtype=int)
         for i in range(1, k + 1):
-            count += _member_mask(c.timber(i), pts, tol)
+            count += c.timber(i).contains(pts, tol)
         near = np.zeros(points, dtype=bool)
         for cut in c.cuts:
             near |= np.abs(pts @ cut.plane.normal - cut.plane.offset) <= tol
@@ -139,15 +132,12 @@ def check_convexity(seed: int = 0, cleavages: int = 12, pairs: int = 1000,
             timbers += 1
             ang = rng.uniform(0.0, TWO_PI, 2 * pairs)
             u = rng.random(2 * pairs)
-            sample = np.empty((2 * pairs, 2))
-            for j, a in enumerate(ang):
-                far = cpt + 2.0 * np.array([math.cos(a), math.sin(a)])
-                hit = segment_boundary_hit(body, far, cpt)
-                sample[j] = cpt + u[j] * (hit.point - cpt)
+            far = cpt + 2.0 * np.array([[math.cos(a), math.sin(a)] for a in ang.tolist()])
+            hit = segment_boundary_hit(body, far, cpt)
+            sample = cpt + u[:, None] * (hit.point - cpt)
             mid = (sample[0::2] + sample[1::2]) / 2.0
             for pts in (sample, mid):
-                ok = _member_mask(body, pts, tol)
-                ok &= np.linalg.norm(pts, axis=1) <= 1.0 + tol
+                ok = body.contains(pts, tol)
                 checked += pts.shape[0]
                 if not np.all(ok):
                     j = int(np.argmax(~ok))
@@ -188,10 +178,8 @@ def check_alpha(seed: int = 0, cleavages: int = 8, samples: int = 1000,
             for s0, s1 in c.trace(i).arcs.complement().arcs:
                 arcs += 1
                 th = s0 + (s1 - s0) * np.arange(1, samples + 1) / (samples + 1)
-                hits = np.empty((samples, 2))
-                for j, t in enumerate(th):
-                    s = np.array([math.cos(t), math.sin(t)])
-                    hits[j] = alpha(c, i, s, centroid_point=cpt).point
+                s = np.array([[math.cos(t), math.sin(t)] for t in th.tolist()])
+                hits = alpha(c, i, s, centroid_point=cpt).point
                 kappa = np.unwrap(np.arctan2(hits[:, 1] - cpt[1], hits[:, 0] - cpt[0]))
                 d = np.diff(kappa)
                 checked += samples
@@ -230,21 +218,19 @@ def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000,
         t = rng.random(samples)
         pts = A[pick] + t[:, None] * (B[pick] - A[pick])
         extra = np.array([s.point for s in thicken(c, density=2).samples])
-        for b in itertools.chain(pts, extra):
-            planes = sum(
-                1 for cut in c.cuts
-                if abs(float(cut.plane.normal @ b) - cut.plane.offset) <= tol
-            )
-            pre = alpha_preimage(bp, b)
-            labels = [lab for lab, _ in pre]
-            hist[len(pre)] += 1
-            checked += 1
-            if len(pre) != planes + 1 or len(set(labels)) != len(labels):
-                failures.append({
-                    "k": k, "cleavage": c.to_json(), "point": _floats(b),
-                    "planes_through": planes, "preimage_size": len(pre),
-                    "labels": labels,
-                })
+        b = np.concatenate([pts, extra])
+        planes = sum(np.abs(_rowdot(cut.plane.normal, b) - cut.plane.offset) <= tol
+                     for cut in c.cuts)
+        mask, _ = alpha_preimage(bp, b)
+        sizes = mask.sum(axis=1)
+        hist.update(sizes.tolist())
+        checked += b.shape[0]
+        for j in (sizes != planes + 1).nonzero()[0].tolist():
+            failures.append({
+                "k": k, "cleavage": c.to_json(), "point": _floats(b[j]),
+                "planes_through": int(planes[j]), "preimage_size": int(sizes[j]),
+                "labels": (mask[j].nonzero()[0] + 1).tolist(),
+            })
     return SuiteReport(
         "preimage", not failures, checked, len(failures),
         {"cleavages": cleavages, "histogram": {str(s): n for s, n in sorted(hist.items())}},

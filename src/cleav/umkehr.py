@@ -17,7 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .blueprint import Blueprint, ThickenedBlueprint, _require_circle
+from .blueprint import (
+    ThickenedBlueprint,
+    _exit_points,
+    _require_circle,
+    alpha,
+    build_blueprint,
+    participants,
+)
 from .geom import TOL, TWO_PI, finite_real, whole_number
 
 INF = math.inf
@@ -753,33 +760,6 @@ class LocusInterval:
         return {"label": self.label, "start": self.start, "end": self.end}
 
 
-def _entry_points(c, bp: Blueprint, label: int, angles: np.ndarray) -> np.ndarray:
-    """Vectorized collapse of circle angles onto the timber boundary."""
-    body = c.timber(label)
-    cpt = bp.centroids[label - 1]
-    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    d = cpt - pts
-    t_entry = np.zeros(len(angles))
-    for h, side in body.constraints:
-        gs = side * (pts @ h.normal - h.offset)
-        gc = side * (float(cpt @ h.normal) - h.offset)
-        tj = np.where(gs < 0.0, gs / (gs - gc), 0.0)
-        t_entry = np.maximum(t_entry, tj)
-    return pts + t_entry[:, None] * d
-
-
-def _exit_angles(cpt: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Vectorized circle exit angles of rays from cpt through rows of B."""
-    d = B - cpt
-    qa = np.einsum("ij,ij->i", d, d)
-    qb = 2.0 * (d @ cpt)
-    qc = float(cpt @ cpt) - 1.0
-    disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
-    u = (-qb + np.sqrt(disc)) / (2.0 * qa)
-    s = cpt + u[:, None] * d
-    return np.mod(np.arctan2(s[:, 1], s[:, 0]), TWO_PI)
-
-
 def self_intersection_locus(
     gamma: DiscreteEmbedding,
     c,
@@ -799,45 +779,27 @@ def self_intersection_locus(
         raise UmkehrError(f"strand count {gamma.k} != arity {c.k}")
     if density < 2:
         raise UmkehrError(f"density must be >= 2, got {density}")
-    from .blueprint import build_blueprint
-
     bp = build_blueprint(c)
     out = []
     for label in range(1, c.k + 1):
         comp = c.trace(label).arcs.complement()
         for s0, s1 in comp.arcs:
             grid = np.linspace(s0, s1, density)
-            landed = _entry_points(c, bp, label, grid)
+            circle = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+            landed = alpha(c, label, circle, centroid_point=bp.centroids[label - 1]).point
+            partners = participants(c, landed, tol)
             marked = np.zeros(density, dtype=bool)
             own = gamma.points_at(label, grid)
             for other in range(1, c.k + 1):
-                if other == label:
+                sel = partners[:, other - 1]
+                if other == label or not sel.any():
                     continue
-                body = c.timber(other)
-                member = np.ones(density, dtype=bool)
-                on_cut = np.zeros(density, dtype=bool)
-                for h, side in body.constraints:
-                    val = landed @ h.normal - h.offset
-                    member &= side * val >= -tol
-                    on_cut |= np.abs(val) <= tol
-                sel = member & on_cut
-                if not np.any(sel):
-                    continue
-                partner = _exit_angles(bp.centroids[other - 1], landed[sel])
+                exits = _exit_points(bp.centroids[other - 1], landed[sel])
+                partner = np.mod(np.arctan2(exits[:, 1], exits[:, 0]), TWO_PI)
                 theirs = gamma.points_at(other, partner)
                 diff = gamma.metric.displacement_many(np.zeros(gamma.metric.d), theirs - own[sel])
                 marked[sel] |= np.linalg.norm(diff, axis=1) <= tol
             idxs = np.flatnonzero(marked)
-            if idxs.size == 0:
-                continue
-            run_start = idxs[0]
-            prev = idxs[0]
-            for ix in idxs[1:]:
-                if ix == prev + 1:
-                    prev = ix
-                    continue
-                out.append(LocusInterval(label, float(grid[run_start]), float(grid[prev])))
-                run_start = ix
-                prev = ix
-            out.append(LocusInterval(label, float(grid[run_start]), float(grid[prev])))
+            for run in np.split(idxs, np.flatnonzero(np.diff(idxs) > 1) + 1) if idxs.size else ():
+                out.append(LocusInterval(label, float(grid[run[0]]), float(grid[run[-1]])))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from unittest import mock
@@ -8,6 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from cleav import blueprint as bp_mod
 from cleav import geom, operad, sampling
+from test_geom import (
+    assert_raises_like,
+    outcome,
+    reference_arc_distance,
+    reference_segment_boundary_hit,
+)
 
 PI = math.pi
 
@@ -168,14 +175,188 @@ class TestParticipantsOracle:
         points = list(rng.uniform(-1.1, 1.1, size=(20, 2)))
         for piece in bp.pieces:
             points += [piece.a, piece.b, piece.a + rng.uniform() * (piece.b - piece.a)]
+            # The cut line past the circle: on a plane, but outside the ball.
+            points += [piece.a + t * (piece.b - piece.a) for t in (-0.05, 1.05)]
         for b in points:
             assert bp_mod.participants(c, b, tol) == loop_participants(c, b, tol)
+        mask = bp_mod.participants(c, np.array(points), tol)
+        assert [tuple(np.flatnonzero(row) + 1) for row in mask] == [
+            loop_participants(c, b, tol) for b in points]
 
     def test_bad_points_still_raise(self):
         with pytest.raises(geom.DimensionMismatch):
             bp_mod.participants(chord_cleavage(), [0.0, 0.0, 0.0])
         with pytest.raises(geom.GeometryError):
             bp_mod.participants(chord_cleavage(), [math.inf, 0.0])
+
+
+def reference_alpha(c, i, s, tol=geom.TOL, centroid_point=None):
+    """The one-point collapse, the reference for alpha: (point, face_index, corner, t)."""
+    if not 1 <= i <= c.k:
+        raise bp_mod.BlueprintError(f"label {i} out of range 1..{c.k}")
+    s = np.asarray(s, dtype=float)
+    nrm = float(np.linalg.norm(s))
+    if abs(nrm - 1.0) > 1e-6:
+        raise bp_mod.AlphaDomainError(f"query point has norm {nrm!r}, expected a circle point")
+    s = s / nrm
+    theta = math.atan2(s[1], s[0])
+    if reference_arc_distance(c.trace(i).arcs.complement(), theta) > tol:
+        raise bp_mod.AlphaDomainError(
+            f"angle {theta:.9f} lies inside the sphere trace of timber {i}"
+        )
+    cpt = geom.centroid(c.timber(i)) if centroid_point is None else centroid_point
+    return reference_segment_boundary_hit(c.timber(i), s, cpt, tol)
+
+
+def reference_point_seg_distance(p, a, b):
+    """The one-pair point-segment distance, the reference for blueprint_distance."""
+    d = b - a
+    dd = float(d @ d)
+    if dd <= 1e-18:
+        return float(np.linalg.norm(p - a))
+    t = min(1.0, max(0.0, float((p - a) @ d) / dd))
+    return float(np.linalg.norm(p - (a + t * d)))
+
+
+def reference_blueprint_distance(bp, b):
+    """One point-segment distance per piece, the reference for blueprint_distance."""
+    return min((reference_point_seg_distance(b, p.a, p.b) for p in bp.pieces), default=math.inf)
+
+
+def reference_alpha_preimage(bp, b, tol=None):
+    """One exit solve per participant, the reference for alpha_preimage."""
+    tol = bp.tol if tol is None else tol
+    b = np.asarray(b, dtype=float)
+    dist = reference_blueprint_distance(bp, b)
+    if not dist <= tol:
+        raise bp_mod.BlueprintError(f"b not on blueprint: nearest piece at distance {dist:.3e}")
+    out = []
+    for label in loop_participants(bp.cleavage, b, tol):
+        ci = bp.centroids[label - 1]
+        d = b - ci
+        qa = float(d @ d)
+        if qa <= 1e-30:
+            raise bp_mod.BlueprintError(f"b coincides with the centroid of timber {label}")
+        qb = 2.0 * float(ci @ d)
+        qc = float(ci @ ci) - 1.0
+        disc = qb * qb - 4.0 * qa * qc
+        u = (-qb + math.sqrt(disc)) / (2.0 * qa)
+        s = ci + u * d
+        out.append((label, s / float(np.linalg.norm(s))))
+    return out
+
+
+def diagram_points(bp, rng, n=4):
+    """Piece ends, n random points per piece and every thickening sample."""
+    points = []
+    for piece in bp.pieces:
+        points += [piece.a, piece.b]
+        points += [piece.a + t * (piece.b - piece.a) for t in rng.random(n)]
+    if bp.pieces:
+        points += [s.point for s in bp_mod.thicken(bp, density=3).samples]
+    return points
+
+
+class TestCollapseOracles:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 6),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 400)), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_matches_reference(self, seed, k, bad):
+        rng = np.random.default_rng(seed)
+        c = operad.validate(operad.Leaf(1)) if k == 1 else sampling.random_cleavage(seed, k)
+        for i in range(1, c.k + 1):
+            cpt = geom.centroid(c.timber(i))
+            angles = []
+            for s0, s1 in c.trace(i).arcs.complement().arcs:
+                angles += [s0, s1] + (s0 + (s1 - s0) * rng.random(30)).tolist()
+            rows = [np.array([math.cos(t), math.sin(t)]) for t in angles]
+            # Rays from the sphere through a corner of the timber tie two faces.
+            for j in range(len(c.timber(i).constraints)):
+                face = geom._face_interval(c.timber(i), j)
+                if face is not None:
+                    p0, d, lo, hi = face
+                    for corner in (p0 + lo * d, p0 + hi * d):
+                        rows.append(bp_mod._exit_points(cpt, corner[None])[0])
+            good = [r for r in rows
+                    if not isinstance(outcome(reference_alpha, c, i, r, geom.TOL, cpt), Exception)]
+            if good:
+                hit = bp_mod.alpha(c, i, np.array(good))
+                for r, s in enumerate(good):
+                    point, face, corner, t = reference_alpha(c, i, s, geom.TOL, cpt)
+                    assert hit.point[r].tobytes() == point.tobytes()
+                    assert (hit.face_index[r], hit.corner[r], hit.t[r]) == (face, corner, t)
+            # Bad rows inside the trace or off the circle: the first must win.
+            stack = list(rows)
+            for off_circle, where in bad:
+                s0, s1 = c.trace(i).arcs.arcs[0]
+                t = s0 + (s1 - s0) * rng.random()
+                row = np.array([math.cos(t), math.sin(t)]) * (rng.uniform(0.5, 0.9) if off_circle else 1)
+                stack.insert(where % (len(stack) + 1), row)
+            first = next((e for e in (outcome(reference_alpha, c, i, r, geom.TOL, cpt)
+                                      for r in stack) if isinstance(e, Exception)), None)
+            if first is not None:
+                assert_raises_like(first, bp_mod.alpha, c, i, np.array(stack).reshape(-1, 2))
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.sampled_from([geom.TOL, 1e-3]),
+           st.booleans(), st.integers(0, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_preimage_matches_reference(self, seed, k, tol, off, where):
+        rng = np.random.default_rng(seed)
+        bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, k))
+        points = diagram_points(bp, rng)
+        stack = np.array(points)
+        assert bp_mod.blueprint_distance(bp, stack).tolist() == [
+            reference_blueprint_distance(bp, b) for b in points]
+        mask, exits = bp_mod.alpha_preimage(bp, stack, tol)
+        for r, b in enumerate(points):
+            ref = reference_alpha_preimage(bp, b, tol)
+            assert (np.flatnonzero(mask[r]) + 1).tolist() == [label for label, _ in ref]
+            for label, s in ref:
+                assert exits[r, label - 1].tobytes() == s.tobytes()
+            one = bp_mod.alpha_preimage(bp, b, tol)
+            assert [(label, s.tobytes()) for label, s in one] == [
+                (label, s.tobytes()) for label, s in ref]
+        if off:
+            points.insert(where % (len(points) + 1), rng.uniform(-1.0, 1.0, 2))
+        first = next((e for e in (outcome(reference_alpha_preimage, bp, b, tol) for b in points)
+                      if isinstance(e, Exception)), None)
+        if first is not None:
+            assert_raises_like(first, bp_mod.alpha_preimage, bp, np.array(points), tol)
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(0, 400), st.integers(0, 400))
+    @settings(max_examples=30, deadline=None)
+    def test_centroid_coincidence_raises_for_the_first_row(self, seed, k, where, off):
+        rng = np.random.default_rng(seed)
+        bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, k))
+        points = diagram_points(bp, rng)
+        b = points[where % len(points)]
+        points.insert(off % (len(points) + 1), np.array([2.0, 2.0]))
+        label = bp_mod.participants(bp.cleavage, b)[-1]
+        centroids = list(bp.centroids)
+        centroids[label - 1] = b.copy()
+        moved = dataclasses.replace(bp, centroids=tuple(centroids))
+        first = next(e for e in (outcome(reference_alpha_preimage, moved, p) for p in points)
+                     if isinstance(e, Exception))
+        assert_raises_like(first, bp_mod.alpha_preimage, moved, np.array(points))
+
+    def test_bad_points_are_domain_errors(self):
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        with pytest.raises(geom.DimensionMismatch):
+            bp_mod.alpha_preimage(bp, [0.0, 0.0, 0.0])
+        with pytest.raises(geom.GeometryError, match="finite"):
+            bp_mod.alpha_preimage(bp, [[0.0, 0.3], [math.nan, 0.0], [0.3, 0.3]])
+        with pytest.raises(bp_mod.BlueprintError, match="not on blueprint"):
+            bp_mod.alpha_preimage(bp, [[0.0, 0.3], [0.3, 0.3], [math.nan, 0.0]])
+        with pytest.raises(geom.GeometryError, match="finite"):
+            bp_mod.alpha(chord_cleavage(), 1, [[-1.0, 0.0], [math.nan, 0.0]])
+
+    def test_empty_stacks(self):
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        mask, exits = bp_mod.alpha_preimage(bp, np.zeros((0, 2)))
+        assert mask.shape == (0, 2) and exits.shape == (0, 2, 2)
+        assert bp_mod.alpha(bp.cleavage, 1, np.zeros((0, 2))).point.shape == (0, 2)
+        empty = bp_mod.build_blueprint(operad.unit())
+        assert bp_mod.alpha_preimage(empty, np.zeros((0, 2)))[0].shape == (0, 1)
 
 
 class TestAlpha:
@@ -187,8 +368,8 @@ class TestAlpha:
         assert hit.point == pytest.approx([0.0, math.sin(2.5) * (1 - t)], abs=1e-12)
         assert hit.point[1] == pytest.approx(0.2072523014526812, abs=1e-12)
         assert hit.t == pytest.approx(0.6536976641360925, abs=1e-12)
-        assert hit.plane is not None
-        assert abs(hit.plane.normal[0]) == pytest.approx(1.0)
+        assert hit.face_index >= 0
+        assert abs(c.timber(1).constraints[hit.face_index][0].normal[0]) == pytest.approx(1.0)
         assert not hit.corner
 
     def test_domain_error_inside_trace(self):
@@ -203,7 +384,7 @@ class TestAlpha:
         hit = bp_mod.alpha(c, 1, [0.0, 1.0])
         assert hit.point == pytest.approx([0.0, 1.0], abs=1e-12)
         assert hit.t == pytest.approx(0.0)
-        assert hit.plane is None
+        assert hit.face_index == -1
 
     def test_not_on_circle(self):
         with pytest.raises(bp_mod.AlphaDomainError):
@@ -295,8 +476,9 @@ class TestSpine:
 def reference_thicken(c, density, tol):
     """Candidates piece by piece, then crossings; each checked against every kept one.
 
-    The O(n^2) first-kept-wins scan, the reference for thicken.
-    Returns (point, component, preimages) per kept sample.
+    The O(n^2) first-kept-wins scan with one preimage lookup per kept
+    sample, the reference for thicken.  Returns (point, component,
+    preimages) per kept sample.
     """
     bp = bp_mod.build_blueprint(c, tol)
     candidates = []
@@ -318,7 +500,7 @@ def reference_thicken(c, density, tol):
         kept.append(point)
         preimages = tuple(
             (label, math.atan2(s[1], s[0]) % (2 * PI))
-            for label, s in bp_mod.alpha_preimage(bp, point, tol)
+            for label, s in reference_alpha_preimage(bp, point, tol)
         )
         out.append((point, bp.piece_components[idx], preimages))
     return out
@@ -406,7 +588,7 @@ class TestThicken:
             near = sum(
                 1
                 for p in bp.pieces
-                if bp_mod._point_seg_distance(s.point, p.a, p.b) <= bp.tol
+                if reference_point_seg_distance(s.point, p.a, p.b) <= bp.tol
             )
             assert len(s.participants) == near + 1
             assert len(s.participants) >= 2

@@ -288,7 +288,6 @@ class TestBoundaryHit:
 
     def test_sphere_face(self):
         hit = geom.segment_boundary_hit(geom.unit_disk(), [2.0, 0.0], [0.2, 0.0])
-        assert hit.face is None
         assert hit.face_index == -1
         assert np.allclose(hit.point, [1.0, 0.0], atol=1e-12)
 
@@ -381,6 +380,12 @@ class TestMembership:
             assert got.tobytes() == loop_margins(body, x).tobytes()
             for tol in (0.0, geom.TOL, 0.05, -1e-6):
                 assert body.contains(x, tol) is loop_contains(body, x, tol)
+        stack = np.array(points)
+        assert body.margins(stack).tobytes() == np.array(
+            [loop_margins(body, x) for x in points]).reshape(len(points), planes).tobytes()
+        for tol in (0.0, geom.TOL, 0.05, -1e-6):
+            assert body.contains(stack, tol).tolist() == [
+                loop_contains(body, x, tol) for x in points]
 
     def test_bad_points_still_raise(self):
         body = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
@@ -390,3 +395,158 @@ class TestMembership:
             body.contains([math.nan, 0.0])
         with pytest.raises(geom.DimensionMismatch):
             geom.unit_disk().margins([0.0])
+        with pytest.raises(geom.DimensionMismatch):
+            body.contains(np.zeros((4, 3)))
+        with pytest.raises(geom.GeometryError, match="finite"):
+            body.margins([[0.0, 0.0], [0.0, math.inf]])
+
+
+def reference_arc_distance(arcs, theta):
+    """The one-angle circular distance to an ArcSet, the reference for ArcSet.distance."""
+    if not arcs.arcs:
+        return math.pi
+    t = math.fmod(theta, 2 * PI)
+    if t < 0.0:
+        t += 2 * PI
+    best = math.pi
+    for s, e in arcs.arcs:
+        for shift in (-2 * PI, 0.0, 2 * PI):
+            ts = t + shift
+            if s <= ts <= e:
+                return 0.0
+            best = min(best, abs(ts - s), abs(ts - e))
+    return best
+
+
+class TestArcDistanceOracle:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        arcs = geom.ArcSet(
+            (s, s + w) for s, w in zip(rng.uniform(-7, 7, 3), rng.uniform(-0.5, 4, 3))
+        )
+        ends = [x for arc in arcs.arcs for x in arc]
+        theta = rng.uniform(-10, 10, 40).tolist() + ends + [e + 1e-12 for e in ends]
+        theta += [e - 2 * PI for e in ends] + [math.nan, 0.0, -0.0, PI, -PI]
+        got = arcs.distance(theta)
+        assert got.tolist() == [reference_arc_distance(arcs, t) for t in theta]
+
+
+def reference_segment_boundary_hit(body, src, dst, tol=geom.TOL):
+    """The one-point crossing search, one constraint at a time.
+
+    The reference for segment_boundary_hit; returns (point, face_index,
+    corner, t).
+    """
+    a = geom._as_vector(src, body.dim)
+    b = geom._as_vector(dst, body.dim)
+    seg = b - a
+    seg_len = float(np.linalg.norm(seg))
+    if seg_len <= tol:
+        raise geom.BoundaryHitError("segment is degenerate")
+    margins_dst = loop_margins(body, b)
+    if float(np.linalg.norm(b)) >= 1.0 - tol or (margins_dst.size and margins_dst.min() <= tol):
+        raise geom.BoundaryHitError("destination point must be interior to the body")
+    entries = []
+    for j, (h, side) in enumerate(body.constraints):
+        g0 = side * geom.signed_eval(h, a)
+        g1 = side * geom.signed_eval(h, b)
+        if g0 < 0.0:
+            entries.append((g0 / (g0 - g1), j))
+    na = float(np.linalg.norm(a))
+    if na > 1.0:
+        qa = seg @ seg
+        qb = 2.0 * (a @ seg)
+        qc = a @ a - 1.0
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            raise geom.BoundaryHitError("segment never enters the unit ball")
+        entries.append(((-qb - math.sqrt(disc)) / (2.0 * qa), -1))
+    if not entries:
+        if na < 1.0 - tol:
+            raise geom.BoundaryHitError("source point is interior to the body")
+        return a.copy(), -1, False, 0.0
+    t_star = max(t for t, _ in entries)
+    tie = [idx for t, idx in entries if (t_star - t) * seg_len <= tol]
+    plane_ties = sorted(i for i in tie if i >= 0)
+    return a + t_star * seg, plane_ties[0] if plane_ties else -1, len(tie) > 1, float(t_star)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def assert_raises_like(expected: Exception, fn, *args):
+    """fn(*args) raises an exception of expected's type with its message."""
+    with pytest.raises(type(expected)) as got:
+        fn(*args)
+    assert type(got.value) is type(expected)
+    assert str(got.value) == str(expected)
+
+
+class TestBoundaryHitOracle:
+    @given(
+        st.integers(0, 10 ** 6),
+        st.sampled_from([2, 3]),
+        st.lists(st.tuples(
+            st.sampled_from(["degenerate", "interior", "nonfinite", "exterior dst"]),
+            st.integers(0, 60)), max_size=3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stack_matches_reference(self, seed, dim, bad):
+        rng = np.random.default_rng(seed)
+        body = body_from_seed(seed, 4) if dim == 2 else geom.unit_disk(3)
+        if dim == 3:
+            for _ in range(int(rng.integers(0, 5))):
+                h = geom.OrientedHyperplane(rng.normal(size=3), rng.uniform(-0.6, 0.6))
+                body = geom.clip(body, h, 1 if rng.random() < 0.5 else -1)
+        inner = [p for p in rng.uniform(-1.0, 1.0, size=(400, dim))
+                 if np.linalg.norm(p) < 0.98 and (loop_margins(body, p) > 0.01).all()]
+        if len(inner) < 2:
+            return
+        dst = inner[0]
+        units = rng.normal(size=(20, dim))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        rows = list(units * rng.uniform(1.0, 2.0, size=(20, 1))) + list(units)
+        # Rays through the corners of the body's faces tie two faces.
+        if dim == 2:
+            for j in range(len(body.constraints)):
+                face = geom._face_interval(body, j)
+                if face is not None:
+                    p0, d, lo, hi = face
+                    for corner in (p0 + lo * d, p0 + hi * d):
+                        rows.append(corner + rng.uniform(0.1, 2.0) * (corner - dst))
+                        rows.append(corner)
+        good = [r for r in rows if not isinstance(
+            outcome(reference_segment_boundary_hit, body, r, dst), Exception)]
+        if good:
+            hit = geom.segment_boundary_hit(body, np.array(good), dst)
+            for r, src in enumerate(good):
+                point, face, corner, t = reference_segment_boundary_hit(body, src, dst)
+                assert hit.point[r].tobytes() == point.tobytes()
+                assert (hit.face_index[r], hit.corner[r], hit.t[r]) == (face, corner, t)
+                one = geom.segment_boundary_hit(body, src, dst)
+                assert one.point.tobytes() == point.tobytes()
+                assert (one.face_index, one.corner, one.t) == (face, corner, t)
+        # Bad rows of several kinds: the first bad row must win, whatever its kind.
+        stack = list(rows)
+        for kind, where in bad:
+            if kind == "exterior dst":
+                dst = units[0]
+                continue
+            row = {"degenerate": dst, "interior": inner[1], "nonfinite": np.full(dim, math.nan)}
+            stack.insert(where % (len(stack) + 1), row[kind].copy())
+        first = next((e for e in (outcome(reference_segment_boundary_hit, body, r, dst)
+                                  for r in stack) if isinstance(e, Exception)), None)
+        if first is not None:
+            assert_raises_like(first, geom.segment_boundary_hit, body, np.array(stack), dst)
+
+    def test_empty_stack(self):
+        hit = geom.segment_boundary_hit(geom.unit_disk(), np.zeros((0, 2)), [0.1, 0.0])
+        assert hit.point.shape == (0, 2)
+        assert hit.face_index.shape == hit.corner.shape == hit.t.shape == (0,)

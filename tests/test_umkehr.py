@@ -838,30 +838,82 @@ class TestLocus:
             um.self_intersection_locus(emb, chord_cleavage(), density=1)
 
 
-class TestVectorizedHelpers:
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=20, deadline=None)
-    def test_entry_points_match_alpha(self, seed):
-        c = chord_cleavage()
-        bp = bp_mod.build_blueprint(c)
-        rng = np.random.default_rng(seed)
-        angles = PI / 2 + 0.01 + (PI - 0.02) * rng.random(16)
-        landed = um._entry_points(c, bp, 1, angles)
-        for th, b in zip(angles, landed):
-            hit = bp_mod.alpha(c, 1, [math.cos(th), math.sin(th)])
-            assert np.allclose(hit.point, b, atol=1e-12)
+def reference_entry_points(c, label, cpt, grid):
+    """Circle points at the grid angles and where they land on timber label.
+
+    Each lands by the latest plane entry along its ray to cpt, from
+    matrix-vector products.
+    """
+    pts = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+    t_entry = np.zeros(len(grid))
+    for h, side in c.timber(label).constraints:
+        gs = side * (pts @ h.normal - h.offset)
+        gc = side * (float(cpt @ h.normal) - h.offset)
+        t_entry = np.maximum(t_entry, np.where(gs < 0.0, gs / (gs - gc), 0.0))
+    return pts, pts + t_entry[:, None] * (cpt - pts)
+
+
+def reference_self_intersection_locus(gamma, c, tol, density):
+    """The locus scan with its own entry and exit solvers.
+
+    The reference for self_intersection_locus: points land as in
+    reference_entry_points, and partners exit by a matrix-vector
+    ray-circle solve with np.arctan2 angles.
+    """
+    bp = bp_mod.build_blueprint(c)
+    out = []
+    for label in range(1, c.k + 1):
+        for s0, s1 in c.trace(label).arcs.complement().arcs:
+            grid = np.linspace(s0, s1, density)
+            _, landed = reference_entry_points(c, label, bp.centroids[label - 1], grid)
+            marked = np.zeros(density, dtype=bool)
+            own = gamma.points_at(label, grid)
+            for other in range(1, c.k + 1):
+                if other == label:
+                    continue
+                member = np.ones(density, dtype=bool)
+                on_cut = np.zeros(density, dtype=bool)
+                for h, side in c.timber(other).constraints:
+                    val = landed @ h.normal - h.offset
+                    member &= side * val >= -tol
+                    on_cut |= np.abs(val) <= tol
+                sel = member & on_cut
+                if not sel.any():
+                    continue
+                ci = bp.centroids[other - 1]
+                d = landed[sel] - ci
+                qa = np.einsum("ij,ij->i", d, d)
+                qb = 2.0 * (d @ ci)
+                qc = float(ci @ ci) - 1.0
+                u = (-qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))) / (2.0 * qa)
+                ex = ci + u[:, None] * d
+                partner = np.mod(np.arctan2(ex[:, 1], ex[:, 0]), 2 * PI)
+                theirs = gamma.points_at(other, partner)
+                diff = gamma.metric.displacement_many(np.zeros(gamma.metric.d), theirs - own[sel])
+                marked[sel] |= np.linalg.norm(diff, axis=1) <= tol
+            idxs = np.flatnonzero(marked)
+            runs = np.split(idxs, np.flatnonzero(np.diff(idxs) > 1) + 1) if idxs.size else []
+            out += [(label, float(grid[r[0]]), float(grid[r[-1]])) for r in runs]
+    return out
+
+
+class TestLocusOracle:
+    def test_fixture_intervals_match_reference(self):
+        cc = fx.chord_cleavage()
+        for name, emb, density, ltol in fx.locus_fixtures():
+            got = um.self_intersection_locus(emb, cc, tol=ltol, density=density)
+            ref = reference_self_intersection_locus(emb, cc, ltol, density)
+            assert [(iv.label, iv.start, iv.end) for iv in got] == ref, name
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
-    def test_exit_angles_match_preimage(self, seed):
-        c = chord_cleavage()
+    def test_landing_points_stay_on_the_reference(self, seed):
+        """Stacked alpha lands within rounding of the plane-entry scan on any cleavage."""
+        c = sampling.random_cleavage(seed, 2 + seed % 5)
         bp = bp_mod.build_blueprint(c)
-        rng = np.random.default_rng(seed)
-        ys = rng.uniform(-0.95, 0.95, size=8)
-        pts = np.stack([np.zeros(8), ys], axis=1)
-        exits = um._exit_angles(bp.centroids[1], pts)
-        for b, ang in zip(pts, exits):
-            pre = dict(bp_mod.alpha_preimage(bp, b))
-            s2 = pre[2]
-            expected = math.atan2(s2[1], s2[0]) % (2 * PI)
-            assert abs(ang - expected) < 1e-9
+        for label in range(1, c.k + 1):
+            cpt = bp.centroids[label - 1]
+            for s0, s1 in c.trace(label).arcs.complement().arcs:
+                pts, ref = reference_entry_points(c, label, cpt, np.linspace(s0, s1, 64))
+                landed = bp_mod.alpha(c, label, pts, centroid_point=cpt).point
+                assert np.abs(landed - ref).max() <= 1e-12
