@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +25,11 @@ from .geom import (
     _face_interval,
     _rowdot,
     _rowwise,
-    active_constraints,
     centroid,
     clip,
     finite_real,
     segment_boundary_hit,
+    segment_closest,
     whole_number,
 )
 from .operad import Cleavage
@@ -52,42 +53,6 @@ def _require_circle(c: Cleavage) -> None:
 def _require_tol(tol) -> None:
     if not (finite_real(tol) and tol > 0.0):
         raise BlueprintError(f"tol must be a positive finite number, got {tol!r}")
-
-
-def _closest_points(p1, q1, p2, q2):
-    """Closest pair of points between segments p1q1 and p2q2."""
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    eps = 1e-18
-    if a <= eps and e <= eps:
-        return p1, p2
-    if a <= eps:
-        t = min(1.0, max(0.0, f / e))
-        return p1, p2 + t * d2
-    c = float(d1 @ r)
-    if e <= eps:
-        s = min(1.0, max(0.0, -c / a))
-        return p1 + s * d1, p2
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > eps else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = min(1.0, max(0.0, -c / a))
-    elif t > 1.0:
-        t = 1.0
-        s = min(1.0, max(0.0, (b - c) / a))
-    return p1 + s * d1, p2 + t * d2
-
-
-def _seg_distance(p1, q1, p2, q2) -> float:
-    a, b = _closest_points(p1, q1, p2, q2)
-    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)
@@ -117,23 +82,48 @@ class CutPiece:
 
 @dataclass(frozen=True)
 class Blueprint:
-    """The full cut diagram of a cleavage."""
+    """The full cut diagram of a cleavage.
+
+    crossings holds one row per pair of pieces within tol of each other,
+    pairs (i, j), i < j, in row-major order: the midpoint of their closest
+    points, with piece i in the same row of crossing_pieces.  Timber faces
+    and centroids are computed on first use.
+    """
 
     cleavage: Cleavage
     pieces: tuple[CutPiece, ...]
     piece_components: tuple[int, ...]
     n_components: int
-    faces: tuple[tuple[Face, ...], ...]
-    centroids: tuple[np.ndarray, ...]
+    crossings: np.ndarray
+    crossing_pieces: tuple[int, ...]
     tol: float
 
     @property
     def gamma(self) -> int:
         return self.n_components
 
+    @cached_property
+    def faces(self) -> tuple[tuple[Face, ...], ...]:
+        """Per timber, one Face per constraint whose chord inside it is longer than tol."""
+        faces = []
+        for body in self.cleavage.timbers:
+            rows = []
+            for j, (h, side) in enumerate(body.constraints):
+                interval = _face_interval(body, j, tol=0.0)
+                if interval is None or interval[3] - interval[2] <= self.tol:
+                    continue
+                p0, d, lo, hi = interval
+                rows.append(Face(j, h, side, p0 + lo * d, p0 + hi * d))
+            faces.append(tuple(rows))
+        return tuple(faces)
+
+    @cached_property
+    def centroids(self) -> tuple[np.ndarray, ...]:
+        return tuple(centroid(body) for body in self.cleavage.timbers)
+
 
 def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
-    """Extract cut pieces and timber faces; group touching pieces."""
+    """Extract the cut pieces, group touching pieces and record where they cross."""
     _require_circle(c)
     _require_tol(tol)
     pieces = []
@@ -145,6 +135,12 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
         p0, d, lo, hi = interval
         pieces.append(CutPiece(cut.path, cut.plane, p0 + lo * d, p0 + hi * d))
 
+    ends = np.array([(piece.a, piece.b - piece.a) for piece in pieces]).reshape(-1, 2, 2)
+    first, second = np.triu_indices(len(pieces), 1)
+    _, _, pa, pb = segment_closest(ends[first, 0], ends[first, 1], ends[second, 0], ends[second, 1])
+    gap = pa - pb
+    touch = np.sqrt(_rowdot(gap, gap)) <= tol
+
     parent = list(range(len(pieces)))
 
     def find(x: int) -> int:
@@ -153,10 +149,8 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
             x = parent[x]
         return x
 
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if _seg_distance(pieces[i].a, pieces[i].b, pieces[j].a, pieces[j].b) <= tol:
-                parent[find(i)] = find(j)
+    for i, j in zip(first[touch].tolist(), second[touch].tolist()):
+        parent[find(i)] = find(j)
 
     comp_ids: dict[int, int] = {}
     components = []
@@ -166,23 +160,9 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
             comp_ids[root] = len(comp_ids)
         components.append(comp_ids[root])
 
-    faces = []
-    for body in c.timbers:
-        flags = active_constraints(body, tol)
-        rows = []
-        for j, (h, side) in enumerate(body.constraints):
-            if not flags[j]:
-                continue
-            interval = _face_interval(body, j, tol=0.0)
-            if interval is None:
-                continue
-            p0, d, lo, hi = interval
-            rows.append(Face(j, h, side, p0 + lo * d, p0 + hi * d))
-        faces.append(tuple(rows))
-
-    centroids = tuple(centroid(body) for body in c.timbers)
     return Blueprint(
-        c, tuple(pieces), tuple(components), len(comp_ids), tuple(faces), centroids, tol
+        c, tuple(pieces), tuple(components), len(comp_ids),
+        (pa[touch] + pb[touch]) / 2.0, tuple(first[touch].tolist()), tol,
     )
 
 
@@ -415,12 +395,13 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
 
     Accepts a Cleavage or a prebuilt Blueprint. density, an integer >= 2,
     counts samples per piece including both endpoints.  Candidates come
-    piece by piece, then the crossings; a candidate within tol of an
-    earlier kept one (shared endpoints, crossings) is dropped, first kept
-    wins, so the samples keep candidate order.  Each sample carries its
-    component id and its collapse preimages, looked up here for all kept
-    samples in one stacked alpha_preimage call at the blueprint's tol: one
-    (label, exit angle) pair per participant, sorted by label.  Its spines are the vertex stars of the simplex on that
+    piece by piece, then the crossings the blueprint recorded; a candidate
+    within tol of an earlier kept one (shared endpoints, crossings) is
+    dropped, first kept wins, so the samples keep candidate order.  Each
+    sample carries its component id and its collapse preimages, looked up
+    here for all kept samples in one stacked alpha_preimage call at the
+    blueprint's tol: one (label, exit angle) pair per participant, sorted
+    by label.  Its spines are the vertex stars of the simplex on that
     participant set.
     """
     if not (whole_number(density) and density >= 2):
@@ -429,17 +410,11 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
     bp = _as_blueprint(c, tol)
     tol = bp.tol
     steps = np.linspace(0.0, 1.0, density)[:, None]
-    points = [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces]
+    points = np.concatenate(
+        [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces] + [bp.crossings]
+    )
     owners = [idx for idx in range(len(bp.pieces)) for _ in range(density)]
-    for i in range(len(bp.pieces)):
-        for j in range(i + 1, len(bp.pieces)):
-            pa, pb = _closest_points(
-                bp.pieces[i].a, bp.pieces[i].b, bp.pieces[j].a, bp.pieces[j].b
-            )
-            if float(np.linalg.norm(pa - pb)) <= tol:
-                points.append(((pa + pb) / 2.0)[None])
-                owners.append(i)
-    points = np.concatenate(points) if points else np.zeros((0, 2))
+    owners += bp.crossing_pieces
 
     kept = _first_kept(points, tol)
     points = points[kept]

@@ -173,10 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out: bool = True) -> None:
-        p.add_argument("--tol", type=float, default=TOL, help="geometric tolerance")
-        if out:
-            p.add_argument("--out", help="write the result to this file instead of stdout")
+    def common(p, tol: bool = True) -> None:
+        if tol:
+            p.add_argument("--tol", type=float, default=TOL, help="geometric tolerance")
+        p.add_argument("--out", help="write the result to this file instead of stdout")
 
     p = sub.add_parser("gen", help="sample a random cleavage")
     p.add_argument("--k", type=int, default=2, help="arity, at least 1")
@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sphere dimension (1 or 2)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; falls back to CLEAVE_SEED, then 0")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("inspect", help="summarize a cleavage document")

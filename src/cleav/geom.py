@@ -1,9 +1,10 @@
 """Exact low-tolerance geometry kernel.
 
 Oriented hyperplanes, convex bodies inside the closed unit ball, sphere
-traces, centroids, and segment-boundary intersection. Dimension 2 (circle
-cleaving) is handled exactly with arc and chord arithmetic; higher ambient
-dimensions fall back to seeded sampling with documented budgets.
+traces, centroids, segment-boundary intersection and segment-segment
+closest points. Dimension 2 (circle cleaving) is handled exactly with arc
+and chord arithmetic; higher ambient dimensions fall back to seeded
+sampling with documented budgets.
 """
 
 from __future__ import annotations
@@ -95,6 +96,50 @@ def _rowdot(x, y) -> np.ndarray:
     """Row-wise dots, each a 1 x d by d x 1 product: unlike a matrix-vector
     product or einsum, every row rounds as float(a @ b) does on its pair."""
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _clamp01(x: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, x)) per entry, as Python takes it: nan and -0.0 give 0.0."""
+    return np.where(x > 0.0, np.minimum(x, 1.0), 0.0)
+
+
+def segment_closest(P1, D1, P2, D2):
+    """Closest points of the segments P1 + s*D1 and P2 + t*D2, s and t in [0, 1], row by row.
+
+    The clamped two-parameter solve of Ericson, Real-Time Collision
+    Detection (2005), 5.1.9, over (n, d) stacks.  Returns (s, t, pa, pb)
+    with pa = P1 + s*D1 and pb = P2 + t*D2.  Row r equals the one-pair
+    scalar solve bit for bit: every dot is row-wise (_rowdot), and a
+    segment of squared length <= 1e-18 counts as its first end point,
+    which pa or pb then is exactly.
+    """
+    eps = 1e-18
+    r = P1 - P2
+    a = _rowdot(D1, D1)
+    e = _rowdot(D2, D2)
+    b = _rowdot(D1, D2)
+    c = _rowdot(D1, r)
+    f = _rowdot(D2, r)
+    short_1, short_2 = a <= eps, e <= eps
+    degenerate = (short_1 | short_2).any()
+    if degenerate:  # keeps the divisions below finite on the short rows
+        a, e = np.where(short_1, 1.0, a), np.where(short_2, 1.0, e)
+    denom = a * e - b * b
+    skew = denom > eps
+    s = np.where(skew, _clamp01((b * f - c * e) / np.where(skew, denom, 1.0)), 0.0)
+    t = (b * s + f) / e
+    below, above = t < 0.0, t > 1.0
+    s = np.where(below | above, _clamp01(np.where(below, -c, b - c) / a), s)
+    t = np.where(below, 0.0, np.minimum(t, 1.0))
+    if degenerate:
+        s = np.where(short_1, 0.0, np.where(short_2, _clamp01(-c / a), s))
+        t = np.where(short_2, 0.0, np.where(short_1, _clamp01(f / e), t))
+    pa = P1 + s[:, None] * D1
+    pb = P2 + t[:, None] * D2
+    if degenerate:
+        pa = np.where(short_1[:, None], P1, pa)
+        pb = np.where(short_2[:, None], P2, pb)
+    return s, t, pa, pb
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,21 +543,6 @@ def _face_interval(body: ConvexBody, j: int, tol: float = 0.0):
     if hi - lo <= 1e-14:
         return None
     return p0, d, lo, hi
-
-
-def active_constraints(body: ConvexBody, tol: float = TOL) -> list:
-    """Per-constraint flag: does the plane support a genuine boundary face?
-
-    Exact for dim 2 via chord clipping. A constraint whose face interval is
-    empty or degenerate is redundant for the body's geometry.
-    """
-    if body.dim != 2:
-        raise GeometryError("active_constraints requires ambient dimension 2")
-    out = []
-    for j in range(len(body.constraints)):
-        fi = _face_interval(body, j, tol=0.0)
-        out.append(fi is not None and fi[3] - fi[2] > tol)
-    return out
 
 
 def centroid(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED) -> np.ndarray:

@@ -24,16 +24,21 @@ class SamplingError(RuntimeError):
 
 
 def resolve_seed(seed: int | None = None) -> int:
-    """Explicit seed, else the CLEAVE_SEED environment variable, else 0."""
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise SamplingError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+    """Explicit seed, else the CLEAVE_SEED environment variable, else 0; never negative."""
+    source = "seed"
+    if seed is None:
+        env = os.environ.get(ENV_SEED)
+        if env is None:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise SamplingError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+        source = ENV_SEED
+    seed = int(seed)
+    if seed < 0:
+        raise SamplingError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:

@@ -25,7 +25,7 @@ from .blueprint import (
     build_blueprint,
     participants,
 )
-from .geom import TOL, TWO_PI, finite_real, whole_number
+from .geom import TOL, TWO_PI, finite_real, segment_closest, whole_number
 
 INF = math.inf
 
@@ -253,24 +253,6 @@ def embedding_from_json(doc: object) -> DiscreteEmbedding:
     return DiscreteEmbedding(metric, tuple(loops))
 
 
-def _seg_seg_distance_batch(P1, D1, P2, D2) -> np.ndarray:
-    """Pairwise distances between segments P1+s*D1 and P2+t*D2, s,t in [0,1]."""
-    r = P1 - P2
-    a = np.einsum("ij,ij->i", D1, D1)
-    e = np.einsum("ij,ij->i", D2, D2)
-    b = np.einsum("ij,ij->i", D1, D2)
-    c = np.einsum("ij,ij->i", D1, r)
-    f = np.einsum("ij,ij->i", D2, r)
-    denom = a * e - b * b
-    s = np.where(denom > 1e-300, np.clip((b * f - c * e) / np.where(denom > 1e-300, denom, 1.0), 0.0, 1.0), 0.0)
-    t = (b * s + f) / e
-    s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0), s)
-    s = np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s)
-    t = np.clip(t, 0.0, 1.0)
-    closest = P1 + s[:, None] * D1 - (P2 + t[:, None] * D2)
-    return np.linalg.norm(closest, axis=1)
-
-
 _BLOCK = 32  # edges per bounding box in the strand precheck
 _BATCH = 8  # box pairs per exact-distance batch
 
@@ -302,9 +284,11 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int) -> float:
     ascending box distance, a lower bound for every edge pair inside, and
     the search stops once the next box is no closer than the best edge
     pair so far.  Edge pairs go through the same row-wise kernel as an
-    all-pairs scan, so the minimum equals the all-pairs minimum exactly:
-    each box spans the rounded edge ends the kernel uses and rounding is
-    monotone, so no computed edge-pair distance falls below its box's.
+    all-pairs scan (geom.segment_closest), so the minimum equals the
+    all-pairs minimum exactly: each box spans the rounded edge ends the
+    kernel's closest points lie between, rounding is monotone, and box and
+    edge-pair distances take the same norm, so no computed edge-pair
+    distance falls below its box's.
     """
     metric = gamma.metric
     A, DA = gamma.loops[i - 1], gamma._edges[i - 1]
@@ -329,7 +313,8 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int) -> float:
         ia = np.broadcast_to(idx_a[a][:, :, None], pairs).ravel()
         ib = np.broadcast_to(idx_b[b][:, None, :], pairs).ravel()
         im = np.repeat(n, _BLOCK * _BLOCK)
-        return float(_seg_seg_distance_batch(A[ia], DA[ia], images[im, ib], DB[ib]).min())
+        _, _, pa, pb = segment_closest(A[ia], DA[ia], images[im, ib], DB[ib])
+        return float(np.linalg.norm(pa - pb, axis=1).min())
 
     # The closest box pair bounds the answer; only boxes under it get ranked.
     flat = box.ravel()

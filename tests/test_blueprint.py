@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 import re
 from unittest import mock
@@ -13,6 +13,7 @@ from test_geom import (
     assert_raises_like,
     outcome,
     reference_arc_distance,
+    reference_closest_points,
     reference_segment_boundary_hit,
 )
 
@@ -112,6 +113,39 @@ class TestBuild:
         assert len(bp.faces[2]) == 1
         slab_planes = sorted(f.plane.offset for f in bp.faces[1])
         assert slab_planes == pytest.approx([-0.5, 0.5])
+
+    def test_redundant_plane_has_no_face(self):
+        # Timber 1 lies in x >= -0.5 and x >= 0; the first plane misses it.
+        c = operad.validate(operad.Internal(
+            chord(1, 0, -0.5),
+            operad.Internal(chord(1, 0, 0.0), operad.Leaf(1), operad.Leaf(2)),
+            operad.Leaf(3),
+        ))
+        bp = bp_mod.build_blueprint(c)
+        assert [f.constraint_index for f in bp.faces[0]] == [1]
+
+    def test_both_planes_have_faces(self):
+        # Timber 1 is the quadrant x >= 0, y >= 0.
+        c = operad.validate(operad.Internal(
+            chord(1, 0, 0.0),
+            operad.Internal(chord(0, 1, 0.0), operad.Leaf(1), operad.Leaf(2)),
+            operad.Leaf(3),
+        ))
+        bp = bp_mod.build_blueprint(c)
+        assert [f.constraint_index for f in bp.faces[0]] == [0, 1]
+
+    def test_degree_needs_no_centroid_or_face(self):
+        c = sampling.random_cleavage(5, 5)
+        with mock.patch.object(bp_mod, "centroid", side_effect=AssertionError("centroid")):
+            bp = bp_mod.build_blueprint(c)
+            assert bp_mod.stable_degree(bp, 2)[0] == 2 * bp.n_components
+        assert "centroids" not in vars(bp) and "faces" not in vars(bp)
+
+    def test_crossings_are_touching_pairs(self):
+        bp = bp_mod.build_blueprint(tee_cleavage())
+        assert bp.crossing_pieces == (0,)
+        assert np.abs(bp.crossings).max() < 1e-12
+        assert bp_mod.build_blueprint(parallel_cleavage()).crossings.shape == (0, 2)
 
     def test_centroids(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
@@ -334,7 +368,8 @@ class TestCollapseOracles:
         label = bp_mod.participants(bp.cleavage, b)[-1]
         centroids = list(bp.centroids)
         centroids[label - 1] = b.copy()
-        moved = dataclasses.replace(bp, centroids=tuple(centroids))
+        moved = copy.copy(bp)
+        moved.__dict__["centroids"] = tuple(centroids)
         first = next(e for e in (outcome(reference_alpha_preimage, moved, p) for p in points)
                      if isinstance(e, Exception))
         assert_raises_like(first, bp_mod.alpha_preimage, moved, np.array(points))
@@ -487,7 +522,7 @@ def reference_thicken(c, density, tol):
             candidates.append((piece.a + t * (piece.b - piece.a), idx))
     for i in range(len(bp.pieces)):
         for j in range(i + 1, len(bp.pieces)):
-            pa, pb = bp_mod._closest_points(
+            _, _, pa, pb = reference_closest_points(
                 bp.pieces[i].a, bp.pieces[i].b, bp.pieces[j].a, bp.pieces[j].b
             )
             if float(np.linalg.norm(pa - pb)) <= tol:

@@ -1,12 +1,16 @@
 """End-to-end checks of the command line front end."""
 
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cleav import cli
 from cleav import fixtures as fx
-from cleav import suites
+from cleav import sampling, suites
 from cleav.operad import cleavage_from_json
 
 ROT_CHORD = {
@@ -68,6 +72,19 @@ class TestGen:
         rc, out, _ = run(capsys, "gen", "--k", 2, "--seed", 4, "--out", target)
         assert rc == 0 and out == ""
         assert cleavage_from_json(json.loads(target.read_text())).k == 2
+
+    def test_tol_is_a_usage_error(self, capsys):
+        assert run(capsys, "gen", "--k", 2, "--tol", "1e-3")[0] == 2
+
+    @pytest.mark.parametrize("command", [["gen", "--k", 2], ["check", "degree"]])
+    def test_negative_seed_flag_is_a_domain_error(self, capsys, command):
+        rc, out, err = run(capsys, *command, "--seed=-1")
+        assert (rc, out, err) == (1, "", "error: seed must be non-negative, got -1\n")
+
+    def test_negative_env_seed_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLEAVE_SEED", "-3")
+        rc, out, err = run(capsys, "gen", "--k", 2)
+        assert (rc, out, err) == (1, "", "error: CLEAVE_SEED must be non-negative, got -3\n")
 
 
 class TestInspect:
@@ -236,3 +253,65 @@ class TestExportObj:
         rc, out, _ = run(capsys, "export-obj", doc, "--out", target)
         assert rc == 0 and out == ""
         assert target.read_text().startswith("#")
+
+
+FLOAT_KNOB = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "-1e-3", "0", "1e-12", "1e-3", "0.2", "1", "3.5", "1e308"])
+# Small integers only: a huge density or arity allocates without bound, and
+# sampling a cleavage of arity 9 or more takes seconds.
+INT_KNOB = st.integers(-3, 8)
+
+
+def knobs(*pools):
+    """Each flag left out or given as --flag=value, so values starting with '-' still parse."""
+    drawn = [st.none() | pool.map(lambda v, flag=flag: f"{flag}={v}") for flag, pool in pools]
+    return st.tuples(*drawn).map(lambda flags: [f for f in flags if f is not None])
+
+
+ARGV = st.one_of(
+    knobs(("--k", INT_KNOB), ("--seed", INT_KNOB), ("--n", st.sampled_from([1, 2]))).map(
+        lambda flags: ["gen"] + flags),
+    st.tuples(st.sampled_from(["chord", "tri"]),
+              knobs(("--dim-m", INT_KNOB), ("--density", INT_KNOB), ("--tol", FLOAT_KNOB))).map(
+        lambda drawn: ["inspect", drawn[0]] + drawn[1]),
+    st.tuples(st.sampled_from(["chord", "tri"]), st.sampled_from(["pair", "three", "torus"]),
+              FLOAT_KNOB, st.booleans(),
+              knobs(("--t", FLOAT_KNOB), ("--eta", FLOAT_KNOB), ("--tol", FLOAT_KNOB),
+                    ("--density", INT_KNOB))).map(
+        lambda drawn: ["umkehr", drawn[0], drawn[1], f"--epsilon={drawn[2]}"]
+        + ["--mapping"] * drawn[3] + drawn[4]),
+)
+
+
+@pytest.fixture(scope="module")
+def knob_files(tmp_path_factory):
+    """Cleavage and strand documents for the knob fuzz, by name."""
+    root = tmp_path_factory.mktemp("knobs")
+    shifted = [fx.fourier_loop(seed, m=16) + [3.0 * seed, 0.0] for seed in range(3)]
+    docs = {
+        "chord": fx.chord_cleavage().to_json(),
+        "tri": sampling.random_cleavage(3, 3).to_json(),
+        "pair": fx.mirrored_pair(0.05).to_json(),
+        "three": {"metric": {"kind": "euclidean", "d": 2},
+                  "loops": [loop.tolist() for loop in shifted]},
+        "torus": {"metric": {"kind": "torus", "d": 2, "L": 4.0},
+                  "loops": [np.mod(loop, 4.0).tolist() for loop in shifted[:2]]},
+    }
+    return {name: str(write_json(root, f"{name}.json", doc)) for name, doc in docs.items()}
+
+
+class TestKnobFuzz:
+    @given(ARGV)
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_runs_exit_0_or_1_with_one_error_line(self, knob_files, argv):
+        argv = [knob_files.get(arg, arg) for arg in argv]
+        cli._build_parser().parse_args(argv)  # raises SystemExit if a drawn vector fails to parse
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert "Traceback" not in err.getvalue()
+        if rc == 1:
+            assert len(errors) == 1 and out.getvalue() == ""
+        else:
+            assert rc == 0 and not errors

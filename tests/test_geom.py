@@ -335,18 +335,6 @@ class TestBoundaryHit:
             assert abs(geom.signed_eval(h, p)) <= 1e-7
 
 
-class TestActiveConstraints:
-    def test_redundant_flagged(self):
-        b = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], -0.5), 1)
-        b = geom.clip(b, geom.OrientedHyperplane([1, 0], 0.0), 1)
-        assert geom.active_constraints(b) == [False, True]
-
-    def test_both_active(self):
-        b = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
-        b = geom.clip(b, geom.OrientedHyperplane([0, 1], 0.0), 1)
-        assert geom.active_constraints(b) == [True, True]
-
-
 def loop_margins(body, x):
     """One signed_eval per constraint, the reference for ConvexBody.margins."""
     return np.array([side * geom.signed_eval(h, x) for h, side in body.constraints])
@@ -550,3 +538,89 @@ class TestBoundaryHitOracle:
         hit = geom.segment_boundary_hit(geom.unit_disk(), np.zeros((0, 2)), [0.1, 0.0])
         assert hit.point.shape == (0, 2)
         assert hit.face_index.shape == hit.corner.shape == hit.t.shape == (0,)
+
+
+def reference_closest_points(p1, q1, p2, q2):
+    """The one-pair scalar solve, the reference for geom.segment_closest.
+
+    Returns (s, t, point on p1q1, point on p2q2); a segment of squared
+    length <= 1e-18 gives its first end point itself.
+    """
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = float(d1 @ d1)
+    e = float(d2 @ d2)
+    f = float(d2 @ r)
+    eps = 1e-18
+    if a <= eps and e <= eps:
+        return 0.0, 0.0, p1, p2
+    if a <= eps:
+        t = min(1.0, max(0.0, f / e))
+        return 0.0, t, p1, p2 + t * d2
+    c = float(d1 @ r)
+    if e <= eps:
+        s = min(1.0, max(0.0, -c / a))
+        return s, 0.0, p1 + s * d1, p2
+    b = float(d1 @ d2)
+    denom = a * e - b * b
+    s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > eps else 0.0
+    t = (b * s + f) / e
+    if t < 0.0:
+        t = 0.0
+        s = min(1.0, max(0.0, -c / a))
+    elif t > 1.0:
+        t = 1.0
+        s = min(1.0, max(0.0, (b - c) / a))
+    return s, t, p1 + s * d1, p2 + t * d2
+
+
+SEGMENT_PAIRS = ["generic", "parallel", "collinear overlap", "zero length", "shorter than 1e-9",
+                 "near the 1e-9 guard", "signed zeros"]
+
+
+def segment_pair(rng, kind, d):
+    """End points (p1, q1, p2, q2) of one pair of segments of the given kind."""
+    p1, p2 = rng.uniform(-2.0, 2.0, size=(2, d))
+    d1, d2 = rng.normal(size=(2, d))
+    if kind in ("parallel", "collinear overlap"):
+        d2 = rng.uniform(-2.0, 2.0) * d1
+        if kind == "collinear overlap":
+            p2 = p1 + rng.uniform(-0.5, 1.5) * d1
+    elif kind == "zero length":
+        d1, d2 = [np.zeros(d) if rng.random() < 0.6 else x for x in (d1, d2)]
+    elif kind == "shorter than 1e-9":
+        d1, d2 = [x * 10.0 ** -rng.uniform(9.5, 20.0) if rng.random() < 0.6 else x
+                  for x in (d1, d2)]
+    elif kind == "near the 1e-9 guard":
+        d1, d2 = [x / np.linalg.norm(x) * 1e-9 * (1.0 + rng.uniform(-4e-16, 4e-16))
+                  for x in (d1, d2)]
+    elif kind == "signed zeros":
+        p1, d1, p2, d2 = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(4, d))
+    return p1, p1 + d1, p2, p2 + d2
+
+
+class TestSegmentClosestOracle:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
+           st.lists(st.sampled_from(SEGMENT_PAIRS), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_scalar_solve(self, seed, d, kinds):
+        rng = np.random.default_rng(seed)
+        ends = np.array([segment_pair(rng, kind, d) for kind in kinds])
+        p1, q1, p2, q2 = ends.transpose(1, 0, 2)
+        s, t, pa, pb = geom.segment_closest(p1, q1 - p1, p2, q2 - p2)
+        for r, row in enumerate(ends):
+            ref_s, ref_t, ref_pa, ref_pb = reference_closest_points(*row)
+            assert (s[r].tobytes(), t[r].tobytes()) == (
+                np.float64(ref_s).tobytes(), np.float64(ref_t).tobytes())
+            assert pa[r].tobytes() == ref_pa.tobytes()
+            assert pb[r].tobytes() == ref_pb.tobytes()
+
+    def test_crossing_and_parallel_examples(self):
+        p1 = np.array([[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        d1 = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        p2 = np.array([[0.0, -1.0], [0.5, 1.0], [3.0, 4.0]])
+        d2 = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]])
+        s, t, pa, pb = geom.segment_closest(p1, d1, p2, d2)
+        assert s.tolist() == [0.5, 0.5, 0.0] and t.tolist() == [0.5, 0.0, 0.0]
+        assert np.linalg.norm(pa - pb, axis=1).tolist() == [0.0, 1.0, 5.0]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleav import blueprint as bp_mod
+from cleav import geom
 from cleav import fixtures as fx
 from cleav import operad
 from cleav import sampling
@@ -227,8 +228,8 @@ def brute_strand_distance(gamma, i, j):
     best = math.inf
     for shift in shifts:
         img = B + shift if metric.kind == "torus" else B
-        d = um._seg_seg_distance_batch(A[ia], DA[ia], img[ib], DB[ib])
-        best = min(best, float(d.min()))
+        _, _, pa, pb = geom.segment_closest(A[ia], DA[ia], img[ib], DB[ib])
+        best = min(best, float(np.linalg.norm(pa - pb, axis=1).min()))
     return best
 
 
