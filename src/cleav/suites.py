@@ -270,7 +270,7 @@ def check_symmetry(seed: int = 0, instances: int = 50, tol: float = 1e-9) -> Sui
             l1 = fx.fourier_loop(base + 1000 * bump, base=0.3, wobble=0.05, drift=0.02) + [0.8, 0.0]
             l2 = fx.fourier_loop(base + 1000 * bump + 1, base=0.3, wobble=0.05, drift=0.02) - [0.8, 0.0]
             gamma = DiscreteEmbedding(fx.EUCLIDEAN, (l1, l2))
-            if strand_distance(gamma, 1, 2) > 1e-6:
+            if strand_distance(gamma, 1, 2, within=1e-6) > 1e-6:
                 break
         else:
             failures.append({"k": 2, "instance": inst, "kind": "no separated loops"})

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,12 +211,49 @@ class DiscreteEmbedding:
             np.concatenate([self.params(label) for label in labels]),
         )
 
+    @cached_property
+    def _boxes(self):
+        """(shifts, zero, strands): the strand precheck's box index, built on first use.
+
+        shifts holds the image offsets n*L, n in {-2,...,2}^d, on the torus
+        (one zero row in the plane) and zero the row of the zero offset.
+        Per strand, a _StrandBoxes of its vertices reduced mod L, its block
+        index, and the block and whole-strand boxes of every image.  No
+        image's vertices are kept: an edge's image is formed as
+        R[rows] + shifts[im] when it is needed, the same sum the boxes were
+        taken over.  A
+        coordinate of R + shift depends on that axis's offset alone, so the
+        boxes are taken once per offset and axis, then assembled per image.
+        """
+        metric = self.metric
+        torus = metric.kind == "torus"
+        offsets = metric.L * np.arange(-2.0, 3.0) if torus else np.zeros(1)
+        grid = np.array(list(itertools.product(range(offsets.size), repeat=metric.d)))
+        axes = np.arange(metric.d)
+        strands = []
+        for loop, disp in zip(self.loops, self._edges):
+            R = np.mod(loop, metric.L) if torus else loop
+            lo, hi = _block_boxes(R[None] + offsets[:, None, None], disp)  # (offset, block, axis)
+            blocks = np.arange(lo.shape[1])[:, None]
+            strands.append(_StrandBoxes(
+                R, disp, _block_index(R.shape[0]),
+                lo[grid[:, None], blocks, axes], hi[grid[:, None], blocks, axes],
+                lo.min(axis=1)[grid, axes], hi.max(axis=1)[grid, axes],
+            ))
+        return offsets[grid], grid.shape[0] // 2, tuple(strands)
+
     @property
     def k(self) -> int:
         return len(self.loops)
 
+    def _index(self, label) -> int:
+        """Position of strand `label` in loops; raises unless it is an integer in 1..k."""
+        if not (whole_number(label) and 1 <= label <= self.k):
+            raise UmkehrError(f"strand label must be an integer in 1..{self.k}, got {label!r}")
+        return int(label) - 1
+
     def m(self, label: int) -> int:
-        return self.loops[label - 1].shape[0]
+        return self.loops[self._index(label)].shape[0]
 
     def params(self, label: int) -> np.ndarray:
         m = self.m(label)
@@ -223,8 +261,9 @@ class DiscreteEmbedding:
 
     def points_at(self, label: int, s) -> np.ndarray:
         """Strand points at angular parameters s (vectorized)."""
-        loop = self.loops[label - 1]
-        disp = self._edges[label - 1]
+        idx = self._index(label)
+        loop = self.loops[idx]
+        disp = self._edges[idx]
         m = loop.shape[0]
         u = np.mod(np.asarray(s, dtype=float), TWO_PI) / (TWO_PI / m)
         j = np.floor(u).astype(int) % m
@@ -257,76 +296,121 @@ _BLOCK = 32  # edges per bounding box in the strand precheck
 _BATCH = 8  # box pairs per exact-distance batch
 
 
+class _StrandBoxes(NamedTuple):
+    """One strand in the precheck index; boxes are per image, then per block."""
+
+    R: np.ndarray  # (m, d) vertices, reduced mod L on the torus
+    disp: np.ndarray  # (m, d) edge displacements
+    idx: np.ndarray  # (blocks, _BLOCK) edge indices
+    lo: np.ndarray  # (images, blocks, d) block box corners
+    hi: np.ndarray
+    whole_lo: np.ndarray  # (images, d) whole-strand box corners
+    whole_hi: np.ndarray
+
+
 def _block_index(m: int) -> np.ndarray:
     """Edge indices by block of _BLOCK; the last block repeats its final edge."""
     blocks = -(-m // _BLOCK)
     return np.minimum(np.arange(blocks * _BLOCK).reshape(blocks, _BLOCK), m - 1)
 
 
-def _block_boxes(P, D, idx):
+def _block_boxes(P, D):
     """Lower and upper corners of the box around each block of edges P + s*D."""
     Q = P + D
-    return np.minimum(P, Q)[..., idx, :].min(axis=-2), np.maximum(P, Q)[..., idx, :].max(axis=-2)
+    starts = np.arange(0, P.shape[-2], _BLOCK)
+    return (
+        np.minimum.reduceat(np.minimum(P, Q), starts, axis=-2),
+        np.maximum.reduceat(np.maximum(P, Q), starts, axis=-2),
+    )
 
 
-def strand_distance(gamma: DiscreteEmbedding, i: int, j: int) -> float:
-    """Minimum distance between strands i and j over all edge pairs.
+def _box_distance(lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Euclidean distance between boxes, broadcast over leading axes."""
+    return np.linalg.norm(np.maximum(np.maximum(lo2 - hi1, lo1 - hi2), 0.0), axis=-1)
 
-    On the torus both strands' vertices are first reduced into [0, L)^d
-    and strand j is compared in every image shifted by n*L, n in
-    {-2,...,2}^d.  That set is complete: edge components lie in
-    [-L/2, L/2], so reduced segment points lie in [-L/2, 3L/2], any
-    difference of two of them in [-2L, 2L], and the image nearest to it
-    is one of those shifts.
 
-    The edges are grouped in blocks of _BLOCK with one bounding box per
-    block.  Box pairs (block of i, block of j, image) are visited in
-    ascending box distance, a lower bound for every edge pair inside, and
-    the search stops once the next box is no closer than the best edge
-    pair so far.  Edge pairs go through the same row-wise kernel as an
-    all-pairs scan (geom.segment_closest), so the minimum equals the
-    all-pairs minimum exactly: each box spans the rounded edge ends the
-    kernel's closest points lie between, rounding is monotone, and box and
-    edge-pair distances take the same norm, so no computed edge-pair
-    distance falls below its box's.
+def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = INF) -> float:
+    """Minimum distance between strands i and j over all edge pairs, exact up to `within`.
+
+    Returns the exact all-pairs minimum whenever that minimum is at most
+    `within`, and otherwise some value above `within` (INF when no box
+    comes within it).  The default bound is infinite, so the minimum is
+    then always exact.  i and j must be different labels in 1..k.
+
+    On the torus both strands' vertices are reduced into [0, L)^d and
+    strand j is compared in every image shifted by n*L, n in {-2,...,2}^d.
+    That set is complete: edge components lie in [-L/2, L/2], so reduced
+    segment points lie in [-L/2, 3L/2], any difference of two of them in
+    [-2L, 2L], and the image nearest to it is one of those shifts.
+
+    The search reads the embedding's box index (DiscreteEmbedding._boxes):
+    per image of each strand, one box per block of _BLOCK edges and one
+    around the whole strand.  It drops the images of j whose whole box lies
+    farther than `within` from strand i's, then the blocks of either strand
+    farther than `within` from the other's whole boxes, then the block box
+    pairs farther than `within`.  The box pairs left are visited in
+    ascending box distance until the next is no closer than the best edge
+    pair so far.  Inside them, edge pairs whose own boxes lie beyond that
+    bound are skipped; the rest go through the same row-wise kernel as an
+    all-pairs scan (geom.segment_closest).
+
+    No prune can lose the minimum: a box's distance never exceeds the
+    computed distance of an edge pair inside it, because each box spans
+    the rounded edge ends the kernel's closest points lie between, rounding
+    is monotone, and box and edge-pair distances take the same norm.  So
+    every edge pair attaining a minimum at most `within` survives, and the
+    visit order only decides when the search stops.
     """
-    metric = gamma.metric
-    A, DA = gamma.loops[i - 1], gamma._edges[i - 1]
-    B, DB = gamma.loops[j - 1], gamma._edges[j - 1]
-    if metric.kind == "torus":
-        L = metric.L
-        A = np.mod(A, L)
-        shifts = L * np.array(list(itertools.product(range(-2, 3), repeat=metric.d)), dtype=float)
-        images = np.mod(B, L)[None] + shifts[:, None]
-    else:
-        images = B[None]
-    idx_a, idx_b = _block_index(A.shape[0]), _block_index(B.shape[0])
-    lo_a, hi_a = _block_boxes(A, DA, idx_a)
-    lo_b, hi_b = _block_boxes(images, DB, idx_b)
-    lo_a, hi_a = lo_a[:, None, None], hi_a[:, None, None]
-    gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
-    box = np.linalg.norm(gap, axis=-1)  # (block of i, image, block of j)
+    if math.isnan(within):
+        raise UmkehrError("strand_distance bound must not be nan")
+    a = gamma._index(i)
+    b = gamma._index(j)
+    if a == b:
+        raise UmkehrError(f"strand_distance needs two different strands, got {i} and {j}")
+    shifts, zero, strands = gamma._boxes
+    A, B = strands[a], strands[b]
+    lo_a, hi_a, whole_a = A.lo[zero], A.hi[zero], (A.whole_lo[zero], A.whole_hi[zero])
+    # Images of j near strand i, their blocks near strand i, and blocks of i near those images.
+    images = np.flatnonzero(_box_distance(*whole_a, B.whole_lo, B.whole_hi) <= within)
+    if images.size == 0:
+        return INF
+    img, blk_b = np.nonzero(_box_distance(*whole_a, B.lo[images], B.hi[images]) <= within)
+    img = images[img]
+    near_a = _box_distance(lo_a[:, None], hi_a[:, None], B.whole_lo[images], B.whole_hi[images])
+    blk_a = np.flatnonzero((near_a <= within).any(axis=1))
+    if blk_a.size == 0 or blk_b.size == 0:
+        return INF
+    # (block of i, image and block of j)
+    box = _box_distance(lo_a[blk_a, None], hi_a[blk_a, None], B.lo[img, blk_b], B.hi[img, blk_b])
 
-    def nearest(sel) -> float:
-        a, n, b = np.unravel_index(sel, box.shape)
-        pairs = (sel.size, _BLOCK, _BLOCK)
-        ia = np.broadcast_to(idx_a[a][:, :, None], pairs).ravel()
-        ib = np.broadcast_to(idx_b[b][:, None, :], pairs).ravel()
-        im = np.repeat(n, _BLOCK * _BLOCK)
-        _, _, pa, pb = segment_closest(A[ia], DA[ia], images[im, ib], DB[ib])
+    def nearest(sel, bound: float) -> float:
+        """Least distance over the edge pairs of box pairs sel whose own boxes are within bound."""
+        row, col = np.divmod(sel, box.shape[1])
+        ea, eb = A.idx[blk_a[row]], B.idx[blk_b[col]]  # (box pairs, _BLOCK) edges of each side
+        P1, P2 = A.R[ea], B.R[eb] + shifts[img[col]][:, None]
+        Q1, Q2 = P1 + A.disp[ea], P2 + B.disp[eb]
+        lo1, hi1 = np.minimum(P1, Q1)[:, :, None], np.maximum(P1, Q1)[:, :, None]
+        lo2, hi2 = np.minimum(P2, Q2)[:, None], np.maximum(P2, Q2)[:, None]
+        q, r, c = np.nonzero(_box_distance(lo1, hi1, lo2, hi2) <= bound)
+        if q.size == 0:
+            return INF
+        _, _, pa, pb = segment_closest(P1[q, r], A.disp[ea[q, r]], P2[q, c], B.disp[eb[q, c]])
         return float(np.linalg.norm(pa - pb, axis=1).min())
 
     # The closest box pair bounds the answer; only boxes under it get ranked.
     flat = box.ravel()
-    best = nearest(np.array([np.argmin(flat)]))
-    order = np.flatnonzero(flat < best)
+    start = int(np.argmin(flat))
+    if not flat[start] <= within:
+        return INF
+    best = nearest(np.array([start]), within)
+    order = np.flatnonzero((flat < best) & (flat <= within))
     order = order[np.argsort(flat[order], kind="stable")]
     for lo in range(0, order.size, _BATCH):
         sel = order[lo : lo + _BATCH]
         sel = sel[flat[sel] < best]
         if sel.size == 0:
             break
-        best = min(best, nearest(sel))
+        best = min(best, nearest(sel, min(best, within)))
     return best
 
 
@@ -613,7 +697,7 @@ def umkehr(
     if not cfg.mapping:
         for i in range(1, gamma.k + 1):
             for j in range(i + 1, gamma.k + 1):
-                d = strand_distance(gamma, i, j)
+                d = strand_distance(gamma, i, j, cfg.tol)
                 if d <= cfg.tol:
                     raise SelfIntersecting(
                         f"strands {i} and {j} come within {d:.3e} of each other"

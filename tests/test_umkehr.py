@@ -187,6 +187,14 @@ class TestEmbedding:
             assert type(got.value) is type(ref.value)
             assert str(got.value) == str(ref.value)
 
+    @pytest.mark.parametrize("label", [0, -1, 3, 1.0, True])
+    def test_bad_labels_raise(self, label):
+        # Label 0 used to read the last strand through index -1, and label 3 raised IndexError.
+        emb = concentric(0.05)
+        for read in (emb.m, emb.params, lambda x: emb.point(x, 0.5), lambda x: emb.points_at(x, [0.5])):
+            with pytest.raises(um.UmkehrError, match=r"strand label must be an integer in 1\.\.2"):
+                read(label)
+
     def test_json_roundtrip(self):
         emb = concentric(0.05)
         doc = json.loads(json.dumps(emb.to_json()))
@@ -233,6 +241,47 @@ def brute_strand_distance(gamma, i, j):
     return best
 
 
+BOUNDS = ("min", "above", "below", "half", "double", "tol")
+
+
+def bound_from(kind, b):
+    """A strand_distance bound at or around the brute-force minimum b."""
+    return {
+        "min": b,
+        "above": np.nextafter(b, math.inf),
+        "below": np.nextafter(b, -math.inf),
+        "half": b / 2,
+        "double": 2 * b,
+        "tol": geom.TOL,
+    }[kind]
+
+
+def assert_bounded(gamma, i, j, kind, b):
+    """Under a bound of the given kind around the minimum b, strand_distance is b or above the bound."""
+    bound = bound_from(kind, b)
+    got = um.strand_distance(gamma, i, j, bound)
+    if b <= bound:
+        assert got == b
+    else:
+        assert got > bound
+
+
+def touching_four(kind):
+    """Four strands where pairs (1, 4) and (2, 3) touch and every other pair is far apart.
+
+    Strands 2 and 3 share the vertex (2.1, 1.0); strands 1 and 4 come 3.7e-10
+    apart, on the torus of period 4 across the seam x = 0.
+    """
+    gap = 3.7e-10
+    if kind == "torus":
+        metric = um.FlatMetric("torus", 2, 4.0)
+        centers = [(0.05, 2.0), (2.0, 1.0), (2.2, 1.0), (3.85 - gap, 2.0)]
+    else:
+        metric = EUCLID
+        centers = [(0.0, 0.0), (2.0, 1.0), (2.2, 1.0), (0.2 + gap, 0.0)]
+    return um.DiscreteEmbedding(metric, tuple(circle(0.1, center=c) for c in centers))
+
+
 class TestStrandDistance:
     A = [(0.5, y) for y in (0.9, 0.45, 0.35, 0.25, 0.15, 0.05, 0.97, 0.93)]
     B = [(0.3, 0.38), (0.7, 0.62), (0.8, 0.6), (0.9, 0.55), (0.0, 0.5), (0.1, 0.45), (0.2, 0.4), (0.25, 0.39)]
@@ -259,9 +308,10 @@ class TestStrandDistance:
         st.sampled_from([2, 3]),
         st.integers(8, 100),
         st.integers(8, 100),
+        st.sampled_from(BOUNDS),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force(self, seed, kind, d, m1, m2):
+    def test_matches_brute_force(self, seed, kind, d, m1, m2, bound):
         rng = np.random.default_rng(seed)
         L = float(rng.uniform(0.5, 2.0))
         metric = um.FlatMetric(kind, d, L if kind == "torus" else None)
@@ -279,6 +329,73 @@ class TestStrandDistance:
             return
         assert um.strand_distance(emb, 1, 2) == brute_strand_distance(emb, 1, 2)
         assert um.strand_distance(emb, 2, 1) == brute_strand_distance(emb, 2, 1)
+        # The unbounded minimum equals the brute force, as just asserted.
+        for i, j in ((1, 2), (2, 1)):
+            assert_bounded(emb, i, j, bound, um.strand_distance(emb, i, j))
+
+    @given(
+        st.integers(0, 10 ** 6),
+        st.sampled_from(["euclidean", "torus"]),
+        st.sampled_from([2, 3]),
+        st.sampled_from(BOUNDS),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_ordered_pair_of_four_strands(self, seed, kind, d, bound):
+        # One embedding answers all twelve ordered queries from one box index.
+        rng = np.random.default_rng(seed)
+        L = float(rng.uniform(0.5, 2.0))
+        metric = um.FlatMetric(kind, d, L if kind == "torus" else None)
+        step = 0.45 * L if kind == "torus" else 0.1
+        loops = [random_strand(rng, int(rng.integers(8, 33)), d, step) for _ in range(4)]
+        if kind == "euclidean":
+            loops = [loop + rng.uniform(-1.0, 1.0, size=d) for loop in loops]
+        try:
+            emb = um.DiscreteEmbedding(metric, tuple(loops))
+        except um.NonUniqueGeodesic:
+            return
+        index = emb._boxes
+        for i, j in itertools.permutations(range(1, 5), 2):
+            assert_bounded(emb, i, j, bound, brute_strand_distance(emb, i, j))
+        assert emb._boxes is index
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 4), (1, 1), (1.0, 2), (True, 2), (2, -1)])
+    def test_bad_labels_raise(self, i, j):
+        # Before labels were checked, (0, 1) read strand 3 through index -1
+        # and returned 0.00339, (1, 4) raised IndexError and (1, 1) gave 0.0.
+        emb = fx.corridor_trio(63.2)
+        with pytest.raises(um.UmkehrError, match="strand"):
+            um.strand_distance(emb, i, j)
+
+    def test_nan_bound_raises(self):
+        emb = fx.corridor_trio(63.2)
+        with pytest.raises(um.UmkehrError, match="nan"):
+            um.strand_distance(emb, 1, 2, math.nan)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "torus"])
+    def test_first_touching_pair_is_named(self, kind):
+        # (1, 4) comes before (2, 3) in label order; the message carries the
+        # exact distance, as it did when the precheck computed every minimum.
+        emb = touching_four(kind)
+        b = brute_strand_distance(emb, 1, 4)
+        assert 0.0 < b <= geom.TOL
+        assert brute_strand_distance(emb, 2, 3) == 0.0
+        c = sampling.random_cleavage(0, 4)
+        with pytest.raises(um.SelfIntersecting) as err:
+            um.umkehr(emb, c, bp_mod.thicken(c), um.UmkehrConfig(epsilon=0.2))
+        assert str(err.value) == f"strands 1 and 4 come within {b:.3e} of each other"
+
+    @pytest.mark.parametrize("kind", ["euclidean", "torus"])
+    def test_closest_approach_just_above_tol_passes(self, kind):
+        metric = um.FlatMetric("torus", 2, 4.0) if kind == "torus" else EUCLID
+        # Parallel edges of concentric 96-gons sit cos(pi/96) times the radius gap apart.
+        emb = um.DiscreteEmbedding(metric, (circle(0.5), circle(0.5 + 1.1e-9, mirrored=True)))
+        b = brute_strand_distance(emb, 1, 2)
+        assert geom.TOL < b < 1.1e-9
+        assert um.strand_distance(emb, 1, 2, geom.TOL) > geom.TOL
+        assert um.strand_distance(emb, 1, 2, b) == b
+        c = chord_cleavage()
+        tv = um.umkehr(emb, c, bp_mod.thicken(c), um.UmkehrConfig(epsilon=0.2))
+        assert len(tv.components) == 1
 
 
 class TestScaling:
