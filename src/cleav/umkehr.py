@@ -26,7 +26,7 @@ from .blueprint import (
     build_blueprint,
     participants,
 )
-from .geom import TOL, TWO_PI, finite_real, segment_closest, whole_number
+from .geom import TOL, TWO_PI, _rowdot, finite_real, segment_closest, whole_number
 
 INF = math.inf
 
@@ -67,22 +67,11 @@ class FlatMetric:
         if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 2:
             raise UmkehrError(f"ambient dimension must be an integer >= 2, got {self.d!r}")
         if self.kind == "torus":
-            if self.L is None or not float(self.L) > 0.0:
-                raise UmkehrError(f"torus period must be positive, got {self.L!r}")
+            if not (finite_real(self.L) and self.L > 0.0):
+                raise UmkehrError(f"torus period must be a positive finite number, got {self.L!r}")
             object.__setattr__(self, "L", float(self.L))
         elif self.L is not None:
             raise UmkehrError("euclidean metric takes no period")
-
-    def displacement(self, a, b, tol: float = TOL) -> np.ndarray:
-        """Shortest vector from a to b; raises when a tie makes it ambiguous."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (self.d,) or b.shape != (self.d,):
-            raise UmkehrError(f"points must have dimension {self.d}")
-        w = self.displacement_many(a, b)
-        if self.ties(w, tol):
-            raise _tie_error(b - a)
-        return w
 
     def displacement_many(self, a, B) -> np.ndarray:
         """Row-wise shortest vectors from a to each row of B, no tie check."""
@@ -125,7 +114,10 @@ def metric_from_json(doc: object) -> FlatMetric:
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Shortest constant-speed path from a to b, parametrized on [0, 1]."""
+    """Shortest constant-speed path from a to b, parametrized on [0, 1].
+
+    For a stack of pairs every field holds one row per pair.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -138,16 +130,27 @@ class Geodesic:
 
 
 def geodesic(metric: FlatMetric, a, b, tol: float = TOL) -> Geodesic:
-    """The minimizing geodesic; zero length allowed, ties raise."""
+    """The minimizing geodesic; zero length allowed, ties raise.
+
+    a and b are one point each, or (n, d) stacks of n pairs.  A stack
+    gives a Geodesic whose fields are stacked by row (length an (n,)
+    array), and row r is bit for bit the one-pair geodesic from a[r] to
+    b[r]: the length is the square root of a row-wise dot (geom._rowdot),
+    which equals np.linalg.norm of the row.  A stack with ties raises the
+    first tying row's NonUniqueGeodesic.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    disp = metric.displacement(a, b, tol)
-    length = float(np.linalg.norm(disp))
-    if length > 0.0:
-        tangent = disp / length
-    else:
-        tangent = np.zeros(metric.d)
-    return Geodesic(a, b, length, tangent, disp)
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.shape[-1] != metric.d:
+        raise UmkehrError(f"points must have dimension {metric.d}")
+    disp = metric.displacement_many(a, b)
+    tie = metric.ties(disp, tol)
+    if tie.any():
+        raise _tie_error((b - a)[np.argmax(tie)] if a.ndim == 2 else b - a)
+    length = np.sqrt(_rowdot(disp, disp))
+    tangent = np.divide(disp, length[..., None], out=np.zeros_like(disp),
+                        where=length[..., None] > 0.0)
+    return Geodesic(a, b, float(length) if a.ndim == 1 else length, tangent, disp)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +202,20 @@ class DiscreteEmbedding:
 
     @cached_property
     def _table(self):
-        """(points, labels, params) of every vertex in label order, built on first use.
+        """(points, labels, params, spans) of every vertex in label order, built on first use.
 
-        Only clearance reads it, so embeddings that never meet a tube
-        query do not hold a second copy of their vertices.
+        spans maps each label to the (start, stop) rows its strand owns.
+        Only clearance reads the table, so embeddings that never meet a
+        tube query do not hold a second copy of their vertices.
         """
         labels = range(1, self.k + 1)
+        sizes = [self.m(label) for label in labels]
+        stops = list(itertools.accumulate(sizes))
         return (
             np.concatenate(self.loops),
-            np.repeat(np.array(labels), [self.m(label) for label in labels]),
+            np.repeat(np.array(labels), sizes),
             np.concatenate([self.params(label) for label in labels]),
+            {label: (stop - size, stop) for label, size, stop in zip(labels, sizes, stops)},
         )
 
     @cached_property
@@ -276,7 +283,7 @@ class DiscreteEmbedding:
     def to_json(self) -> dict:
         return {
             "metric": self.metric.to_json(),
-            "loops": [[[float(x) for x in row] for row in loop] for loop in self.loops],
+            "loops": [loop.tolist() for loop in self.loops],
         }
 
 
@@ -499,50 +506,69 @@ def clearance(
     below 1 is returned with the first vertex attaining it, or (1.0, None)
     when no vertex enters the tube.
 
-    Every vertex gets the same arithmetic as a per-strand scan: the
-    projections come from one matrix-vector product over the kept rows,
-    except that a strand keeping a single vertex takes the 1 x d by d
-    product a one-row scan would.
+    The kept rows are gathered once.  Their projections come from one
+    matrix-vector product over the kept rows alone, since a row of that
+    product can round unlike the same row in a taller matrix, except that a
+    strand keeping a single vertex takes the 1 x d by d product a one-row
+    scan would.  For d < 8 distances are column sums of squares taken left
+    to right, which is how np.linalg.norm adds a row of fewer than 8
+    coordinates; from d = 8 on they come from np.linalg.norm itself.  Where
+    0 < t < 1 the distance to the segment is the perpendicular distance,
+    so one pass serves both tests.
     """
     if not g.length > 0.0:
         raise UmkehrError("clearance needs a geodesic of positive length")
-    verts, labels, params = gamma._table
-    keep = np.ones(labels.shape[0], dtype=bool)
-    if exclude:
-        eta = np.asarray(cfg.eta_radians(gamma))[labels - 1]
-        for exc_label, exc_param in exclude:
-            gap = np.abs(params - (exc_param % TWO_PI))
-            gap = np.minimum(gap, TWO_PI - gap)
-            keep &= (labels != exc_label) | (gap > eta)
-    rows = keep.nonzero()[0]
-    if rows.size == 0:
+    verts, labels, params, spans = gamma._table
+    keep = None
+    cut = set()  # spans of the strands losing vertices
+    for exc_label, exc_param in exclude:
+        span = spans.get(exc_label)  # labels compare as numbers: 1.0 is strand 1
+        if span is None:
+            continue
+        lo, hi = span
+        eta = cfg.eta if cfg.eta is not None else cfg.eta_steps * TWO_PI / (hi - lo)
+        gap = np.abs(params[lo:hi] - (exc_param % TWO_PI))
+        if keep is None:
+            keep = np.ones(labels.shape[0], dtype=bool)
+        keep[lo:hi] &= np.minimum(gap, TWO_PI - gap) > eta
+        cut.add(span)
+    rows = None if keep is None else keep.nonzero()[0]
+    if rows is not None and rows.size == 0:
         return 1.0, None
-    w = gamma.metric.displacement_many(g.a, verts[rows])
+    pts = verts if rows is None else np.take(verts, rows, axis=0)  # a fancy index is slower
+    w = gamma.metric.displacement_many(g.a, pts)
     dots = w @ g.disp
-    if exclude and rows.size > 1:
-        kept_labels = labels[rows]
-        for r in (np.bincount(kept_labels)[kept_labels] == 1).nonzero()[0].tolist():
+    for lo, hi in cut:
+        own = keep[lo:hi].nonzero()[0]
+        if own.size == 1:
+            r = int(np.searchsorted(rows, lo + own[0]))
             dots[r] = (w[r : r + 1] @ g.disp)[0]
     t = dots / (g.length * g.length)
+    clamped = np.minimum(np.maximum(t, 0.0), 1.0)
+    if gamma.metric.d < 8:
+        total = None
+        for axis, step in enumerate(g.disp.tolist()):
+            diff = w[:, axis] - clamped * step
+            total = diff * diff if total is None else total + diff * diff
+        seg = np.sqrt(total)
+    else:  # numpy sums 8 or more coordinates pairwise
+        seg = np.linalg.norm(w - clamped[:, None] * g.disp, axis=1)
 
     def witness(row: int, delta: float) -> ClearanceWitness:
-        v = int(rows[row])
+        v = row if rows is None else int(rows[row])
         return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
-    seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
     on_seg = seg <= cfg.tol
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
-    inside = ((t > 0.0) & (t < 1.0)).nonzero()[0]
-    t_in = t[inside]
-    pd = np.linalg.norm(w[inside] - t_in[:, None] * g.disp, axis=1)
-    ratio = pd / (cfg.epsilon * (0.5 - np.abs(t_in - 0.5)))
-    hit = (ratio < 1.0).nonzero()[0]
-    if hit.size == 0:
-        return 1.0, None
-    arg = int(hit[np.argmin(ratio[hit])])
+    inside = (t > 0.0) & (t < 1.0)
+    ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(t - 0.5)),
+                      out=np.full(t.shape, INF), where=inside)
+    arg = int(np.argmin(ratio))
     best = float(ratio[arg])
-    return best, witness(int(inside[arg]), best)
+    if not best < 1.0:
+        return 1.0, None
+    return best, witness(arg, best)
 
 
 def scaling(dist: float, epsilon: float, inf_delta: float, t: float) -> float:
@@ -575,7 +601,7 @@ class RestrictedArc:
             "start": self.start,
             "end": self.end,
             "closed": self.closed,
-            "points": [[float(x) for x in row] for row in self.points],
+            "points": self.points.tolist(),
         }
 
 
@@ -716,43 +742,47 @@ def umkehr(
         sel = flat_labels == label
         flat_points[sel] = gamma.points_at(label, flat_angles[sel])
 
-    sample_entries: list[list[Entry]] = []
-    sample_glued: list[bool] = []
+    # Every (sample, pair) geodesic in one stacked call, pairs in sample
+    # order and, within a sample, in preimage order.
+    pairs = []  # (sample, flat index of each end)
     start = 0
     for idx, sample in enumerate(tb.samples):
-        entries: list[Entry] = []
-        glued = False
-        points = flat_points[start : start + len(sample.preimages)]
-        start += len(sample.preimages)
-        for (a, (i, th_i)), (b, (j, th_j)) in itertools.combinations(
-            enumerate(sample.preimages), 2
-        ):
-            p_i = points[a]
-            g = geodesic(metric, p_i, points[b], cfg.tol)
-            if cfg.mapping and g.length <= cfg.tol:
-                zero = (0.0,) * metric.d
-                base = tuple(p_i.tolist())
-                entries.append(Entry(idx, (i, j), 0.0, zero, base, base))
-                entries.append(Entry(idx, (j, i), 0.0, zero, base, base))
-                glued = True
-                continue
-            if g.length > eps:
-                s_val = INF
-            elif t_hom == 1.0:
-                s_val = scaling(g.length, eps, 1.0, 1.0)
-            else:
-                inf_delta, _w = clearance(
-                    gamma, g, cfg, exclude=((i, th_i), (j, th_j))
-                )
-                s_val = scaling(g.length, eps, inf_delta, t_hom)
-            tang = tuple(g.tangent.tolist())
-            neg = tuple(-x for x in tang)
-            src = tuple(p_i.tolist())
-            dst = tuple((p_i + g.disp).tolist())
-            entries.append(Entry(idx, (i, j), s_val, tang, src, dst))
-            entries.append(Entry(idx, (j, i), s_val, neg, dst, src))
-        sample_entries.append(entries)
-        sample_glued.append(glued)
+        n = len(sample.preimages)
+        pairs.extend((idx, start + a, start + b) for a, b in itertools.combinations(range(n), 2))
+        start += n
+    ends = np.array(pairs, dtype=int).reshape(-1, 3)
+    geo = geodesic(metric, flat_points[ends[:, 1]], flat_points[ends[:, 2]], cfg.tol)
+    lengths = geo.length.tolist()
+    tangents = geo.tangent.tolist()
+    srcs = geo.a.tolist()
+    dsts = (geo.a + geo.disp).tolist()
+
+    sample_entries: list[list[Entry]] = [[] for _ in tb.samples]
+    sample_glued = [False] * len(tb.samples)
+    for r, (idx, fa, fb) in enumerate(pairs):
+        (i, th_i), (j, th_j) = flat[fa], flat[fb]
+        entries = sample_entries[idx]
+        length = lengths[r]
+        src = tuple(srcs[r])
+        if cfg.mapping and length <= cfg.tol:
+            zero = (0.0,) * metric.d
+            entries.append(Entry(idx, (i, j), 0.0, zero, src, src))
+            entries.append(Entry(idx, (j, i), 0.0, zero, src, src))
+            sample_glued[idx] = True
+            continue
+        if length > eps:
+            s_val = INF
+        elif t_hom == 1.0:
+            s_val = scaling(length, eps, 1.0, 1.0)
+        else:
+            g = Geodesic(geo.a[r], geo.b[r], length, geo.tangent[r], geo.disp[r])
+            inf_delta, _w = clearance(gamma, g, cfg, exclude=((i, th_i), (j, th_j)))
+            s_val = scaling(length, eps, inf_delta, t_hom)
+        tang = tuple(tangents[r])
+        neg = tuple(-x for x in tang)
+        dst = tuple(dsts[r])
+        entries.append(Entry(idx, (i, j), s_val, tang, src, dst))
+        entries.append(Entry(idx, (j, i), s_val, neg, dst, src))
 
     def sample_sup(idx: int) -> float:
         vals = [e.scale for e in sample_entries[idx]]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ class TestUmkehr:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag.lstrip("-") in err and "come within" not in err
+
+    def test_infinite_torus_period_is_a_one_line_domain_error(self, capsys, tmp_path):
+        # An infinite period used to pass validation and end in "clearance
+        # needs a geodesic of positive length" after numpy RuntimeWarnings.
+        doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
+        loops = fx.mirrored_pair(0.05).to_json()
+        loops["metric"] = {"kind": "torus", "d": 2, "L": float("inf")}
+        path = write_json(tmp_path, "loops.json", loops)
+        assert '"L": Infinity' in path.read_text()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "umkehr", doc, path, "--epsilon", 0.2)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "torus period" in err
+        assert caught == []
 
     def test_epsilon_is_required(self, capsys, tmp_path):
         doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())

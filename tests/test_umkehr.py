@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from re import escape as re_escape
 
 import numpy as np
 import pytest
@@ -40,6 +41,27 @@ def circle(r, m=96, mirrored=False, center=(0.0, 0.0)):
 
 def concentric(g, r1=0.5, m=96):
     return um.DiscreteEmbedding(EUCLID, (circle(r1, m), circle(r1 - g, m, mirrored=True)))
+
+
+def reference_displacement(metric, a, B):
+    """mod(B - a + L/2, L) - L/2, a copy kept so the references share no kernel with src."""
+    delta = np.asarray(B, dtype=float) - np.asarray(a, dtype=float)
+    if metric.kind == "euclidean":
+        return delta
+    return np.mod(delta + 0.5 * metric.L, metric.L) - 0.5 * metric.L
+
+
+def reference_geodesic(metric, a, b, tol=geom.TOL):
+    """One-pair geodesic with np.linalg.norm, as the reference for the stacked geodesic."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    disp = reference_displacement(metric, a, b)
+    if metric.ties(disp, tol):
+        raise um.NonUniqueGeodesic(
+            f"displacement {(b - a).tolist()} sits half a period away on some axis")
+    length = float(np.linalg.norm(disp))
+    tangent = disp / length if length > 0.0 else np.zeros(metric.d)
+    return um.Geodesic(a, b, length, tangent, disp)
 
 
 class TestMetric:
@@ -90,6 +112,16 @@ class TestMetric:
             with pytest.raises(um.UmkehrError):
                 um.metric_from_json({"kind": "torus", "d": 2, "L": bad_period})
 
+    @pytest.mark.parametrize("period", [math.inf, -math.inf, math.nan, True, "1.0"])
+    def test_non_real_or_infinite_torus_period_rejected(self, period):
+        # An infinite period used to be accepted, and umkehr then failed with
+        # "clearance needs a geodesic of positive length".
+        with pytest.raises(um.UmkehrError, match="torus period"):
+            um.FlatMetric("torus", 2, period)
+        if isinstance(period, float):
+            with pytest.raises(um.UmkehrError, match="torus period"):
+                um.metric_from_json(json.loads(json.dumps({"kind": "torus", "d": 2, "L": period})))
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=80, deadline=None)
     def test_torus_brute_force_oracle(self, seed):
@@ -116,6 +148,66 @@ class TestMetric:
         assert g.length == pytest.approx(float(order[0]), abs=1e-9)
         best = images[int(np.argmin(dists))]
         assert g.disp == pytest.approx(best, abs=1e-9)
+
+
+class TestGeodesicStack:
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["euclidean", "torus"]),
+           st.sampled_from([2, 3, 8]), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_one_pair_calls(self, seed, kind, d, n):
+        rng = np.random.default_rng(seed)
+        L = float(rng.choice([1.0, 2.0, 0.7]))
+        metric = um.FlatMetric(kind, d, L if kind == "torus" else None)
+        A = rng.uniform(-1.5, 1.5, size=(n, d))
+        B = A + rng.uniform(-0.6, 0.6, size=(n, d)) * rng.integers(0, 2, size=(n, 1))
+        if n and rng.random() < 0.3:  # a pair exactly half a period apart on one axis
+            r = int(rng.integers(0, n))
+            B[r, 0] = A[r, 0] + 0.5 * L
+        first_tie = None
+        rows = []
+        for r in range(n):
+            try:
+                one = um.geodesic(metric, A[r], B[r])
+            except um.NonUniqueGeodesic as err:
+                with pytest.raises(um.NonUniqueGeodesic, match=re_escape(str(err))):
+                    reference_geodesic(metric, A[r], B[r])
+                first_tie = str(err) if first_tie is None else first_tie
+                continue
+            ref = reference_geodesic(metric, A[r], B[r])
+            assert type(one.length) is float and one.length == ref.length
+            for field in ("a", "b", "tangent", "disp"):
+                assert getattr(one, field).tobytes() == getattr(ref, field).tobytes()
+            rows.append((r, one))
+        if first_tie is not None:
+            with pytest.raises(um.NonUniqueGeodesic) as err:
+                um.geodesic(metric, A, B)
+            assert str(err.value) == first_tie
+            return
+        stack = um.geodesic(metric, A, B)
+        assert stack.length.shape == (n,) and stack.tangent.shape == (n, d)
+        for r, one in rows:
+            assert stack.length[r] == one.length
+            for field in ("a", "b", "tangent", "disp"):
+                assert getattr(stack, field)[r].tobytes() == getattr(one, field).tobytes()
+
+    def test_empty_stack(self):
+        for metric in (EUCLID, um.FlatMetric("torus", 2, 1.0)):
+            g = um.geodesic(metric, np.zeros((0, 2)), np.zeros((0, 2)))
+            assert g.length.shape == (0,)
+            assert g.tangent.shape == g.disp.shape == (0, 2)
+
+    def test_stack_raises_the_first_tying_row(self):
+        torus = um.FlatMetric("torus", 2, 2.0)
+        A = np.zeros((4, 2))
+        B = np.array([[0.3, 0.0], [1.0, 0.2], [0.1, 0.4], [0.0, -1.0]])
+        with pytest.raises(um.NonUniqueGeodesic, match=re_escape("[1.0, 0.2]")):
+            um.geodesic(torus, A, B)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(um.UmkehrError, match="dimension"):
+            um.geodesic(EUCLID, np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(um.UmkehrError, match="dimension"):
+            um.geodesic(EUCLID, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestEmbedding:
@@ -215,7 +307,7 @@ def scalar_edges(metric, loop):
     """Edge displacements one vertex at a time, as the reference for the batch build."""
     out = []
     for j in range(loop.shape[0]):
-        step = metric.displacement(loop[j], loop[(j + 1) % loop.shape[0]])
+        step = reference_geodesic(metric, loop[j], loop[(j + 1) % loop.shape[0]]).disp
         if float(np.linalg.norm(step)) == 0.0:
             raise um.UmkehrError(f"strand 1 repeats vertex {j}; consecutive points must differ")
         out.append(step)
@@ -468,6 +560,23 @@ class TestClearance:
         assert inf_delta == pytest.approx(0.001 / 0.1, abs=1e-12)
         assert witness.label == 1
 
+    def test_exclusion_radius_reaches_whole_vertex_steps(self):
+        # Vertex 2 lies exactly eta_steps = 2 vertex steps from the excluded
+        # parameter 0, so it is dropped; at 1.5 steps it is kept and sits
+        # at depth 0.01 under radius 0.1 in the middle of the tube.
+        loop1 = np.array([[0.0, 0.0], [-0.3, 0.3], [0.05, 0.01], [0.5, 0.5], [0.5, 1.0],
+                          [0.0, 1.0], [-0.5, 1.0], [-0.5, 0.3]])
+        emb = um.DiscreteEmbedding(EUCLID, (loop1, circle(0.1, 8, center=(5.0, 5.0))))
+        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        exclude = ((1, 0.0),)
+        for cfg, delta in ((um.UmkehrConfig(epsilon=0.2), 1.0),
+                           (um.UmkehrConfig(epsilon=0.2, eta=2 * 2 * PI / 8), 1.0),
+                           (um.UmkehrConfig(epsilon=0.2, eta_steps=1.5), 0.1)):
+            got = um.clearance(emb, g, cfg, exclude)
+            assert got[0] == pytest.approx(delta, abs=1e-12)
+            assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
+        assert (got[1].label, got[1].param) == (1, emb.params(1)[2])
+
     def test_exclusion_is_per_strand(self):
         invader = circle(0.001, 8, center=(0.05, 0.058))
         invader[0] = [0.05, 0.05]
@@ -505,7 +614,7 @@ def reference_clearance(gamma, g, cfg, exclude=()):
             keep &= gap > etas[label - 1]
         if not np.any(keep):
             continue
-        w = gamma.metric.displacement_many(g.a, loop[keep])
+        w = reference_displacement(gamma.metric, g.a, loop[keep])
         t = (w @ g.disp) / ell2
         perp = w - t[:, None] * g.disp
         pd = np.linalg.norm(perp, axis=1)
@@ -537,6 +646,53 @@ def reference_clearance(gamma, g, cfg, exclude=()):
     return best, witness
 
 
+def reference_one_pass_clearance(gamma, g, cfg, exclude=()):
+    """The one-pass scan clearance replaced: one matrix-vector product over
+    the kept rows and np.linalg.norm distances.  It is the reference in
+    every dimension; the per-strand scan above matches it only for small d,
+    where a row of a matrix-vector product does not depend on the rows
+    around it."""
+    verts = np.concatenate(gamma.loops)
+    labels = np.concatenate([np.full(loop.shape[0], i + 1) for i, loop in enumerate(gamma.loops)])
+    params = np.concatenate([gamma.params(i + 1) for i in range(gamma.k)])
+    keep = np.ones(labels.shape[0], dtype=bool)
+    if exclude:
+        eta = np.asarray(cfg.eta_radians(gamma))[labels - 1]
+        for exc_label, exc_param in exclude:
+            gap = np.abs(params - (exc_param % (2 * PI)))
+            gap = np.minimum(gap, 2 * PI - gap)
+            keep &= (labels != exc_label) | (gap > eta)
+    rows = keep.nonzero()[0]
+    if rows.size == 0:
+        return 1.0, None
+    w = reference_displacement(gamma.metric, g.a, verts[rows])
+    dots = w @ g.disp
+    if exclude and rows.size > 1:
+        kept_labels = labels[rows]
+        for r in (np.bincount(kept_labels)[kept_labels] == 1).nonzero()[0].tolist():
+            dots[r] = (w[r : r + 1] @ g.disp)[0]
+    t = dots / (g.length * g.length)
+
+    def witness(row, delta):
+        v = int(rows[row])
+        return um.ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
+
+    seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
+    on_seg = seg <= cfg.tol
+    if on_seg.any():
+        return 0.0, witness(int(np.argmax(on_seg)), 0.0)
+    inside = ((t > 0.0) & (t < 1.0)).nonzero()[0]
+    t_in = t[inside]
+    pd = np.linalg.norm(w[inside] - t_in[:, None] * g.disp, axis=1)
+    ratio = pd / (cfg.epsilon * (0.5 - np.abs(t_in - 0.5)))
+    hit = (ratio < 1.0).nonzero()[0]
+    if hit.size == 0:
+        return 1.0, None
+    arg = int(hit[np.argmin(ratio[hit])])
+    best = float(ratio[arg])
+    return best, witness(int(inside[arg]), best)
+
+
 def assert_same_clearance(got, ref):
     assert got[0] == ref[0]
     if ref[1] is None:
@@ -550,7 +706,7 @@ class TestClearanceOracle:
     @given(
         st.integers(0, 10 ** 6),
         st.sampled_from(["euclidean", "torus"]),
-        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3, 8]),
         st.integers(2, 6),
         st.one_of(st.none(), st.floats(0.0, 3.5), st.just(PI - 1e-9)),
         st.floats(0.0, 40.0),
@@ -584,8 +740,10 @@ class TestClearanceOracle:
         exclude = tuple(ends[: int(rng.integers(0, 3))])
         exclude += tuple((int(rng.integers(0, k + 2)), float(rng.uniform(0.0, 7.0)))
                          for _ in range(int(rng.integers(0, 3))))
-        assert_same_clearance(um.clearance(emb, g, cfg, exclude),
-                              reference_clearance(emb, g, cfg, exclude))
+        got = um.clearance(emb, g, cfg, exclude)
+        assert_same_clearance(got, reference_one_pass_clearance(emb, g, cfg, exclude))
+        if d < 8:
+            assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
 
     def test_strands_keeping_one_vertex(self):
         # eta just under pi leaves an excluded strand with an even vertex
@@ -604,6 +762,27 @@ class TestClearanceOracle:
             exclude = tuple((label, 0.0) for label in range(1, int(rng.integers(2, k + 1))))
             assert_same_clearance(um.clearance(emb, g, cfg, exclude),
                                   reference_clearance(emb, g, cfg, exclude))
+
+    @pytest.mark.parametrize("kind", ["euclidean", "torus"])
+    def test_eight_dimensions(self, kind):
+        # np.linalg.norm sums a row of 8 or more coordinates pairwise, so
+        # left-to-right column sums would move some ratios by an ulp.  The
+        # deepest vertex is the last row of the table, and excluding part of
+        # strand 1 shifts it within the kept rows: a product over all rows
+        # rounds some such rows unlike the product over the kept rows.
+        metric = um.FlatMetric(kind, 8, 4.0 if kind == "torus" else None)
+        hits = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            loops = [random_strand(rng, int(rng.integers(8, 40)), 8, 0.05) for _ in range(3)]
+            emb = um.DiscreteEmbedding(metric, tuple(loops))
+            a = emb.point(1, 0.0)
+            g = um.geodesic(metric, a, 2 * loops[2][-1] - a + rng.uniform(-1e-3, 1e-3, size=8))
+            cfg = um.UmkehrConfig(epsilon=1.0, eta_steps=float(rng.integers(1, 4)))
+            got = um.clearance(emb, g, cfg, ((1, 0.0),))
+            assert_same_clearance(got, reference_one_pass_clearance(emb, g, cfg, ((1, 0.0),)))
+            hits += got[1] is not None and got[1].label == 3
+        assert hits >= 30
 
     def test_ties_go_to_the_first_vertex_in_label_order(self):
         g = um.geodesic(EUCLID, [0.0, 0.0], [1.0, 0.0])
@@ -628,18 +807,23 @@ class TestClearanceOracle:
 
     @pytest.mark.parametrize("tip", [61.6, 63.2, 72.4])
     def test_corridor_samples_match_per_strand_scan(self, tip):
-        emb = fx.corridor_trio(tip)
+        # In the plane, and wrapped onto the unit torus as the benchmark
+        # writes it.
+        plane = fx.corridor_trio(tip)
+        torus = um.DiscreteEmbedding(um.FlatMetric("torus", 2, 1.0),
+                                     tuple(np.mod(loop, 1.0) for loop in plane.loops))
         c = fx.corridor_cleavage()
         tb = bp_mod.thicken(c, density=24)
         cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
-        for sample in tb.samples:
-            for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
-                g = um.geodesic(emb.metric, emb.point(i, th_i), emb.point(j, th_j))
-                if not 0.0 < g.length <= cfg.epsilon:
-                    continue
-                exclude = ((i, th_i), (j, th_j))
-                assert_same_clearance(um.clearance(emb, g, cfg, exclude),
-                                      reference_clearance(emb, g, cfg, exclude))
+        for emb in (plane, torus):
+            for sample in tb.samples:
+                for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
+                    g = um.geodesic(emb.metric, emb.point(i, th_i), emb.point(j, th_j))
+                    if not 0.0 < g.length <= cfg.epsilon:
+                        continue
+                    exclude = ((i, th_i), (j, th_j))
+                    assert_same_clearance(um.clearance(emb, g, cfg, exclude),
+                                          reference_clearance(emb, g, cfg, exclude))
 
 
 class TestConfig:
@@ -866,6 +1050,155 @@ class TestUmkehr:
         assert [cv.status for cv in tight.components] == [
             cv.status for cv in default.components
         ]
+
+
+def reference_umkehr(gamma, c, tb, cfg):
+    """The per-pair evaluator: one geodesic and one clearance per (sample, pair).
+
+    The reference for umkehr's stacked geodesics; its geodesics and
+    clearances are the reference ones above, so it shares no kernel with
+    the evaluator beyond the precheck, restrict and scaling.
+    """
+    if gamma.k != c.k:
+        raise um.UmkehrError(f"strand count {gamma.k} != arity {c.k}")
+    metric = gamma.metric
+    if metric.kind == "torus" and not cfg.epsilon < metric.L / 4.0:
+        raise um.UmkehrError(
+            f"torus evaluation needs epsilon < L/4 = {metric.L / 4.0}, got {cfg.epsilon}")
+    if not cfg.mapping:
+        for i, j in itertools.combinations(range(1, gamma.k + 1), 2):
+            d = um.strand_distance(gamma, i, j, cfg.tol)
+            if d <= cfg.tol:
+                raise um.SelfIntersecting(f"strands {i} and {j} come within {d:.3e} of each other")
+    restriction = tuple(um.restrict(gamma, c, cfg.tol))
+    sample_entries, sample_glued = [], []
+    for idx, sample in enumerate(tb.samples):
+        entries, glued = [], False
+        for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
+            p_i = gamma.points_at(i, np.array([th_i]))[0]
+            g = reference_geodesic(metric, p_i, gamma.points_at(j, np.array([th_j]))[0], cfg.tol)
+            if cfg.mapping and g.length <= cfg.tol:
+                zero, base = (0.0,) * metric.d, tuple(float(x) for x in p_i)
+                entries += [um.Entry(idx, (i, j), 0.0, zero, base, base),
+                            um.Entry(idx, (j, i), 0.0, zero, base, base)]
+                glued = True
+                continue
+            if g.length > cfg.epsilon:
+                s_val = math.inf
+            elif cfg.t_homotopy == 1.0:
+                s_val = um.scaling(g.length, cfg.epsilon, 1.0, 1.0)
+            else:
+                inf_delta, _ = reference_clearance(gamma, g, cfg, ((i, th_i), (j, th_j)))
+                s_val = um.scaling(g.length, cfg.epsilon, inf_delta, cfg.t_homotopy)
+            tang = tuple(float(x) for x in g.tangent)
+            src, dst = tuple(float(x) for x in p_i), tuple(float(x) for x in p_i + g.disp)
+            entries += [um.Entry(idx, (i, j), s_val, tang, src, dst),
+                        um.Entry(idx, (j, i), s_val, tuple(-x for x in tang), dst, src)]
+        sample_entries.append(entries)
+        sample_glued.append(glued)
+    sups = [max((e.scale for e in entries), default=0.0) for entries in sample_entries]
+    cut = 1.0 + cfg.tol
+    components = []
+    for cid in sorted({s.component for s in tb.samples}):
+        members = [i for i, s in enumerate(tb.samples) if s.component == cid]
+        if cfg.sup_scope == "blueprint":
+            collapsed = set(members) if max(sups, default=0.0) > cut else set()
+        elif cfg.sup_scope == "component":
+            collapsed = set(members) if max(sups[i] for i in members) > cut else set()
+        else:
+            collapsed = {i for i in members if sups[i] > cut}
+        status = "infinity" if collapsed == set(members) else "finite"
+        kept = [e for i in members if i not in collapsed for e in sample_entries[i]]
+        boundary = {tuple(sorted(e.pair)) for i in members for e in sample_entries[i]
+                    if math.isfinite(e.scale) and abs(e.scale - 1.0) <= cfg.tol}
+        uf = {i for i in members if sample_glued[i]}
+        components.append(um.ComponentValue(
+            cid, status, tuple(kept) if status == "finite" else (), tuple(sorted(uf)),
+            tuple(sorted(boundary)), tuple(sorted(collapsed))))
+    config = cfg.to_json()
+    config["eta_radians"] = cfg.eta_radians(gamma)
+    return um.ThomValue(tuple(components), restriction, config)
+
+
+def outcome(evaluate, *args):
+    """The output document's JSON bytes, or the error's type and message."""
+    try:
+        return json.dumps(evaluate(*args).to_json(), sort_keys=True)
+    except um.UmkehrError as err:
+        return type(err).__name__, str(err)
+
+
+class TestUmkehrOracle:
+    @given(
+        st.integers(0, 10 ** 6),
+        st.integers(2, 5),
+        st.sampled_from(["euclidean", "torus"]),
+        st.sampled_from(["zero", "drawn", "one"]),
+        st.booleans(),
+        st.sampled_from(["component", "blueprint", "sample"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_pair_loop(self, seed, k, kind, t, mapping, sup_scope):
+        rng = np.random.default_rng(seed)
+        c = sampling.random_cleavage(rng, k)
+        tb = bp_mod.thicken(c, density=int(rng.integers(2, 7)))
+        # One loop per timber on a ring, far enough apart not to touch:
+        # neighbouring centres sit 0.5 apart, each loop within 0.2 of its own.
+        ring = 0.25 / math.sin(PI / k)
+        phase = float(rng.uniform(0.0, 2.0 * PI))
+        loops = [fx.fourier_loop(int(s), m=int(rng.integers(16, 49)), base=0.12, wobble=0.03,
+                                 drift=0.015)
+                 + ring * np.array([math.cos(phase + 2 * PI * j / k), math.sin(phase + 2 * PI * j / k)])
+                 for j, s in enumerate(rng.integers(0, 2 ** 31, k))]
+        if kind == "torus":
+            L = float(rng.uniform(2.0 * ring + 1.0, 2.0 * ring + 3.0))
+            metric = um.FlatMetric("torus", 2, L)
+            loops = [np.mod(loop, L) for loop in loops]
+            epsilon = float(rng.uniform(0.3, 0.999)) * L / 4.0
+        else:
+            metric = EUCLID
+            epsilon = float(rng.uniform(0.5, 3.5))
+        gamma = um.DiscreteEmbedding(metric, tuple(loops))
+        t_hom = {"zero": 0.0, "one": 1.0, "drawn": float(rng.uniform(0.0, 1.0))}[t]
+        cfg = um.UmkehrConfig(epsilon=epsilon, t_homotopy=t_hom, mapping=mapping,
+                              sup_scope=sup_scope)
+        assert outcome(um.umkehr, gamma, c, tb, cfg) == outcome(reference_umkehr, gamma, c, tb, cfg)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.05, 0.2, 0.3])
+    @pytest.mark.parametrize("mapping", [False, True])
+    def test_mirrored_pairs_match_the_per_pair_loop(self, gap, mapping):
+        # Gap 0 glues every sample in mapping mode and is self-intersecting
+        # otherwise; 0.2 puts every scale on the boundary; 0.3 collapses.
+        c = fx.chord_cleavage()
+        tb = bp_mod.thicken(c)
+        cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping)
+        emb = fx.mirrored_pair(gap)
+        assert outcome(um.umkehr, emb, c, tb, cfg) == outcome(reference_umkehr, emb, c, tb, cfg)
+
+    def test_a_later_tie_raises_the_first_tying_pair(self):
+        # Strand 2 sits a half period (1.0) away along x from strand 1;
+        # vertex pairs whose x offsets cancel tie, the others do not.
+        torus = um.FlatMetric("torus", 2, 2.0)
+        emb = um.DiscreteEmbedding(
+            torus, (circle(0.01, 8), circle(0.01, 8, mirrored=True, center=(1.0, 0.0))))
+        c = chord_cleavage()
+        tb = bp_mod.thicken(c)
+        step = 2 * PI / 8
+        preimages = [((1, 0.0), (2, 0.0)), ((1, step), (2, 0.0)),
+                     ((1, 2 * step), (2, 2 * step)), ((1, 0.0), (2, 4 * step))]
+        tb = replace(tb, samples=tuple(
+            bp_mod.BlueprintSample(s.point, s.component, pre)
+            for s, pre in zip(tb.samples, preimages)))
+        cfg = um.UmkehrConfig(epsilon=0.4)
+        got = outcome(um.umkehr, emb, c, tb, cfg)
+        assert got == outcome(reference_umkehr, emb, c, tb, cfg)
+        first = emb.points_at(2, [2 * step])[0] - emb.points_at(1, [2 * step])[0]
+        later = emb.points_at(2, [4 * step])[0] - emb.points_at(1, [0.0])[0]
+        assert got == ("NonUniqueGeodesic",
+                       f"displacement {first.tolist()} sits half a period away on some axis")
+        assert first.tolist() != later.tolist()
+        with pytest.raises(um.NonUniqueGeodesic):
+            um.geodesic(torus, emb.points_at(1, [0.0])[0], emb.points_at(2, [4 * step])[0])
 
 
 class TestRestrict:
