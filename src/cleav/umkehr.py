@@ -193,6 +193,11 @@ class DiscreteEmbedding:
                 j = int(bad[0])
                 if tie[j]:
                     raise _tie_error(delta[j])
+                if delta[j].any() and not disp[j].any():  # the torus mod rounded it away
+                    raise UmkehrError(
+                        f"torus period {self.metric.L!r} is too large for strand {idx + 1}: "
+                        f"its edge {j} -> {(j + 1) % loop.shape[0]} rounds to a zero displacement"
+                    )
                 raise UmkehrError(
                     f"strand {idx + 1} repeats vertex {j}; consecutive points must differ"
                 )
@@ -605,15 +610,20 @@ class RestrictedArc:
         }
 
 
+def _require_strands(gamma: DiscreteEmbedding, c) -> None:
+    """Raise unless c is a circle cleavage with one strand of gamma per timber."""
+    _require_circle(c)
+    if gamma.k != c.k:
+        raise UmkehrError(f"strand count {gamma.k} != arity {c.k}")
+
+
 def restrict(gamma: DiscreteEmbedding, c, tol: float = TOL) -> list:
     """Clip each strand to the sphere trace of its own timber.
 
     Returns one RestrictedArc per trace arc per label, in label order; a
     full-circle trace yields a single closed arc listing every vertex.
     """
-    _require_circle(c)
-    if gamma.k != c.k:
-        raise UmkehrError(f"strand count {gamma.k} != arity {c.k}")
+    _require_strands(gamma, c)
     out = []
     for label in range(1, c.k + 1):
         arcs = c.trace(label).arcs
@@ -712,9 +722,7 @@ def umkehr(
     pairs but stay finite.  In mapping mode, pairs closer than tol are glued:
     zero vector, scale 0, sample recorded in the uf_mask.
     """
-    _require_circle(c)
-    if gamma.k != c.k:
-        raise UmkehrError(f"strand count {gamma.k} != arity {c.k}")
+    _require_strands(gamma, c)
     metric = gamma.metric
     if metric.kind == "torus" and not cfg.epsilon < metric.L / 4.0:
         raise UmkehrError(
@@ -730,8 +738,6 @@ def umkehr(
                     )
 
     restriction = tuple(restrict(gamma, c, cfg.tol))
-    t_hom = cfg.t_homotopy
-    eps = cfg.epsilon
 
     # Every preimage's strand point, from one points_at call per label.
     flat = [pre for sample in tb.samples for pre in sample.preimages]
@@ -752,87 +758,63 @@ def umkehr(
         start += n
     ends = np.array(pairs, dtype=int).reshape(-1, 3)
     geo = geodesic(metric, flat_points[ends[:, 1]], flat_points[ends[:, 2]], cfg.tol)
+
+    # One scale per pair: 0.0 where glued, INF past the tube, otherwise the
+    # length scaled by the tube's clearance.
+    glued = (geo.length <= cfg.tol) & cfg.mapping
+    far = (geo.length > cfg.epsilon) & ~glued
+    scale = np.where(far, INF, 0.0)
     lengths = geo.length.tolist()
-    tangents = geo.tangent.tolist()
-    srcs = geo.a.tolist()
-    dsts = (geo.a + geo.disp).tolist()
+    for r in np.flatnonzero(~(far | glued)).tolist():
+        inf_delta = 1.0
+        if cfg.t_homotopy != 1.0:
+            g = Geodesic(geo.a[r], geo.b[r], lengths[r], geo.tangent[r], geo.disp[r])
+            inf_delta = clearance(gamma, g, cfg, exclude=[flat[f] for f in pairs[r][1:]])[0]
+        scale[r] = scaling(lengths[r], cfg.epsilon, inf_delta, cfg.t_homotopy)
 
-    sample_entries: list[list[Entry]] = [[] for _ in tb.samples]
-    sample_glued = [False] * len(tb.samples)
-    for r, (idx, fa, fb) in enumerate(pairs):
-        (i, th_i), (j, th_j) = flat[fa], flat[fb]
-        entries = sample_entries[idx]
-        length = lengths[r]
-        src = tuple(srcs[r])
-        if cfg.mapping and length <= cfg.tol:
-            zero = (0.0,) * metric.d
-            entries.append(Entry(idx, (i, j), 0.0, zero, src, src))
-            entries.append(Entry(idx, (j, i), 0.0, zero, src, src))
-            sample_glued[idx] = True
-            continue
-        if length > eps:
-            s_val = INF
-        elif t_hom == 1.0:
-            s_val = scaling(length, eps, 1.0, 1.0)
-        else:
-            g = Geodesic(geo.a[r], geo.b[r], length, geo.tangent[r], geo.disp[r])
-            inf_delta, _w = clearance(gamma, g, cfg, exclude=((i, th_i), (j, th_j)))
-            s_val = scaling(length, eps, inf_delta, t_hom)
-        tang = tuple(tangents[r])
-        neg = tuple(-x for x in tang)
-        dst = tuple(dsts[r])
-        entries.append(Entry(idx, (i, j), s_val, tang, src, dst))
-        entries.append(Entry(idx, (j, i), s_val, neg, dst, src))
+    # Pool the per-sample suprema over cfg.sup_scope.
+    sample_of = ends[:, 0]
+    comp = np.array([s.component for s in tb.samples], dtype=int)
+    sup = np.zeros(comp.shape)
+    np.maximum.at(sup, sample_of, scale)
+    over = sup > 1.0 + cfg.tol
+    if cfg.sup_scope == "sample":
+        collapsed = over
+    elif cfg.sup_scope == "component":  # components are numbered 0, 1, ...
+        collapsed = np.bincount(comp, over)[comp] > 0
+    else:
+        collapsed = np.full(comp.shape, over.any())
 
-    def sample_sup(idx: int) -> float:
-        vals = [e.scale for e in sample_entries[idx]]
-        return max(vals) if vals else 0.0
+    # Entries only for samples left finite; a glued pair keeps +0.0 tangents both ways.
+    labels = flat_labels[ends[:, 1:]]
+    rows = np.flatnonzero(~collapsed[sample_of])
+    hold = glued[rows, None]
+    tangent, src = geo.tangent[rows], geo.a[rows]
+    cols = (sample_of[rows], labels[rows], scale[rows], np.where(hold, 0.0, tangent),
+            np.where(hold, 0.0, -tangent), src, np.where(hold, src, src + geo.disp[rows]))
+    kept = {cid: [] for cid in sorted(set(comp.tolist()))}
+    for idx, (i, j), s_val, tang, neg, a, b in zip(*(col.tolist() for col in cols)):
+        a, b = tuple(a), tuple(b)
+        kept[tb.samples[idx].component] += (Entry(idx, (i, j), s_val, tuple(tang), a, b),
+                                            Entry(idx, (j, i), s_val, tuple(neg), b, a))
 
-    collapse_cut = 1.0 + cfg.tol
-    comp_ids = sorted({s.component for s in tb.samples})
-    by_comp = {cid: [i for i, s in enumerate(tb.samples) if s.component == cid] for cid in comp_ids}
-
-    global_sup = max((sample_sup(i) for i in range(len(tb.samples))), default=0.0)
-    components = []
-    for cid in comp_ids:
-        members = by_comp[cid]
-        sups = {i: sample_sup(i) for i in members}
-        if cfg.sup_scope == "blueprint":
-            collapsed = set(members) if global_sup > collapse_cut else set()
-        elif cfg.sup_scope == "component":
-            comp_sup = max(sups.values())
-            collapsed = set(members) if comp_sup > collapse_cut else set()
-        else:
-            collapsed = {i for i in members if sups[i] > collapse_cut}
-        status = "infinity" if collapsed == set(members) else "finite"
-        kept: list[Entry] = []
-        boundary = set()
-        uf = set()
-        for i in members:
-            for e in sample_entries[i]:
-                if math.isfinite(e.scale) and abs(e.scale - 1.0) <= cfg.tol:
-                    boundary.add(tuple(sorted(e.pair)))
-            if sample_glued[i]:
-                uf.add(i)
-            if i in collapsed:
-                continue
-            kept.extend(sample_entries[i])
-        if status == "infinity":
-            kept = []
-        components.append(
-            ComponentValue(
-                cid,
-                status,
-                tuple(kept),
-                tuple(sorted(uf)),
-                tuple(sorted(boundary)),
-                tuple(sorted(collapsed)),
-            )
+    edge = np.isfinite(scale) & (np.abs(scale - 1.0) <= cfg.tol)
+    row_comp = comp[sample_of]
+    components = tuple(
+        ComponentValue(
+            cid,
+            "infinity" if collapsed[comp == cid].all() else "finite",
+            tuple(entries),
+            tuple(sorted(set(sample_of[glued & (row_comp == cid)].tolist()))),
+            tuple(sorted(set(map(tuple, np.sort(labels[edge & (row_comp == cid)], 1).tolist())))),
+            tuple(np.flatnonzero(collapsed & (comp == cid)).tolist()),
         )
+        for cid, entries in kept.items()
+    )
 
     config = cfg.to_json()
     config["eta_radians"] = cfg.eta_radians(gamma)
-    return ThomValue(tuple(components), restriction, config)
+    return ThomValue(components, restriction, config)
 
 
 # ---------------------------------------------------------------------------
@@ -873,9 +855,7 @@ def self_intersection_locus(
     point.  Consecutive marked parameters merge into maximal intervals;
     isolated marks yield degenerate single-parameter intervals.
     """
-    _require_circle(c)
-    if gamma.k != c.k:
-        raise UmkehrError(f"strand count {gamma.k} != arity {c.k}")
+    _require_strands(gamma, c)
     if density < 2:
         raise UmkehrError(f"density must be >= 2, got {density}")
     bp = build_blueprint(c)

@@ -223,6 +223,18 @@ class TestUmkehr:
         assert "torus period" in err
         assert caught == []
 
+    def test_huge_torus_period_is_a_one_line_domain_error(self, capsys, tmp_path):
+        # A finite period too large for the strands' edges used to be
+        # reported as "strand 1 repeats vertex 0".
+        doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
+        loops = fx.mirrored_pair(0.05).to_json()
+        loops["metric"] = {"kind": "torus", "d": 2, "L": 1e16}
+        path = write_json(tmp_path, "loops.json", loops)
+        rc, out, err = run(capsys, "umkehr", doc, path, "--epsilon", 0.2)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: torus period 1e+16 is too large") and err.count("\n") == 1
+        assert "repeats vertex" not in err
+
     def test_epsilon_is_required(self, capsys, tmp_path):
         doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
         loops = write_json(tmp_path, "loops.json", fx.mirrored_pair(0.1).to_json())

@@ -225,6 +225,16 @@ class TestEmbedding:
         with pytest.raises(um.UmkehrError):
             um.DiscreteEmbedding(um.FlatMetric("euclidean", 3), (circle(0.5, 8),))
 
+    @pytest.mark.parametrize("period", [1e16, 1e17, 1e308])
+    def test_huge_torus_period_is_named(self, period):
+        # The mod by a huge period rounds every edge to zero; that used to
+        # be reported as "strand 1 repeats vertex 0".
+        doc = fx.mirrored_pair(0.05).to_json()
+        doc["metric"] = {"kind": "torus", "d": 2, "L": period}
+        with pytest.raises(um.UmkehrError, match=re_escape(
+                f"torus period {period!r} is too large for strand 1: its edge 0 -> 1 rounds")):
+            um.embedding_from_json(doc)
+
     def test_vertex_evaluation(self):
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5, 8),))
         for j in range(8):
@@ -1174,6 +1184,42 @@ class TestUmkehrOracle:
         cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping)
         emb = fx.mirrored_pair(gap)
         assert outcome(um.umkehr, emb, c, tb, cfg) == outcome(reference_umkehr, emb, c, tb, cfg)
+
+    @pytest.mark.parametrize("tip, statuses", [(61.6, ["infinity", "finite"]),
+                                               (63.2, ["finite", "finite"])])
+    @pytest.mark.parametrize("kind", ["euclidean", "torus"])
+    def test_corridor_trio_matches_the_per_pair_loop(self, tip, statuses, kind):
+        # The corridor benchmark's evaluations: 1440-vertex strands at the
+        # benchmark's 24 samples per piece, in the plane or wrapped onto the
+        # unit torus as the benchmark writes them.
+        emb = fx.corridor_trio(tip)
+        if kind == "torus":
+            emb = um.DiscreteEmbedding(um.FlatMetric("torus", 2, 1.0),
+                                       tuple(np.mod(loop, 1.0) for loop in emb.loops))
+        c = fx.corridor_cleavage()
+        tb = bp_mod.thicken(c, density=24)
+        cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
+        got = outcome(um.umkehr, emb, c, tb, cfg)
+        assert got == outcome(reference_umkehr, emb, c, tb, cfg)
+        assert [cv["status"] for cv in json.loads(got)["components"]] == statuses
+
+    @pytest.mark.parametrize("gap, mapping", [(0.0, True), (0.2, False), (0.3, False)])
+    @pytest.mark.parametrize("sup_scope", ["component", "blueprint", "sample"])
+    def test_flags_stay_in_their_component(self, gap, mapping, sup_scope):
+        # Odd samples move to a component of their own with one preimage
+        # each, so it has no pairs: glued samples (gap 0), boundary pairs
+        # (0.2) and collapses (0.3) of component 0 must not leak into it.
+        c = fx.chord_cleavage()
+        tb = bp_mod.thicken(c)
+        tb = replace(tb, samples=tuple(
+            bp_mod.BlueprintSample(s.point, idx % 2, s.preimages[:1] if idx % 2 else s.preimages)
+            for idx, s in enumerate(tb.samples)))
+        cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping, sup_scope=sup_scope)
+        emb = fx.mirrored_pair(gap)
+        got = outcome(um.umkehr, emb, c, tb, cfg)
+        assert got == outcome(reference_umkehr, emb, c, tb, cfg)
+        lone = json.loads(got)["components"][1]
+        assert lone["boundary"] == lone["uf_mask"] == lone["entries"] == []
 
     def test_a_later_tie_raises_the_first_tying_pair(self):
         # Strand 2 sits a half period (1.0) away along x from strand 1;
