@@ -61,7 +61,6 @@ class Face:
 
     constraint_index: int
     plane: OrientedHyperplane
-    side: int
     a: np.ndarray
     b: np.ndarray
 
@@ -108,12 +107,12 @@ class Blueprint:
         faces = []
         for body in self.cleavage.timbers:
             rows = []
-            for j, (h, side) in enumerate(body.constraints):
-                interval = _face_interval(body, j, tol=0.0)
+            for j, (h, _) in enumerate(body.constraints):
+                interval = _face_interval(body, j)
                 if interval is None or interval[3] - interval[2] <= self.tol:
                     continue
                 p0, d, lo, hi = interval
-                rows.append(Face(j, h, side, p0 + lo * d, p0 + hi * d))
+                rows.append(Face(j, h, p0 + lo * d, p0 + hi * d))
             faces.append(tuple(rows))
         return tuple(faces)
 
@@ -129,7 +128,7 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
     pieces = []
     for cut in c.cuts:
         with_cut = clip(cut.body, cut.plane, 1)
-        interval = _face_interval(with_cut, len(with_cut.constraints) - 1, tol=0.0)
+        interval = _face_interval(with_cut, len(with_cut.constraints) - 1)
         if interval is None:
             raise BlueprintError(f"cut at {cut.path} has no chord inside its region")
         p0, d, lo, hi = interval
@@ -192,6 +191,7 @@ def participants(c: Cleavage, b, tol: float = TOL):
     An (n, d) stack of points gives an (n, k) bool array whose row r marks
     the labels of the one-point call on row r.
     """
+    _require_tol(tol)
     b, single = _as_stack(b, c.timber(1).dim)
     inside = np.sqrt(_rowdot(b, b)) <= 1.0 + tol
     mask = np.empty((b.shape[0], c.k), dtype=bool)
@@ -218,6 +218,7 @@ def alpha(c: Cleavage, i: int, s, tol: float = TOL, centroid_point=None) -> Boun
     on row r bit for bit.
     """
     _require_circle(c)
+    _require_tol(tol)
     if not 1 <= i <= c.k:
         raise BlueprintError(f"label {i} out of range 1..{c.k}")
     s, single = _as_stack(s, 2)
@@ -271,6 +272,7 @@ def alpha_preimage(bp: Blueprint, b, tol: float | None = None):
     bit.
     """
     tol = bp.tol if tol is None else tol
+    _require_tol(tol)
     b, single = _as_stack(b, 2)
     dist = blueprint_distance(bp, b)
     if not (dist <= tol).all():

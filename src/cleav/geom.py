@@ -385,17 +385,14 @@ def _canonical_arcs(intervals) -> tuple:
 class SphereRegion:
     """Intersection of a convex body with the unit sphere.
 
-    dim 2: exact arc list. dim >= 3: a deterministic point cloud on the
-    sphere with a membership mask; budget and seed are recorded so results
-    are reproducible.
+    dim 2: exact arc list. dim >= 3: a membership mask over the one shared
+    point cloud sphere_points(dim).
     """
 
     body: ConvexBody
     arcs: ArcSet | None = None
     points: np.ndarray | None = None
     mask: np.ndarray | None = None
-    budget: int = TRACE_BUDGET
-    seed: int = 0
 
     def is_nonempty(self, tol: float = TOL) -> bool:
         if self.arcs is not None:
@@ -421,38 +418,40 @@ def _constraint_arcs(h: OrientedHyperplane, side: int) -> ArcSet:
     return ArcSet(((phi + a, phi - a + TWO_PI),))
 
 
-def sphere_points(dim: int, budget: int = TRACE_BUDGET, seed: int = 0) -> np.ndarray:
-    """Deterministic unit-sphere point cloud in R^dim."""
+@functools.cache
+def sphere_points(dim: int) -> np.ndarray:
+    """The unit-sphere point cloud in R^dim: TRACE_BUDGET points, one read-only array per dim."""
     if dim == 3:
         # Fibonacci lattice; no RNG involved.
-        i = np.arange(budget) + 0.5
-        z = 1.0 - 2.0 * i / budget
+        i = np.arange(TRACE_BUDGET) + 0.5
+        z = 1.0 - 2.0 * i / TRACE_BUDGET
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         golden = math.pi * (3.0 - math.sqrt(5.0))
         phi = golden * i
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(budget, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    else:
+        pts = np.random.default_rng(MC_SEED).normal(size=(TRACE_BUDGET, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts.setflags(write=False)
+    return pts
 
 
-def sphere_trace(body: ConvexBody, budget: int = TRACE_BUDGET, seed: int = 0) -> SphereRegion:
+def sphere_trace(body: ConvexBody) -> SphereRegion:
     if body.dim == 2:
         arcs = ArcSet.full()
         for h, side in body.constraints:
             arcs = arcs.intersect(_constraint_arcs(h, side))
         return SphereRegion(body, arcs=arcs)
-    pts = sphere_points(body.dim, budget, seed)
+    pts = sphere_points(body.dim)
     mask = (body._margins(pts) >= 0.0).all(axis=0)
-    return SphereRegion(body, points=pts, mask=mask, budget=budget, seed=seed)
+    return SphereRegion(body, points=pts, mask=mask)
 
 
 # ---------------------------------------------------------------------------
 # Interior tests.
 
 
-def is_nonempty_interior(body: ConvexBody, tol: float = TOL,
-                         budget: int = INTERIOR_BUDGET, seed: int = MC_SEED) -> bool:
+def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
     """True iff some point clears every plane and the sphere by more than tol.
 
     dim 2: exact. The tol-shrunk feasible set is the intersection of
@@ -461,15 +460,15 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL,
     or an intersection of two boundary lines, so testing those candidates
     decides feasibility.
 
-    dim >= 3: seeded rejection sampling, `budget` points in the ball.
+    dim >= 3: seeded rejection sampling, INTERIOR_BUDGET points in the ball.
     """
-    if tol <= 0.0:
-        raise GeometryError("tol must be positive")
+    if not (finite_real(tol) and tol > 0.0):
+        raise GeometryError(f"tol must be a positive finite number, got {tol!r}")
     if body.dim != 2:
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(budget, body.dim))
+        rng = np.random.default_rng(MC_SEED)
+        pts = rng.normal(size=(INTERIOR_BUDGET, body.dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        radii = rng.random(budget) ** (1.0 / body.dim)
+        radii = rng.random(INTERIOR_BUDGET) ** (1.0 / body.dim)
         pts *= radii[:, None] * (1.0 - tol)
         return bool((body._margins(pts) > tol).all(axis=0).any())
 
@@ -511,7 +510,7 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL,
 # Centroids.
 
 
-def _face_interval(body: ConvexBody, j: int, tol: float = 0.0):
+def _face_interval(body: ConvexBody, j: int):
     """Chord of constraint plane j inside the body, or None.
 
     Returns (p0, d, lo, hi): points p0 + s*d for s in [lo, hi], with d the
@@ -530,12 +529,12 @@ def _face_interval(body: ConvexBody, j: int, tol: float = 0.0):
             continue
         a = side2 * float(h2.normal @ d)
         b = side2 * (float(h2.normal @ p0) - h2.offset)
-        # Need a*s + b >= -tol.
+        # Need a*s + b >= 0.
         if abs(a) <= 1e-14:
-            if b < -tol:
+            if b < 0.0:
                 return None
             continue
-        bound = (-tol - b) / a
+        bound = -b / a
         if a > 0.0:
             lo = max(lo, bound)
         else:
@@ -545,7 +544,7 @@ def _face_interval(body: ConvexBody, j: int, tol: float = 0.0):
     return p0, d, lo, hi
 
 
-def centroid(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED) -> np.ndarray:
+def centroid(body: ConvexBody) -> np.ndarray:
     """Center of mass of the body, uniform density.
 
     dim 2 is exact: the boundary decomposes into chord segments and circle
@@ -553,7 +552,7 @@ def centroid(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED) -
     each oriented piece. dim >= 3 defers to centroid_mc.
     """
     if body.dim != 2:
-        point, _ = centroid_mc(body, samples, seed)
+        point, _ = centroid_mc(body)
         return point
     if not is_nonempty_interior(body, TOL):
         raise EmptyBodyError("centroid of a body with empty interior")

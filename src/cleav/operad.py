@@ -79,8 +79,24 @@ def tree_from_json(doc: object) -> Node:
     for field in ("plane", "left", "right"):
         if field not in doc:
             raise OperadError(f"internal node missing field {field!r}")
-    plane = OrientedHyperplane.from_json(doc["plane"])
+    plane = doc["plane"]
+    if not isinstance(plane, dict):
+        raise OperadError(f"plane must be an object, got {type(plane).__name__}")
+    for field in ("normal", "offset"):
+        if field not in plane:
+            raise OperadError(f"plane missing field {field!r}")
+    normal, offset = plane["normal"], plane["offset"]
+    if not (isinstance(normal, list) and all(_is_real(x) for x in normal)):
+        raise OperadError(f"plane field 'normal' must be a list of real numbers, got {normal!r}")
+    if not _is_real(offset):
+        raise OperadError(f"plane field 'offset' must be a real number, got {offset!r}")
+    plane = OrientedHyperplane.from_json(plane)
     return Internal(plane, tree_from_json(doc["left"]), tree_from_json(doc["right"]))
+
+
+def _is_real(x) -> bool:
+    """x is an int or a float, as JSON numbers parse, and not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def leaf_labels(node: Node) -> list[int]:
@@ -155,29 +171,30 @@ def validate(
     root_body = unit_disk(dim) if within is None else within
     if root_body.dim != dim:
         raise OperadError(f"root region has dim {root_body.dim}, expected {dim}")
-    leaves: list[tuple[int, ConvexBody]] = []
+    leaves: list[tuple[int, SphereRegion]] = []
     cuts: list[NodeCut] = []
 
-    def walk(node: Node, body: ConvexBody, path: str) -> None:
+    def walk(node: Node, body: ConvexBody, path: str, trace: SphereRegion | None = None) -> None:
         if isinstance(node, Leaf):
-            leaves.append((node.label, body))
+            leaves.append((node.label, sphere_trace(body) if trace is None else trace))
             return
         plane = node.plane
         if plane.dim != dim:
             raise OperadError(f"plane at {path} has dim {plane.dim}, expected {dim}")
-        if abs(plane.offset) >= 1.0:
+        if not abs(plane.offset) < 1.0:
             raise DegeneratePlane(
-                f"cut at {path} misses the sphere: |offset| = {abs(plane.offset)!r} >= 1"
+                f"cut at {path} misses the sphere: |offset| = {abs(plane.offset)!r} is not < 1"
             )
         cuts.append(NodeCut(path, plane, body))
-        halves = clip(body, plane, 1), clip(body, plane, -1)
-        for half, side_name in zip(halves, ("left", "right")):
-            if not sphere_trace(half).is_nonempty(tol):
+        halves = []
+        for side, side_name in ((1, "left"), (-1, "right")):
+            halves.append(sphere_trace(clip(body, plane, side)))
+            if not halves[-1].is_nonempty(tol):
                 raise NonCleaving(
                     f"cut at {path} leaves no sphere trace on the {side_name} side"
                 )
-        walk(node.left, halves[0], path + ".left")
-        walk(node.right, halves[1], path + ".right")
+        walk(node.left, halves[0].body, path + ".left", halves[0])
+        walk(node.right, halves[1].body, path + ".right", halves[1])
 
     walk(tree, root_body, "root")
     k = len(leaves)
@@ -185,8 +202,8 @@ def validate(
     if labels != list(range(1, k + 1)):
         raise LabelError(f"leaf labels {labels} are not a permutation of 1..{k}")
     by_label = dict(leaves)
-    timbers = tuple(by_label[i] for i in range(1, k + 1))
-    traces = tuple(sphere_trace(b) for b in timbers)
+    traces = tuple(by_label[i] for i in range(1, k + 1))
+    timbers = tuple(trace.body for trace in traces)
     return Cleavage(n, tree, k, timbers, traces, tuple(cuts), root_body)
 
 

@@ -170,12 +170,16 @@ class DiscreteEmbedding:
     loops: tuple
 
     def __post_init__(self):
-        loops = tuple(np.asarray(loop, dtype=float) for loop in self.loops)
-        if not loops:
+        strands = tuple(self.loops)
+        if not strands:
             raise UmkehrError("at least one strand is required")
-        edges = []
-        for idx, loop in enumerate(loops):
-            if loop.ndim != 2 or loop.shape[1] != self.metric.d:
+        loops, edges = [], []
+        for idx, raw in enumerate(strands):
+            try:
+                loop = np.asarray(raw, dtype=float)
+            except (TypeError, ValueError):
+                loop = None
+            if loop is None or loop.ndim != 2 or loop.shape[1] != self.metric.d:
                 raise UmkehrError(
                     f"strand {idx + 1} must be an (m, {self.metric.d}) vertex array"
                 )
@@ -201,8 +205,9 @@ class DiscreteEmbedding:
                 raise UmkehrError(
                     f"strand {idx + 1} repeats vertex {j}; consecutive points must differ"
                 )
+            loops.append(loop)
             edges.append(disp)
-        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "loops", tuple(loops))
         object.__setattr__(self, "_edges", tuple(edges))
 
     @cached_property
@@ -440,6 +445,16 @@ class ClearanceWitness:
     point: np.ndarray
 
 
+def _require_tol(tol) -> None:
+    if not (finite_real(tol) and tol > 0.0):
+        raise UmkehrError(f"tol must be a positive finite number, got {tol!r}")
+
+
+def _require_density(density) -> None:
+    if not (whole_number(density) and density >= 2):
+        raise UmkehrError(f"density must be an integer >= 2, got {density!r}")
+
+
 @dataclass(frozen=True)
 class UmkehrConfig:
     """Evaluation knobs.
@@ -465,14 +480,12 @@ class UmkehrConfig:
             raise UmkehrError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
         if not (finite_real(self.t_homotopy) and 0.0 <= self.t_homotopy <= 1.0):
             raise UmkehrError(f"t_homotopy must lie in [0, 1], got {self.t_homotopy!r}")
-        if not (whole_number(self.density) and self.density >= 2):
-            raise UmkehrError(f"density must be an integer >= 2, got {self.density!r}")
+        _require_density(self.density)
         if self.eta is not None and not (finite_real(self.eta) and self.eta >= 0.0):
             raise UmkehrError(f"eta must be a finite number >= 0, got {self.eta!r}")
         if not (finite_real(self.eta_steps) and self.eta_steps >= 0.0):
             raise UmkehrError(f"eta_steps must be a finite number >= 0, got {self.eta_steps!r}")
-        if not (finite_real(self.tol) and self.tol > 0.0):
-            raise UmkehrError(f"tol must be a positive finite number, got {self.tol!r}")
+        _require_tol(self.tol)
         if self.sup_scope not in ("component", "blueprint", "sample"):
             raise UmkehrError(f"unknown sup_scope {self.sup_scope!r}")
 
@@ -624,6 +637,7 @@ def restrict(gamma: DiscreteEmbedding, c, tol: float = TOL) -> list:
     full-circle trace yields a single closed arc listing every vertex.
     """
     _require_strands(gamma, c)
+    _require_tol(tol)
     out = []
     for label in range(1, c.k + 1):
         arcs = c.trace(label).arcs
@@ -856,8 +870,8 @@ def self_intersection_locus(
     isolated marks yield degenerate single-parameter intervals.
     """
     _require_strands(gamma, c)
-    if density < 2:
-        raise UmkehrError(f"density must be >= 2, got {density}")
+    _require_tol(tol)
+    _require_density(density)
     bp = build_blueprint(c)
     out = []
     for label in range(1, c.k + 1):

@@ -184,6 +184,23 @@ class TestParticipants:
         assert bp_mod.participants(c, [0.0, 0.0]) == (1, 2, 3, 4)
 
 
+class TestCollapseTol:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True])
+    @pytest.mark.parametrize("call", ["participants", "alpha", "alpha_preimage"])
+    def test_bad_tol_is_a_domain_error(self, call, tol):
+        # At tol = nan participants found no timber, alpha landed a point and
+        # alpha_preimage reported the nearest piece at distance 0.
+        c = chord_cleavage()
+        evaluate = {
+            "participants": lambda: bp_mod.participants(c, [0.0, 0.3], tol),
+            "alpha": lambda: bp_mod.alpha(c, 1, [-1.0, 0.0], tol),
+            "alpha_preimage": lambda: bp_mod.alpha_preimage(
+                bp_mod.build_blueprint(c), [0.0, 0.3], tol),
+        }[call]
+        with pytest.raises(bp_mod.BlueprintError, match="tol must be a positive finite number"):
+            evaluate()
+
+
 def loop_participants(c, b, tol=geom.TOL):
     """One signed_eval per constraint per timber, the reference for participants."""
     b = np.asarray(b, dtype=float)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -115,6 +116,23 @@ class TestInspect:
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "inspect", tmp_path / "nope.json")
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize("plane, message", [
+        ({"normal": [0.0, 1.0]}, "plane missing field 'offset'"),
+        ({"normal": [0.0, 1.0], "offset": None}, "'offset' must be a real number"),
+        ([[0.0, 1.0], 0.0], "plane must be an object"),
+        ({"normal": [0.0, 1.0], "offset": "0.5"}, "'offset' must be a real number"),
+        ({"normal": [0.0, 1.0], "offset": math.nan}, "cut at root misses the sphere"),
+    ], ids=["no-offset", "null-offset", "list-plane", "string-offset", "nan-offset"])
+    def test_malformed_plane_is_a_one_line_domain_error(self, capsys, tmp_path, plane, message):
+        # These used to end in a KeyError or TypeError traceback, in a later
+        # "no chord inside its region" error for NaN, or, for the string
+        # offset, in a summary of the chord at offset 0.5.
+        tree = {**ROT_CHORD["tree"], "plane": plane}
+        doc = write_json(tmp_path, "bad.json", {**ROT_CHORD, "tree": tree})
+        rc, out, err = run(capsys, "inspect", doc)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 class TestComposePermute:
@@ -234,6 +252,16 @@ class TestUmkehr:
         assert rc == 1 and out == ""
         assert err.startswith("error: torus period 1e+16 is too large") and err.count("\n") == 1
         assert "repeats vertex" not in err
+
+    def test_strand_given_as_an_object_is_a_one_line_domain_error(self, capsys, tmp_path):
+        # numpy's TypeError on the object used to escape as a traceback.
+        doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
+        loops = fx.mirrored_pair(0.05).to_json()
+        loops["loops"][0] = {"vertices": loops["loops"][0]}
+        path = write_json(tmp_path, "loops.json", loops)
+        rc, out, err = run(capsys, "umkehr", doc, path, "--epsilon", 0.2)
+        assert (rc, out) == (1, "")
+        assert err == "error: strand 1 must be an (m, 2) vertex array\n"
 
     def test_epsilon_is_required(self, capsys, tmp_path):
         doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())

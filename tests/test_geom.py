@@ -133,6 +133,18 @@ class TestArcSet:
             a.measure() + b.measure() - a.intersect(b).measure(), abs=1e-9)
 
 
+def reference_sphere_points(dim, budget=2048, seed=0):
+    """The cloud as sphere_points built it when budget and seed were arguments."""
+    if dim == 3:
+        i = np.arange(budget) + 0.5
+        z = 1.0 - 2.0 * i / budget
+        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    pts = np.random.default_rng(seed).normal(size=(budget, dim))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
 class TestTrace:
     def test_half_disk_arc(self):
         half = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
@@ -169,6 +181,15 @@ class TestTrace:
         left = geom.sphere_trace(geom.clip(body, h, 1)).arcs
         right = geom.sphere_trace(geom.clip(body, h, -1)).arcs
         assert left.union(right).sym_diff_measure(whole) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_point_cloud_is_one_read_only_array_per_dim(self, dim):
+        pts = geom.sphere_points(dim)
+        assert pts.tobytes() == reference_sphere_points(dim).tobytes()
+        assert not pts.flags.writeable
+        assert geom.sphere_points(dim) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
 
     def test_dim3_trace_counts(self):
         b = geom.clip(geom.unit_disk(3), geom.OrientedHyperplane([1, 0, 0], 0.0), 1)
@@ -213,6 +234,69 @@ class TestInterior:
         assert geom.is_nonempty_interior(b, 1e-6)
         b2 = geom.clip(b, geom.OrientedHyperplane([1, 0, 0], 0.001), -1)
         assert not geom.is_nonempty_interior(b2, 1e-2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, True])
+    def test_bad_tol_is_a_domain_error(self, dim, tol):
+        # Only tol <= 0 used to be rejected: these got False in the disk and True in the ball.
+        with pytest.raises(geom.GeometryError, match="tol must be a positive finite number"):
+            geom.is_nonempty_interior(geom.unit_disk(dim), tol)
+
+
+def reference_face_interval(body, j, tol=0.0):
+    """_face_interval as written when it took a tol, which every caller set to 0.0."""
+    h, side = body.constraints[j]
+    if abs(h.offset) >= 1.0:
+        return None
+    p0 = h.offset * np.array(h.normal)
+    outward = -side * np.array(h.normal)
+    d = np.array([-outward[1], outward[0]])
+    half = math.sqrt(max(0.0, 1.0 - h.offset * h.offset))
+    lo, hi = -half, half
+    for l, (h2, side2) in enumerate(body.constraints):
+        if l == j:
+            continue
+        a = side2 * float(h2.normal @ d)
+        b = side2 * (float(h2.normal @ p0) - h2.offset)
+        if abs(a) <= 1e-14:
+            if b < -tol:
+                return None
+            continue
+        bound = (-tol - b) / a
+        if a > 0.0:
+            lo = max(lo, bound)
+        else:
+            hi = min(hi, bound)
+    if hi - lo <= 1e-14:
+        return None
+    return p0, d, lo, hi
+
+
+class TestFaceIntervalOracle:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_zero_tol_arithmetic(self, seed):
+        body = body_from_seed(seed, 5)
+        for j in range(len(body.constraints)):
+            got, ref = geom._face_interval(body, j), reference_face_interval(body, j)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                p0, d, lo, hi = got
+                assert p0.tobytes() == ref[0].tobytes() and d.tobytes() == ref[1].tobytes()
+                assert np.array([lo, hi]).tobytes() == np.array(ref[2:]).tobytes()
+
+    def test_parallel_planes(self):
+        # Rows with a == 0 take the b < 0 branch; b = +0.0 and -0.0 both keep the face.
+        h = geom.OrientedHyperplane([1.0, 0.0], 0.25)
+        for side in (1, -1):
+            for offset in (0.25, -0.5, 0.75):
+                body = geom.clip(geom.clip(geom.unit_disk(), h, 1),
+                                 geom.OrientedHyperplane([1.0, 0.0], offset), side)
+                for j in range(2):
+                    got, ref = geom._face_interval(body, j), reference_face_interval(body, j)
+                    assert (got is None) == (ref is None)
+                    if got is not None:
+                        assert np.array(got[2:]).tobytes() == np.array(ref[2:]).tobytes()
 
 
 class TestCentroid:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,33 @@ class TestJson:
             operad.tree_from_json({"plane": {"normal": [1, 0], "offset": 0.0}})
         with pytest.raises(operad.OperadError):
             operad.cleavage_from_json({"n": "x", "tree": {"leaf": 1}})
+
+    @pytest.mark.parametrize("plane, message", [
+        ({"normal": [1.0, 0.0]}, "plane missing field 'offset'"),
+        ({"offset": 0.0}, "plane missing field 'normal'"),
+        ({"normal": [1.0, 0.0], "offset": None}, "'offset' must be a real number, got None"),
+        ({"normal": [1.0, 0.0], "offset": "0.5"}, "'offset' must be a real number, got '0.5'"),
+        ({"normal": [1.0, 0.0], "offset": True}, "'offset' must be a real number, got True"),
+        ({"normal": {"x": 1.0}, "offset": 0.0}, "'normal' must be a list of real numbers"),
+        ({"normal": [1.0, None], "offset": 0.0}, "'normal' must be a list of real numbers"),
+        ([[1.0, 0.0], 0.0], "plane must be an object, got list"),
+    ], ids=["no-offset", "no-normal", "null-offset", "string-offset", "bool-offset",
+            "object-normal", "null-coordinate", "list-plane"])
+    def test_malformed_plane_is_a_domain_error(self, plane, message):
+        # These used to escape as KeyError or TypeError, or, for the string
+        # offset, to be accepted.
+        doc = {"n": 1, "tree": {"plane": plane, "left": {"leaf": 1}, "right": {"leaf": 2}}}
+        with pytest.raises(operad.OperadError, match=re.escape(message)):
+            operad.cleavage_from_json(doc)
+
+    def test_nan_offset_is_a_degenerate_plane_at_its_path(self):
+        # A NaN offset used to pass validation and fail later, in the blueprint.
+        inner = {"plane": {"normal": [0.0, 1.0], "offset": math.nan},
+                 "left": {"leaf": 2}, "right": {"leaf": 3}}
+        doc = {"n": 1, "tree": {"plane": {"normal": [1.0, 0.0], "offset": 0.0},
+                                "left": {"leaf": 1}, "right": inner}}
+        with pytest.raises(operad.DegeneratePlane, match=r"cut at root\.right .*nan"):
+            operad.cleavage_from_json(doc)
 
 
 class TestChopEqual:
@@ -413,6 +441,34 @@ class TestPermute:
             block[i - 1 + ell - 1] = sigma(i) - 1 + ell
         rhs = operad.permute(base, operad.Permutation(tuple(block)))
         assert operad.tree_to_json(lhs.tree) == operad.tree_to_json(rhs.tree)
+
+
+class TestLeafTraces:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_each_trace_is_a_fresh_trace_of_its_timber(self, seed, n):
+        """validate keeps its walk's traces; each equals a trace taken from the timber anew.
+
+        compose and permute validate with within=, and unit is a tree without cuts.
+        """
+        rng = np.random.default_rng(seed + 83)
+        a = random_cleavage(seed, n)
+        b = random_cleavage(seed + 1, n)
+        sigma = operad.Permutation(tuple(int(x) for x in rng.permutation(a.k) + 1))
+        cleavages = [a, operad.unit(a.n), operad.permute(a, sigma)]
+        try:
+            cleavages.append(operad.compose(a, int(rng.integers(1, a.k + 1)), b))
+        except operad.OperadError:
+            pass
+        for c in cleavages:
+            for label in range(1, c.k + 1):
+                trace, fresh = c.trace(label), geom.sphere_trace(c.timber(label))
+                assert trace.body is c.timber(label)
+                if c.n == 1:
+                    assert trace.arcs.arcs == fresh.arcs.arcs
+                else:
+                    assert trace.mask.tobytes() == fresh.mask.tobytes()
+                    assert trace.points is fresh.points
 
 
 class TestPartitionProperties:

@@ -225,6 +225,17 @@ class TestEmbedding:
         with pytest.raises(um.UmkehrError):
             um.DiscreteEmbedding(um.FlatMetric("euclidean", 3), (circle(0.5, 8),))
 
+    @pytest.mark.parametrize("strand", [
+        {"x": [0.0, 1.0]}, [[0.0, 1.0], [1.0]], [[0.0, "a"]] * 8, "loop",
+    ], ids=["object", "ragged", "string-coordinate", "string"])
+    def test_unconvertible_strand_is_named(self, strand):
+        # An object used to escape as a TypeError from numpy.
+        doc = fx.mirrored_pair(0.05).to_json()
+        doc["loops"][1] = strand
+        message = "strand 2 must be an (m, 2) vertex array"
+        with pytest.raises(um.UmkehrError, match=re_escape(message)):
+            um.embedding_from_json(doc)
+
     @pytest.mark.parametrize("period", [1e16, 1e17, 1e308])
     def test_huge_torus_period_is_named(self, period):
         # The mod by a huge period rounds every edge to zero; that used to
@@ -1272,6 +1283,34 @@ class TestRestrict:
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5, 16),))
         with pytest.raises(um.UmkehrError):
             um.restrict(emb, chord_cleavage())
+
+
+BAD_TOLS = [math.nan, -1.0, 0.0, math.inf, True]
+
+
+class TestCollapseKnobs:
+    """restrict and self_intersection_locus reject the knobs UmkehrConfig rejects.
+
+    On the first locus fixture, whose locus has 2 intervals at its own tol,
+    tol = nan or -1 used to give no interval and a float density a
+    TypeError; restrict at tol = nan kept only the 2 end points of each arc.
+    """
+
+    @pytest.mark.parametrize("knob", [{"tol": tol} for tol in BAD_TOLS] + [
+        {"density": 1024.0}, {"density": 2.5}, {"density": "8"}, {"density": None},
+    ], ids=lambda knob: ",".join(f"{k}={v!r}" for k, v in knob.items()))
+    def test_bad_locus_knobs_are_domain_errors(self, knob):
+        _, emb, density, tol = fx.locus_fixtures()[0]
+        knobs = {"tol": tol, "density": density, **knob}
+        name = next(iter(knob))
+        with pytest.raises(um.UmkehrError, match=f"{name} must be a"):
+            um.self_intersection_locus(emb, chord_cleavage(), **knobs)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_restrict_tol_is_a_domain_error(self, tol):
+        _, emb, _, _ = fx.locus_fixtures()[0]
+        with pytest.raises(um.UmkehrError, match="tol must be a positive finite number"):
+            um.restrict(emb, chord_cleavage(), tol)
 
 
 def trapezoid(th, thc, w, ramp):
