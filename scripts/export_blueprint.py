@@ -35,7 +35,7 @@ def run(seed: int, k: int, out_dir: Path) -> None:
             }
             for p, comp in zip(bp.pieces, bp.piece_components)
         ],
-        "components": bp.gamma,
+        "components": bp.n_components,
         "stable_degree": {
             str(dim): list(stable_degree(bp, dim)) for dim in (2, 3)
         },
@@ -44,7 +44,7 @@ def run(seed: int, k: int, out_dir: Path) -> None:
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                          encoding="ascii")
 
-    print(f"arity {c.k}, {len(bp.pieces)} pieces, {bp.gamma} components")
+    print(f"arity {c.k}, {len(bp.pieces)} pieces, {bp.n_components} components")
     print(f"wrote {obj_path}")
     print(f"wrote {json_path}")
 

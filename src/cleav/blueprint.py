@@ -97,10 +97,6 @@ class Blueprint:
     crossing_pieces: tuple[int, ...]
     tol: float
 
-    @property
-    def gamma(self) -> int:
-        return self.n_components
-
     @cached_property
     def faces(self) -> tuple[tuple[Face, ...], ...]:
         """Per timber, one Face per constraint whose chord inside it is longer than tol."""
@@ -343,21 +339,6 @@ class ThickenedBlueprint:
     n_components: int
     blueprint: Blueprint
 
-    @property
-    def gamma(self) -> int:
-        return self.n_components
-
-
-def _as_blueprint(c, tol: float) -> Blueprint:
-    if isinstance(c, Blueprint):
-        return c
-    return build_blueprint(c, tol)
-
-
-def components(c, tol: float = TOL) -> int:
-    """Number of connected components of the cut diagram."""
-    return _as_blueprint(c, tol).n_components
-
 
 _DEDUP_PAIRS = 1 << 12  # candidate pairs per block of the dedup distance matrix
 
@@ -409,7 +390,7 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
     if not (whole_number(density) and density >= 2):
         raise BlueprintError(f"density must be an integer >= 2, got {density!r}")
     _require_tol(tol)
-    bp = _as_blueprint(c, tol)
+    bp = c if isinstance(c, Blueprint) else build_blueprint(c, tol)
     tol = bp.tol
     steps = np.linspace(0.0, 1.0, density)[:, None]
     points = np.concatenate(
@@ -431,11 +412,10 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
     return ThickenedBlueprint(tuple(samples), bp.n_components, bp)
 
 
-def stable_degree(c, dim_m: int, tol: float = TOL) -> tuple[int, int]:
-    """Degree pair (loop components, interval components) scaled by dim_m."""
-    if dim_m < 1:
-        raise BlueprintError(f"manifold dimension must be >= 1, got {dim_m}")
-    bp = _as_blueprint(c, tol)
+def stable_degree(bp: Blueprint, dim_m: int) -> tuple[int, int]:
+    """Degree pair (loop components, interval components) scaled by dim_m, an integer >= 1."""
+    if not (whole_number(dim_m) and dim_m >= 1):
+        raise BlueprintError(f"manifold dimension must be an integer >= 1, got {dim_m!r}")
     g = bp.n_components
     return dim_m * g, dim_m * (bp.cleavage.k - 1 - g)
 

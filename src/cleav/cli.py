@@ -73,7 +73,7 @@ def _cmd_inspect(args) -> int:
             f"[{s:.4f}, {e:.4f}]" for s, e in c.trace(i).arcs.arcs
         ) or "(none)"
         lines.append(f"timber {i}: trace arcs {arcs}")
-    lines.append(f"pieces {len(bp.pieces)}, components {bp.gamma}")
+    lines.append(f"pieces {len(bp.pieces)}, components {bp.n_components}")
     for j, piece in enumerate(bp.pieces):
         lines.append(
             f"piece {j} at {piece.path or 'root'}: component"

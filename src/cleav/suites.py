@@ -76,8 +76,7 @@ def _floats(x) -> list:
 # partition: the timbers tile the sphere.
 
 
-def check_partition(seed: int = 0, cleavages: int = 50, points: int = 10_000,
-                    tol: float = TOL) -> SuiteReport:
+def check_partition(seed: int = 0, cleavages: int = 50, points: int = 10_000) -> SuiteReport:
     """Random sphere points land in exactly one timber unless on a cut."""
     rng = np.random.default_rng(seed)
     failures: list = []
@@ -92,10 +91,10 @@ def check_partition(seed: int = 0, cleavages: int = 50, points: int = 10_000,
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         count = np.zeros(points, dtype=int)
         for i in range(1, k + 1):
-            count += c.timber(i).contains(pts, tol)
+            count += c.timber(i).contains(pts, TOL)
         near = np.zeros(points, dtype=bool)
         for cut in c.cuts:
-            near |= np.abs(pts @ cut.plane.normal - cut.plane.offset) <= tol
+            near |= np.abs(pts @ cut.plane.normal - cut.plane.offset) <= TOL
         bad = (count == 0) | ((count != 1) & ~near)
         checked += points
         if np.any(bad):
@@ -116,8 +115,7 @@ def check_partition(seed: int = 0, cleavages: int = 50, points: int = 10_000,
 # convexity: midpoints of interior points stay inside.
 
 
-def check_convexity(seed: int = 0, cleavages: int = 12, pairs: int = 1000,
-                    tol: float = TOL) -> SuiteReport:
+def check_convexity(seed: int = 0, cleavages: int = 12, pairs: int = 1000) -> SuiteReport:
     """Star-sample each timber from its centroid and test midpoints."""
     rng = np.random.default_rng(seed)
     failures: list = []
@@ -137,7 +135,7 @@ def check_convexity(seed: int = 0, cleavages: int = 12, pairs: int = 1000,
             sample = cpt + u[:, None] * (hit.point - cpt)
             mid = (sample[0::2] + sample[1::2]) / 2.0
             for pts in (sample, mid):
-                ok = body.contains(pts, tol)
+                ok = body.contains(pts, TOL)
                 checked += pts.shape[0]
                 if not np.all(ok):
                     j = int(np.argmax(~ok))
@@ -157,8 +155,7 @@ def check_convexity(seed: int = 0, cleavages: int = 12, pairs: int = 1000,
 # alpha: the collapse is injective along every complement arc.
 
 
-def check_alpha(seed: int = 0, cleavages: int = 8, samples: int = 1000,
-                tol: float = TOL) -> SuiteReport:
+def check_alpha(seed: int = 0, cleavages: int = 8, samples: int = 1000) -> SuiteReport:
     """Hit points sweep monotonically around the timber centroid.
 
     The collapse of a complement arc walks along the timber boundary, a
@@ -201,8 +198,7 @@ def check_alpha(seed: int = 0, cleavages: int = 8, samples: int = 1000,
 # preimage: |collapse preimage| = planes through the point + 1.
 
 
-def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000,
-                   tol: float = TOL) -> SuiteReport:
+def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000) -> SuiteReport:
     """Count preimages at random diagram points plus endpoint samples."""
     rng = np.random.default_rng(seed)
     failures: list = []
@@ -219,7 +215,7 @@ def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000,
         pts = A[pick] + t[:, None] * (B[pick] - A[pick])
         extra = np.array([s.point for s in thicken(c, density=2).samples])
         b = np.concatenate([pts, extra])
-        planes = sum(np.abs(_rowdot(cut.plane.normal, b) - cut.plane.offset) <= tol
+        planes = sum(np.abs(_rowdot(cut.plane.normal, b) - cut.plane.offset) <= TOL
                      for cut in c.cuts)
         mask, _ = alpha_preimage(bp, b)
         sizes = mask.sum(axis=1)
@@ -242,11 +238,11 @@ def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000,
 # symmetry: relabeling strands and timbers together transposes the output.
 
 
-def _close(a, b, tol: float) -> bool:
-    return max(abs(x - y) for x, y in zip(a, b)) <= tol
+def _close(a, b) -> bool:
+    return max(abs(x - y) for x, y in zip(a, b)) <= TOL
 
 
-def check_symmetry(seed: int = 0, instances: int = 50, tol: float = 1e-9) -> SuiteReport:
+def check_symmetry(seed: int = 0, instances: int = 50) -> SuiteReport:
     """Swap the two strands and timbers; entries must transpose.
 
     For each instance the swapped evaluation is compared entrywise with
@@ -306,13 +302,13 @@ def check_symmetry(seed: int = 0, instances: int = 50, tol: float = 1e-9) -> Sui
                     checked += 1
                     scales_match = (
                         math.isinf(ent.scale) and math.isinf(mate.scale)
-                    ) or abs(ent.scale - mate.scale) <= tol
+                    ) or abs(ent.scale - mate.scale) <= TOL
                     if not scales_match:
                         flag("scale", sample=key[0], pair=list(key[1]),
                              delta=float(abs(ent.scale - mate.scale)))
-                    elif not _close(mate.tangent, tuple(-x for x in ent.tangent), tol):
+                    elif not _close(mate.tangent, tuple(-x for x in ent.tangent)):
                         flag("tangent", sample=key[0], pair=list(key[1]))
-                    elif not (_close(mate.src, ent.dst, tol) and _close(mate.dst, ent.src, tol)):
+                    elif not (_close(mate.src, ent.dst) and _close(mate.dst, ent.src)):
                         flag("endpoints", sample=key[0], pair=list(key[1]))
     return SuiteReport(
         "symmetry", not failures, checked, len(failures),
@@ -526,10 +522,10 @@ def check_degree(seed: int = 0, cleavages: int = 1000) -> SuiteReport:
         for dim in (2, 3):
             a, b = stable_degree(bp, dim)
             checked += 1
-            if a != dim * bp.gamma or a + b != dim * (k - 1):
+            if a != dim * bp.n_components or a + b != dim * (k - 1):
                 failures.append({
                     "k": k, "cleavage": c.to_json(), "dim_m": dim,
-                    "gamma": bp.gamma, "got": [a, b],
+                    "gamma": bp.n_components, "got": [a, b],
                 })
     return SuiteReport(
         "degree", not failures, checked, len(failures),

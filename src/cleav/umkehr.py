@@ -29,6 +29,7 @@ from .blueprint import (
 from .geom import TOL, TWO_PI, _rowdot, finite_real, segment_closest, whole_number
 
 INF = math.inf
+ETA_STEPS = 2.0  # default exclusion radius, in vertex steps of the excluded point's strand
 
 
 class UmkehrError(ValueError):
@@ -460,19 +461,18 @@ class UmkehrConfig:
     """Evaluation knobs.
 
     eta is the parameter exclusion radius (radians) around each geodesic
-    endpoint on its own strand; None means eta_steps vertex steps per
-    strand.  sup_scope picks the pooling region whose largest scale
-    decides a collapse: 'component' (default), the whole 'blueprint', or
-    each 'sample' alone.
+    endpoint on its own strand; None means ETA_STEPS vertex steps per
+    strand.  density is validated and echoed in to_json but not read: the
+    caller thickens the diagram at its own density.  to_json also echoes
+    the fixed policy: eta_steps is ETA_STEPS, and sup_scope 'component'
+    says a collapse is decided per diagram component.
     """
 
     epsilon: float
     t_homotopy: float = 0.0
     density: int = 8
     eta: float | None = None
-    eta_steps: float = 2.0
     tol: float = TOL
-    sup_scope: str = "component"
     mapping: bool = False
 
     def __post_init__(self):
@@ -483,16 +483,12 @@ class UmkehrConfig:
         _require_density(self.density)
         if self.eta is not None and not (finite_real(self.eta) and self.eta >= 0.0):
             raise UmkehrError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        if not (finite_real(self.eta_steps) and self.eta_steps >= 0.0):
-            raise UmkehrError(f"eta_steps must be a finite number >= 0, got {self.eta_steps!r}")
         _require_tol(self.tol)
-        if self.sup_scope not in ("component", "blueprint", "sample"):
-            raise UmkehrError(f"unknown sup_scope {self.sup_scope!r}")
 
     def eta_radians(self, gamma: DiscreteEmbedding) -> list:
         if self.eta is not None:
             return [self.eta] * gamma.k
-        return [self.eta_steps * TWO_PI / gamma.m(i) for i in range(1, gamma.k + 1)]
+        return [ETA_STEPS * TWO_PI / gamma.m(i) for i in range(1, gamma.k + 1)]
 
     def to_json(self) -> dict:
         return {
@@ -500,9 +496,9 @@ class UmkehrConfig:
             "t_homotopy": self.t_homotopy,
             "density": self.density,
             "eta": self.eta,
-            "eta_steps": self.eta_steps,
+            "eta_steps": ETA_STEPS,
             "tol": self.tol,
-            "sup_scope": self.sup_scope,
+            "sup_scope": "component",
             "mapping": self.mapping,
         }
 
@@ -544,7 +540,7 @@ def clearance(
         if span is None:
             continue
         lo, hi = span
-        eta = cfg.eta if cfg.eta is not None else cfg.eta_steps * TWO_PI / (hi - lo)
+        eta = cfg.eta if cfg.eta is not None else ETA_STEPS * TWO_PI / (hi - lo)
         gap = np.abs(params[lo:hi] - (exc_param % TWO_PI))
         if keep is None:
             keep = np.ones(labels.shape[0], dtype=bool)
@@ -731,8 +727,8 @@ def umkehr(
 
     Per sample, per ordered pair of its stored preimages, the geodesic
     between the two collapsing strand points is scaled by tube clearance;
-    the pooled supremum (cfg.sup_scope) decides which components collapse
-    to the infinity point.  Scales within tol of 1 are flagged as boundary
+    a component whose largest scale exceeds 1 + tol collapses to the
+    infinity point.  Scales within tol of 1 are flagged as boundary
     pairs but stay finite.  In mapping mode, pairs closer than tol are glued:
     zero vector, scale 0, sample recorded in the uf_mask.
     """
@@ -786,18 +782,12 @@ def umkehr(
             inf_delta = clearance(gamma, g, cfg, exclude=[flat[f] for f in pairs[r][1:]])[0]
         scale[r] = scaling(lengths[r], cfg.epsilon, inf_delta, cfg.t_homotopy)
 
-    # Pool the per-sample suprema over cfg.sup_scope.
+    # Pool the per-sample suprema by component; components are numbered 0, 1, ...
     sample_of = ends[:, 0]
     comp = np.array([s.component for s in tb.samples], dtype=int)
     sup = np.zeros(comp.shape)
     np.maximum.at(sup, sample_of, scale)
-    over = sup > 1.0 + cfg.tol
-    if cfg.sup_scope == "sample":
-        collapsed = over
-    elif cfg.sup_scope == "component":  # components are numbered 0, 1, ...
-        collapsed = np.bincount(comp, over)[comp] > 0
-    else:
-        collapsed = np.full(comp.shape, over.any())
+    collapsed = np.bincount(comp, sup > 1.0 + cfg.tol)[comp] > 0
 
     # Entries only for samples left finite; a glued pair keeps +0.0 tangents both ways.
     labels = flat_labels[ends[:, 1:]]

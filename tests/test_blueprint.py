@@ -672,23 +672,31 @@ class TestThicken:
 
 class TestStableDegree:
     def test_examples(self):
-        assert bp_mod.stable_degree(tee_cleavage(), 2) == (2, 2)
-        assert bp_mod.stable_degree(parallel_cleavage(), 2) == (4, 0)
+        assert bp_mod.stable_degree(bp_mod.build_blueprint(tee_cleavage()), 2) == (2, 2)
+        assert bp_mod.stable_degree(bp_mod.build_blueprint(parallel_cleavage()), 2) == (4, 0)
 
     def test_unit(self):
-        assert bp_mod.stable_degree(operad.unit(), 3) == (0, 0)
+        assert bp_mod.stable_degree(bp_mod.build_blueprint(operad.unit()), 3) == (0, 0)
 
     def test_chord(self):
-        assert bp_mod.stable_degree(chord_cleavage(), 3) == (3, 0)
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        assert bp_mod.stable_degree(bp, 3) == bp_mod.stable_degree(bp, np.int64(3)) == (3, 0)
 
     def test_bad_dim(self):
         with pytest.raises(bp_mod.BlueprintError):
-            bp_mod.stable_degree(chord_cleavage(), 0)
+            bp_mod.stable_degree(bp_mod.build_blueprint(chord_cleavage()), 0)
+
+    @pytest.mark.parametrize("dim_m", [2.5, True, 2.0, "2", -1, np.int64(0)],
+                             ids=repr)
+    def test_dim_must_be_a_whole_number_at_least_one(self, dim_m):
+        # 2.5 used to give (2.5, 0.0) and True (1, 0).
+        with pytest.raises(bp_mod.BlueprintError, match="manifold dimension"):
+            bp_mod.stable_degree(bp_mod.build_blueprint(chord_cleavage()), dim_m)
 
     def test_components_op(self):
-        assert bp_mod.components(operad.unit()) == 0
-        assert bp_mod.components(chord_cleavage()) == 1
-        assert bp_mod.components(parallel_cleavage()) == 2
+        assert bp_mod.build_blueprint(operad.unit()).n_components == 0
+        assert bp_mod.build_blueprint(chord_cleavage()).n_components == 1
+        assert bp_mod.build_blueprint(parallel_cleavage()).n_components == 2
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

@@ -174,8 +174,15 @@ class TestUmkehr:
         rc, out, err = run(capsys, "umkehr", doc, loops, "--epsilon", 0.2)
         assert rc == 0
         value = json.loads(out)
+        assert sorted(value["config"]) == [
+            "command", "density", "doc", "epsilon", "eta", "eta_radians", "eta_steps",
+            "loops", "mapping", "sup_scope", "t_homotopy", "tol",
+        ]
         assert value["config"]["command"] == "umkehr"
         assert value["config"]["epsilon"] == 0.2
+        # The fixed exclusion radius and pooling scope are still echoed.
+        assert value["config"]["eta_steps"] == 2.0
+        assert value["config"]["sup_scope"] == "component"
         comp = value["components"][0]
         assert comp["status"] == "finite"
         top = max(e["scale"] for e in comp["entries"])

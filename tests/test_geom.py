@@ -331,13 +331,23 @@ class TestCentroid:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
     def test_mc_agrees(self, seed):
+        # An inscribed disk of radius 0.05 gives at least 150 expected hits
+        # of 60,000 draws, well over centroid_mc's floor of 10.
         body = body_from_seed(seed)
-        if not geom.is_nonempty_interior(body, 1e-2):
+        if not geom.is_nonempty_interior(body, 5e-2):
             return
         exact = geom.centroid(body)
         mc, se = geom.centroid_mc(body, 60_000, seed)
         for i in range(2):
             assert abs(exact[i] - mc[i]) < 5 * se[i] + 1e-4
+
+    def test_mc_rejects_a_sliver(self):
+        # Seed 2501 draws a sliver under 1e-3 in area: it holds a disk of
+        # radius 0.01, but only 9 of 60,000 draws land in it.
+        body = body_from_seed(2501)
+        assert geom.is_nonempty_interior(body, 1e-2)
+        with pytest.raises(geom.EmptyBodyError):
+            geom.centroid_mc(body, 60_000, 2501)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)

@@ -582,7 +582,7 @@ class TestClearance:
         assert witness.label == 1
 
     def test_exclusion_radius_reaches_whole_vertex_steps(self):
-        # Vertex 2 lies exactly eta_steps = 2 vertex steps from the excluded
+        # Vertex 2 lies exactly ETA_STEPS = 2 vertex steps from the excluded
         # parameter 0, so it is dropped; at 1.5 steps it is kept and sits
         # at depth 0.01 under radius 0.1 in the middle of the tube.
         loop1 = np.array([[0.0, 0.0], [-0.3, 0.3], [0.05, 0.01], [0.5, 0.5], [0.5, 1.0],
@@ -592,7 +592,7 @@ class TestClearance:
         exclude = ((1, 0.0),)
         for cfg, delta in ((um.UmkehrConfig(epsilon=0.2), 1.0),
                            (um.UmkehrConfig(epsilon=0.2, eta=2 * 2 * PI / 8), 1.0),
-                           (um.UmkehrConfig(epsilon=0.2, eta_steps=1.5), 0.1)):
+                           (um.UmkehrConfig(epsilon=0.2, eta=1.5 * 2 * PI / 8), 0.1)):
             got = um.clearance(emb, g, cfg, exclude)
             assert got[0] == pytest.approx(delta, abs=1e-12)
             assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
@@ -730,11 +730,10 @@ class TestClearanceOracle:
         st.sampled_from([2, 3, 8]),
         st.integers(2, 6),
         st.one_of(st.none(), st.floats(0.0, 3.5), st.just(PI - 1e-9)),
-        st.floats(0.0, 40.0),
         st.sampled_from([1e-9, 1e-3, 0.05]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_strand_scan(self, seed, kind, d, k, eta, eta_steps, tol):
+    def test_matches_per_strand_scan(self, seed, kind, d, k, eta, tol):
         rng = np.random.default_rng(seed)
         metric = um.FlatMetric(kind, d, 1.0 if kind == "torus" else None)
         loops = [random_strand(rng, int(rng.integers(8, 201)), d, float(rng.uniform(0.01, 0.3)))
@@ -743,8 +742,7 @@ class TestClearanceOracle:
             emb = um.DiscreteEmbedding(metric, tuple(loops))
         except um.NonUniqueGeodesic:
             return
-        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)), eta=eta,
-                              eta_steps=eta_steps, tol=tol)
+        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)), eta=eta, tol=tol)
         # A geodesic between two strand points, as umkehr draws them, or
         # between two free points; its ends are excluded or not at random.
         ends = [(int(rng.integers(1, k + 1)), float(rng.uniform(-7.0, 7.0))) for _ in range(2)]
@@ -799,7 +797,7 @@ class TestClearanceOracle:
             emb = um.DiscreteEmbedding(metric, tuple(loops))
             a = emb.point(1, 0.0)
             g = um.geodesic(metric, a, 2 * loops[2][-1] - a + rng.uniform(-1e-3, 1e-3, size=8))
-            cfg = um.UmkehrConfig(epsilon=1.0, eta_steps=float(rng.integers(1, 4)))
+            cfg = um.UmkehrConfig(epsilon=1.0, eta=float(rng.integers(1, 4)) * 2 * PI / emb.m(1))
             got = um.clearance(emb, g, cfg, ((1, 0.0),))
             assert_same_clearance(got, reference_one_pass_clearance(emb, g, cfg, ((1, 0.0),)))
             hits += got[1] is not None and got[1].label == 3
@@ -857,30 +855,17 @@ class TestConfig:
             um.UmkehrConfig(epsilon=0.2, density=1)
         with pytest.raises(um.UmkehrError):
             um.UmkehrConfig(epsilon=0.2, eta=-0.1)
-        with pytest.raises(um.UmkehrError):
-            um.UmkehrConfig(epsilon=0.2, sup_scope="galaxy")
 
     @pytest.mark.parametrize("knob", [
         {"epsilon": math.inf}, {"epsilon": math.nan}, {"epsilon": True},
         {"t_homotopy": math.nan}, {"t_homotopy": True},
         {"density": 2.5}, {"density": True}, {"density": "8"},
         {"eta": math.inf}, {"eta": math.nan},
-        {"eta_steps": -1}, {"eta_steps": math.nan}, {"eta_steps": math.inf},
         {"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-9},
     ], ids=lambda knob: ",".join(f"{k}={v!r}" for k, v in knob.items()))
     def test_bad_knobs_raise_domain_errors(self, knob):
         with pytest.raises(um.UmkehrError):
             um.UmkehrConfig(**{"epsilon": 0.2, **knob})
-
-    def test_negative_eta_steps_cannot_flip_a_finite_component(self):
-        # A negative exclusion radius used to let the geodesic's own ends
-        # count as tube hits and sent this finite component to infinity.
-        c = fx.chord_cleavage()
-        tb = bp_mod.thicken(c)
-        out = um.umkehr(fx.mirrored_pair(0.05), c, tb, um.UmkehrConfig(epsilon=0.2))
-        assert out.components[0].status == "finite"
-        with pytest.raises(um.UmkehrError, match="eta_steps"):
-            um.UmkehrConfig(epsilon=0.2, eta_steps=-1)
 
     def test_infinite_tol_is_not_reported_as_self_intersection(self):
         with pytest.raises(um.UmkehrError, match="tol") as err:
@@ -888,7 +873,7 @@ class TestConfig:
         assert not isinstance(err.value, um.SelfIntersecting)
 
     def test_numpy_scalars_accepted(self):
-        cfg = um.UmkehrConfig(epsilon=np.float64(0.2), density=np.int64(8), eta_steps=np.float64(2.0))
+        cfg = um.UmkehrConfig(epsilon=np.float64(0.2), density=np.int64(8), eta=np.float64(0.3))
         assert cfg.density == 8
 
     def test_eta_default_follows_sampling(self):
@@ -978,20 +963,6 @@ class TestUmkehr:
     def test_sup_scope_component(self):
         tv = um.umkehr(self.dipped_embedding(), self.c, self.tb, self.cfg)
         assert tv.components[0].status == "infinity"
-
-    def test_sup_scope_sample(self):
-        cfg = um.UmkehrConfig(epsilon=0.2, sup_scope="sample")
-        tv = um.umkehr(self.dipped_embedding(), self.c, self.tb, cfg)
-        comp = tv.components[0]
-        assert comp.status == "finite"
-        assert comp.collapsed_samples == (0,)
-        assert len(comp.entries) == 14
-        assert max(e.scale for e in comp.entries) < 1.0
-
-    def test_sup_scope_blueprint(self):
-        cfg = um.UmkehrConfig(epsilon=0.2, sup_scope="blueprint")
-        tv = um.umkehr(self.dipped_embedding(), self.c, self.tb, cfg)
-        assert all(comp.status == "infinity" for comp in tv.components)
 
     def test_homotopy_disables_clearance(self):
         # loop 1 grows an excursion whose tip sits inside one geodesic tube;
@@ -1122,12 +1093,7 @@ def reference_umkehr(gamma, c, tb, cfg):
     components = []
     for cid in sorted({s.component for s in tb.samples}):
         members = [i for i, s in enumerate(tb.samples) if s.component == cid]
-        if cfg.sup_scope == "blueprint":
-            collapsed = set(members) if max(sups, default=0.0) > cut else set()
-        elif cfg.sup_scope == "component":
-            collapsed = set(members) if max(sups[i] for i in members) > cut else set()
-        else:
-            collapsed = {i for i in members if sups[i] > cut}
+        collapsed = set(members) if max(sups[i] for i in members) > cut else set()
         status = "infinity" if collapsed == set(members) else "finite"
         kept = [e for i in members if i not in collapsed for e in sample_entries[i]]
         boundary = {tuple(sorted(e.pair)) for i in members for e in sample_entries[i]
@@ -1156,10 +1122,9 @@ class TestUmkehrOracle:
         st.sampled_from(["euclidean", "torus"]),
         st.sampled_from(["zero", "drawn", "one"]),
         st.booleans(),
-        st.sampled_from(["component", "blueprint", "sample"]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_per_pair_loop(self, seed, k, kind, t, mapping, sup_scope):
+    def test_matches_the_per_pair_loop(self, seed, k, kind, t, mapping):
         rng = np.random.default_rng(seed)
         c = sampling.random_cleavage(rng, k)
         tb = bp_mod.thicken(c, density=int(rng.integers(2, 7)))
@@ -1181,8 +1146,7 @@ class TestUmkehrOracle:
             epsilon = float(rng.uniform(0.5, 3.5))
         gamma = um.DiscreteEmbedding(metric, tuple(loops))
         t_hom = {"zero": 0.0, "one": 1.0, "drawn": float(rng.uniform(0.0, 1.0))}[t]
-        cfg = um.UmkehrConfig(epsilon=epsilon, t_homotopy=t_hom, mapping=mapping,
-                              sup_scope=sup_scope)
+        cfg = um.UmkehrConfig(epsilon=epsilon, t_homotopy=t_hom, mapping=mapping)
         assert outcome(um.umkehr, gamma, c, tb, cfg) == outcome(reference_umkehr, gamma, c, tb, cfg)
 
     @pytest.mark.parametrize("gap", [0.0, 0.05, 0.2, 0.3])
@@ -1214,9 +1178,9 @@ class TestUmkehrOracle:
         assert got == outcome(reference_umkehr, emb, c, tb, cfg)
         assert [cv["status"] for cv in json.loads(got)["components"]] == statuses
 
-    @pytest.mark.parametrize("gap, mapping", [(0.0, True), (0.2, False), (0.3, False)])
-    @pytest.mark.parametrize("sup_scope", ["component", "blueprint", "sample"])
-    def test_flags_stay_in_their_component(self, gap, mapping, sup_scope):
+    @pytest.mark.parametrize("gap, mapping", [(0.0, True), (0.2, False), (0.3, False)],
+                             ids=["component-0.0-True", "component-0.2-False", "component-0.3-False"])
+    def test_flags_stay_in_their_component(self, gap, mapping):
         # Odd samples move to a component of their own with one preimage
         # each, so it has no pairs: glued samples (gap 0), boundary pairs
         # (0.2) and collapses (0.3) of component 0 must not leak into it.
@@ -1225,7 +1189,7 @@ class TestUmkehrOracle:
         tb = replace(tb, samples=tuple(
             bp_mod.BlueprintSample(s.point, idx % 2, s.preimages[:1] if idx % 2 else s.preimages)
             for idx, s in enumerate(tb.samples)))
-        cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping, sup_scope=sup_scope)
+        cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping)
         emb = fx.mirrored_pair(gap)
         got = outcome(um.umkehr, emb, c, tb, cfg)
         assert got == outcome(reference_umkehr, emb, c, tb, cfg)
