@@ -60,7 +60,6 @@ class Face:
     """One boundary chord of a timber."""
 
     constraint_index: int
-    plane: OrientedHyperplane
     a: np.ndarray
     b: np.ndarray
 
@@ -103,12 +102,12 @@ class Blueprint:
         faces = []
         for body in self.cleavage.timbers:
             rows = []
-            for j, (h, _) in enumerate(body.constraints):
+            for j in range(len(body.constraints)):
                 interval = _face_interval(body, j)
                 if interval is None or interval[3] - interval[2] <= self.tol:
                     continue
                 p0, d, lo, hi = interval
-                rows.append(Face(j, h, p0 + lo * d, p0 + hi * d))
+                rows.append(Face(j, p0 + lo * d, p0 + hi * d))
             faces.append(tuple(rows))
         return tuple(faces)
 
@@ -202,19 +201,20 @@ def participants(c: Cleavage, b, tol: float = TOL):
 
 
 @_rowwise(2)
-def alpha(c: Cleavage, i: int, s, tol: float = TOL, centroid_point=None) -> BoundaryHit:
+def alpha(bp: Blueprint, i: int, s) -> BoundaryHit:
     """Project the sphere point s onto timber i along the ray to its centroid.
 
-    s must lie outside the sphere trace of timber i (within tol).  The
-    landing point is the first boundary crossing of the segment from s to
-    the centroid; for admissible s that crossing is on a cut plane, with
-    the corner flag raised when several faces tie.
+    The timber, its centroid (bp.centroids[i - 1]) and the tolerance
+    (bp.tol) come from the diagram.  s must lie outside the sphere trace
+    of timber i (within bp.tol).  The landing point is the first boundary
+    crossing of the segment from s to the centroid; for admissible s that
+    crossing is on a cut plane, with the corner flag raised when several
+    faces tie.
 
     s may be an (n, 2) stack: row r of the hit equals the one-point call
     on row r bit for bit.
     """
-    _require_circle(c)
-    _require_tol(tol)
+    c, tol = bp.cleavage, bp.tol
     if not 1 <= i <= c.k:
         raise BlueprintError(f"label {i} out of range 1..{c.k}")
     s, single = _as_stack(s, 2)
@@ -236,11 +236,7 @@ def alpha(c: Cleavage, i: int, s, tol: float = TOL, centroid_point=None) -> Boun
         raise AlphaDomainError(
             f"angle {math.atan2(y, x):.9f} lies inside the sphere trace of timber {i}"
         )
-    if centroid_point is None:
-        cpt = centroid(c.timber(i))
-    else:
-        cpt = np.asarray(centroid_point, dtype=float)
-    return segment_boundary_hit(c.timber(i), s[0] if single else s, cpt, tol)
+    return segment_boundary_hit(c.timber(i), s[0] if single else s, bp.centroids[i - 1], tol)
 
 
 def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,20 +251,20 @@ def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @_rowwise(1)
-def alpha_preimage(bp: Blueprint, b, tol: float | None = None):
+def alpha_preimage(bp: Blueprint, b):
     """All sphere points collapsing to the diagram point b, by timber label.
 
     For each participating timber the preimage is where the ray from its
-    centroid through b exits the circle.  Returns [(label, point)] sorted
-    by label; raises when b is not on the diagram within tol.
+    centroid (bp.centroids) through b exits the circle.  Returns
+    [(label, point)] sorted by label; raises when b is not on the diagram
+    within bp.tol, the tolerance participants are found at too.
 
     b may be an (n, 2) stack: the result is then (mask, points), mask an
     (n, k) bool array marking each row's labels and points[r, label - 1]
     that label's sphere point, so row r holds the one-point result bit for
     bit.
     """
-    tol = bp.tol if tol is None else tol
-    _require_tol(tol)
+    tol = bp.tol
     b, single = _as_stack(b, 2)
     dist = blueprint_distance(bp, b)
     if not (dist <= tol).all():
@@ -336,7 +332,6 @@ class ThickenedBlueprint:
     """Finite stand-in for the thickened diagram: samples with spines."""
 
     samples: tuple[BlueprintSample, ...]
-    n_components: int
     blueprint: Blueprint
 
 
@@ -373,24 +368,24 @@ def _first_kept(points: np.ndarray, tol: float) -> list[int]:
     return kept
 
 
-def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
+def thicken(c, density: int = 8) -> ThickenedBlueprint:
     """Sample every piece uniformly plus all pairwise crossing points.
 
-    Accepts a Cleavage or a prebuilt Blueprint. density, an integer >= 2,
-    counts samples per piece including both endpoints.  Candidates come
-    piece by piece, then the crossings the blueprint recorded; a candidate
-    within tol of an earlier kept one (shared endpoints, crossings) is
-    dropped, first kept wins, so the samples keep candidate order.  Each
-    sample carries its component id and its collapse preimages, looked up
-    here for all kept samples in one stacked alpha_preimage call at the
-    blueprint's tol: one (label, exit angle) pair per participant, sorted
-    by label.  Its spines are the vertex stars of the simplex on that
-    participant set.
+    Accepts a Cleavage, whose diagram is built at TOL, or a prebuilt
+    Blueprint, which keeps the tol it was built at; that one tol governs
+    the whole thickening.  density, an integer >= 2, counts samples per
+    piece including both endpoints.  Candidates come piece by piece, then
+    the crossings the blueprint recorded; a candidate within tol of an
+    earlier kept one (shared endpoints, crossings) is dropped, first kept
+    wins, so the samples keep candidate order.  Each sample carries its
+    component id and its collapse preimages, looked up here for all kept
+    samples in one stacked alpha_preimage call: one (label, exit angle)
+    pair per participant, sorted by label.  Its spines are the vertex
+    stars of the simplex on that participant set.
     """
     if not (whole_number(density) and density >= 2):
         raise BlueprintError(f"density must be an integer >= 2, got {density!r}")
-    _require_tol(tol)
-    bp = c if isinstance(c, Blueprint) else build_blueprint(c, tol)
+    bp = c if isinstance(c, Blueprint) else build_blueprint(c)
     tol = bp.tol
     steps = np.linspace(0.0, 1.0, density)[:, None]
     points = np.concatenate(
@@ -401,7 +396,7 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
 
     kept = _first_kept(points, tol)
     points = points[kept]
-    mask, exits = alpha_preimage(bp, points, tol)
+    mask, exits = alpha_preimage(bp, points)
     rows, cols = mask.nonzero()
     angles = [math.atan2(y, x) % TWO_PI for x, y in exits[rows, cols].tolist()]
     pairs = zip((cols + 1).tolist(), angles)
@@ -409,7 +404,7 @@ def thicken(c, density: int = 8, tol: float = TOL) -> ThickenedBlueprint:
     for idx, point, count in zip(kept, points, mask.sum(axis=1).tolist()):
         preimages = tuple(itertools.islice(pairs, count))
         samples.append(BlueprintSample(point, bp.piece_components[owners[idx]], preimages))
-    return ThickenedBlueprint(tuple(samples), bp.n_components, bp)
+    return ThickenedBlueprint(tuple(samples), bp)
 
 
 def stable_degree(bp: Blueprint, dim_m: int) -> tuple[int, int]:

@@ -132,7 +132,7 @@ def _cmd_umkehr(args) -> int:
     if args.mapping:
         # gluing replaces tube clearance, so mapping mode evaluates at t = 1
         cfg = replace(cfg, t_homotopy=1.0)
-    tb = thicken(c, density=args.density, tol=args.tol)
+    tb = thicken(build_blueprint(c, tol=args.tol), density=args.density)
     value = umkehr(gamma, c, tb, cfg)
     doc = value.to_json()
     doc["config"]["command"] = "umkehr"

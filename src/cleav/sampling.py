@@ -124,26 +124,25 @@ def random_cleavage(
 def fat_cleavage(
     seed_or_rng,
     k: int,
-    n: int = 1,
     min_arc: float = 0.15,
     max_tries: int = MAX_TRIES,
 ) -> Cleavage:
-    """Random operation whose timbers all keep a trace arc above min_arc.
+    """Random circle operation whose timbers all keep a trace arc above min_arc.
 
     Thin slivers make sampled-angle tests flaky; this filter rejects
-    them. Only meaningful for n=1 where traces are exact arc lists.
+    them.  One budget of max_tries candidate trees covers both checks:
+    each draw is validated as in random_cleavage, and the first tree that
+    is admissible and fat is returned.
     """
     rng = _as_rng(seed_or_rng)
     for _ in range(max_tries):
+        tree = random_tree(rng, k)
         try:
-            c = random_cleavage(rng, k, n, max_tries=max_tries)
-        except SamplingError:
+            c = validate(tree, 1)
+        except (OperadError, GeometryError):
             continue
-        if n != 1:
-            return c
         if all(tr.arcs.measure() >= min_arc for tr in c.traces):
             return c
     raise SamplingError(
-        f"no fat decoration for k={k}, n={n}, min_arc={min_arc} "
-        f"after {max_tries} rejections"
+        f"no fat decoration for k={k}, min_arc={min_arc} after {max_tries} draws"
     )

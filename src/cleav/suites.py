@@ -169,14 +169,14 @@ def check_alpha(seed: int = 0, cleavages: int = 8, samples: int = 1000) -> Suite
     for idx in range(cleavages):
         k = 2 + idx % 4
         c = fat_cleavage(rng, k, min_arc=0.05)
+        bp = build_blueprint(c)
         for i in range(1, k + 1):
-            body = c.timber(i)
-            cpt = centroid(body)
+            cpt = bp.centroids[i - 1]
             for s0, s1 in c.trace(i).arcs.complement().arcs:
                 arcs += 1
                 th = s0 + (s1 - s0) * np.arange(1, samples + 1) / (samples + 1)
                 s = np.array([[math.cos(t), math.sin(t)] for t in th.tolist()])
-                hits = alpha(c, i, s, centroid_point=cpt).point
+                hits = alpha(bp, i, s).point
                 kappa = np.unwrap(np.arctan2(hits[:, 1] - cpt[1], hits[:, 0] - cpt[0]))
                 d = np.diff(kappa)
                 checked += samples

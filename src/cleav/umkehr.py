@@ -231,34 +231,28 @@ class DiscreteEmbedding:
 
     @cached_property
     def _boxes(self):
-        """(shifts, zero, strands): the strand precheck's box index, built on first use.
+        """(offsets, zero, strands): the strand precheck's box index, built on first use.
 
-        shifts holds the image offsets n*L, n in {-2,...,2}^d, on the torus
-        (one zero row in the plane) and zero the row of the zero offset.
-        Per strand, a _StrandBoxes of its vertices reduced mod L, its block
-        index, and the block and whole-strand boxes of every image.  No
-        image's vertices are kept: an edge's image is formed as
-        R[rows] + shifts[im] when it is needed, the same sum the boxes were
-        taken over.  A
-        coordinate of R + shift depends on that axis's offset alone, so the
-        boxes are taken once per offset and axis, then assembled per image.
+        offsets holds the per-axis image offsets n*L, n in {-2,...,2}, on
+        the torus (one 0.0 in the plane) and zero the position of 0.0.  Per
+        strand, a _StrandBoxes of its vertices reduced mod L, its block
+        index, and its block and whole-strand boxes per offset and axis: a
+        coordinate of R + shift depends on that axis's offset alone, so
+        strand_distance assembles an image's boxes only for the images it
+        keeps, and forms an edge's image as R[rows] + shift when needed,
+        the same sum the boxes were taken over.
         """
         metric = self.metric
         torus = metric.kind == "torus"
         offsets = metric.L * np.arange(-2.0, 3.0) if torus else np.zeros(1)
-        grid = np.array(list(itertools.product(range(offsets.size), repeat=metric.d)))
-        axes = np.arange(metric.d)
         strands = []
         for loop, disp in zip(self.loops, self._edges):
             R = np.mod(loop, metric.L) if torus else loop
             lo, hi = _block_boxes(R[None] + offsets[:, None, None], disp)  # (offset, block, axis)
-            blocks = np.arange(lo.shape[1])[:, None]
             strands.append(_StrandBoxes(
-                R, disp, _block_index(R.shape[0]),
-                lo[grid[:, None], blocks, axes], hi[grid[:, None], blocks, axes],
-                lo.min(axis=1)[grid, axes], hi.max(axis=1)[grid, axes],
+                R, disp, _block_index(R.shape[0]), lo, hi, lo.min(axis=1), hi.max(axis=1),
             ))
-        return offsets[grid], grid.shape[0] // 2, tuple(strands)
+        return offsets, offsets.size // 2, tuple(strands)
 
     @property
     def k(self) -> int:
@@ -315,14 +309,14 @@ _BATCH = 8  # box pairs per exact-distance batch
 
 
 class _StrandBoxes(NamedTuple):
-    """One strand in the precheck index; boxes are per image, then per block."""
+    """One strand in the precheck index; boxes are per axis offset, then per block."""
 
     R: np.ndarray  # (m, d) vertices, reduced mod L on the torus
     disp: np.ndarray  # (m, d) edge displacements
     idx: np.ndarray  # (blocks, _BLOCK) edge indices
-    lo: np.ndarray  # (images, blocks, d) block box corners
+    lo: np.ndarray  # (offsets, blocks, d) block box corners
     hi: np.ndarray
-    whole_lo: np.ndarray  # (images, d) whole-strand box corners
+    whole_lo: np.ndarray  # (offsets, d) whole-strand box corners
     whole_hi: np.ndarray
 
 
@@ -362,11 +356,15 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = IN
     [-2L, 2L], and the image nearest to it is one of those shifts.
 
     The search reads the embedding's box index (DiscreteEmbedding._boxes):
-    per image of each strand, one box per block of _BLOCK edges and one
-    around the whole strand.  It drops the images of j whose whole box lies
-    farther than `within` from strand i's, then the blocks of either strand
-    farther than `within` from the other's whole boxes, then the block box
-    pairs farther than `within`.  The box pairs left are visited in
+    per axis offset of each strand, one box per block of _BLOCK edges and
+    one around the whole strand.  The candidate images of j are the
+    product, in lexicographic order, of the offsets on each axis whose
+    interval lies within `within` of strand i's (no box is nearer than it
+    is on one axis), so the default infinite bound takes all 5^d torus
+    images.  It drops the candidates whose whole box lies farther than
+    `within` from strand i's, then the blocks of either strand farther
+    than `within` from the other's whole boxes, then the block box pairs
+    farther than `within`.  The box pairs left are visited in
     ascending box distance until the next is no closer than the best edge
     pair so far.  Inside them, edge pairs whose own boxes lie beyond that
     bound are skipped; the rest go through the same row-wise kernel as an
@@ -385,27 +383,33 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = IN
     b = gamma._index(j)
     if a == b:
         raise UmkehrError(f"strand_distance needs two different strands, got {i} and {j}")
-    shifts, zero, strands = gamma._boxes
+    offsets, zero, strands = gamma._boxes
     A, B = strands[a], strands[b]
     lo_a, hi_a, whole_a = A.lo[zero], A.hi[zero], (A.whole_lo[zero], A.whole_hi[zero])
-    # Images of j near strand i, their blocks near strand i, and blocks of i near those images.
-    images = np.flatnonzero(_box_distance(*whole_a, B.whole_lo, B.whole_hi) <= within)
-    if images.size == 0:
+    # Offsets of j near strand i per axis, the images of j they make near strand i,
+    # their blocks near strand i, and blocks of i near those images.
+    axes = np.arange(gamma.metric.d)
+    near = _box_distance(*(w[:, None] for w in whole_a), B.whole_lo[..., None], B.whole_hi[..., None])
+    grid = np.array(list(itertools.product(*map(np.flatnonzero, (near <= within).T))), int)
+    grid = grid.reshape(-1, axes.size)
+    grid = grid[_box_distance(*whole_a, B.whole_lo[grid, axes], B.whole_hi[grid, axes]) <= within]
+    if grid.shape[0] == 0:
         return INF
-    img, blk_b = np.nonzero(_box_distance(*whole_a, B.lo[images], B.hi[images]) <= within)
-    img = images[img]
-    near_a = _box_distance(lo_a[:, None], hi_a[:, None], B.whole_lo[images], B.whole_hi[images])
+    blocks = np.arange(B.lo.shape[1])[:, None]
+    lo_b, hi_b = B.lo[grid[:, None], blocks, axes], B.hi[grid[:, None], blocks, axes]
+    img, blk_b = np.nonzero(_box_distance(*whole_a, lo_b, hi_b) <= within)
+    near_a = _box_distance(lo_a[:, None], hi_a[:, None], B.whole_lo[grid, axes], B.whole_hi[grid, axes])
     blk_a = np.flatnonzero((near_a <= within).any(axis=1))
     if blk_a.size == 0 or blk_b.size == 0:
         return INF
     # (block of i, image and block of j)
-    box = _box_distance(lo_a[blk_a, None], hi_a[blk_a, None], B.lo[img, blk_b], B.hi[img, blk_b])
+    box = _box_distance(lo_a[blk_a, None], hi_a[blk_a, None], lo_b[img, blk_b], hi_b[img, blk_b])
 
     def nearest(sel, bound: float) -> float:
         """Least distance over the edge pairs of box pairs sel whose own boxes are within bound."""
         row, col = np.divmod(sel, box.shape[1])
         ea, eb = A.idx[blk_a[row]], B.idx[blk_b[col]]  # (box pairs, _BLOCK) edges of each side
-        P1, P2 = A.R[ea], B.R[eb] + shifts[img[col]][:, None]
+        P1, P2 = A.R[ea], B.R[eb] + offsets[grid[img[col]]][:, None]
         Q1, Q2 = P1 + A.disp[ea], P2 + B.disp[eb]
         lo1, hi1 = np.minimum(P1, Q1)[:, :, None], np.maximum(P1, Q1)[:, :, None]
         lo2, hi2 = np.minimum(P2, Q2)[:, None], np.maximum(P2, Q2)[:, None]
@@ -869,7 +873,7 @@ def self_intersection_locus(
         for s0, s1 in comp.arcs:
             grid = np.linspace(s0, s1, density)
             circle = np.stack([np.cos(grid), np.sin(grid)], axis=1)
-            landed = alpha(c, label, circle, centroid_point=bp.centroids[label - 1]).point
+            landed = alpha(bp, label, circle).point
             partners = participants(c, landed, tol)
             marked = np.zeros(density, dtype=bool)
             own = gamma.points_at(label, grid)

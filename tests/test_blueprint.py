@@ -111,7 +111,8 @@ class TestBuild:
         assert len(bp.faces[0]) == 1
         assert len(bp.faces[1]) == 2
         assert len(bp.faces[2]) == 1
-        slab_planes = sorted(f.plane.offset for f in bp.faces[1])
+        constraints = bp.cleavage.timber(2).constraints
+        slab_planes = sorted(constraints[f.constraint_index][0].offset for f in bp.faces[1])
         assert slab_planes == pytest.approx([-0.5, 0.5])
 
     def test_redundant_plane_has_no_face(self):
@@ -189,13 +190,15 @@ class TestCollapseTol:
     @pytest.mark.parametrize("call", ["participants", "alpha", "alpha_preimage"])
     def test_bad_tol_is_a_domain_error(self, call, tol):
         # At tol = nan participants found no timber, alpha landed a point and
-        # alpha_preimage reported the nearest piece at distance 0.
+        # alpha_preimage reported the nearest piece at distance 0.  alpha and
+        # alpha_preimage read the tol of the diagram they are given, so a bad
+        # tol meant for them stops where that diagram is built.
         c = chord_cleavage()
         evaluate = {
             "participants": lambda: bp_mod.participants(c, [0.0, 0.3], tol),
-            "alpha": lambda: bp_mod.alpha(c, 1, [-1.0, 0.0], tol),
+            "alpha": lambda: bp_mod.alpha(bp_mod.build_blueprint(c, tol), 1, [-1.0, 0.0]),
             "alpha_preimage": lambda: bp_mod.alpha_preimage(
-                bp_mod.build_blueprint(c), [0.0, 0.3], tol),
+                bp_mod.build_blueprint(c, tol), [0.0, 0.3]),
         }[call]
         with pytest.raises(bp_mod.BlueprintError, match="tol must be a positive finite number"):
             evaluate()
@@ -309,12 +312,13 @@ def diagram_points(bp, rng, n=4):
 
 
 class TestCollapseOracles:
-    @given(st.integers(0, 10 ** 6), st.integers(1, 6),
+    @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.sampled_from([geom.TOL, 1e-3]),
            st.lists(st.tuples(st.booleans(), st.integers(0, 400)), max_size=3))
     @settings(max_examples=60, deadline=None)
-    def test_alpha_matches_reference(self, seed, k, bad):
+    def test_alpha_matches_reference(self, seed, k, tol, bad):
         rng = np.random.default_rng(seed)
         c = operad.validate(operad.Leaf(1)) if k == 1 else sampling.random_cleavage(seed, k)
+        bp = bp_mod.build_blueprint(c, tol)
         for i in range(1, c.k + 1):
             cpt = geom.centroid(c.timber(i))
             angles = []
@@ -329,11 +333,11 @@ class TestCollapseOracles:
                     for corner in (p0 + lo * d, p0 + hi * d):
                         rows.append(bp_mod._exit_points(cpt, corner[None])[0])
             good = [r for r in rows
-                    if not isinstance(outcome(reference_alpha, c, i, r, geom.TOL, cpt), Exception)]
+                    if not isinstance(outcome(reference_alpha, c, i, r, tol, cpt), Exception)]
             if good:
-                hit = bp_mod.alpha(c, i, np.array(good))
+                hit = bp_mod.alpha(bp, i, np.array(good))
                 for r, s in enumerate(good):
-                    point, face, corner, t = reference_alpha(c, i, s, geom.TOL, cpt)
+                    point, face, corner, t = reference_alpha(c, i, s, tol, cpt)
                     assert hit.point[r].tobytes() == point.tobytes()
                     assert (hit.face_index[r], hit.corner[r], hit.t[r]) == (face, corner, t)
             # Bad rows inside the trace or off the circle: the first must win.
@@ -343,28 +347,28 @@ class TestCollapseOracles:
                 t = s0 + (s1 - s0) * rng.random()
                 row = np.array([math.cos(t), math.sin(t)]) * (rng.uniform(0.5, 0.9) if off_circle else 1)
                 stack.insert(where % (len(stack) + 1), row)
-            first = next((e for e in (outcome(reference_alpha, c, i, r, geom.TOL, cpt)
+            first = next((e for e in (outcome(reference_alpha, c, i, r, tol, cpt)
                                       for r in stack) if isinstance(e, Exception)), None)
             if first is not None:
-                assert_raises_like(first, bp_mod.alpha, c, i, np.array(stack).reshape(-1, 2))
+                assert_raises_like(first, bp_mod.alpha, bp, i, np.array(stack).reshape(-1, 2))
 
     @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.sampled_from([geom.TOL, 1e-3]),
            st.booleans(), st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
     def test_alpha_preimage_matches_reference(self, seed, k, tol, off, where):
         rng = np.random.default_rng(seed)
-        bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, k))
+        bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, k), tol)
         points = diagram_points(bp, rng)
         stack = np.array(points)
         assert bp_mod.blueprint_distance(bp, stack).tolist() == [
             reference_blueprint_distance(bp, b) for b in points]
-        mask, exits = bp_mod.alpha_preimage(bp, stack, tol)
+        mask, exits = bp_mod.alpha_preimage(bp, stack)
         for r, b in enumerate(points):
             ref = reference_alpha_preimage(bp, b, tol)
             assert (np.flatnonzero(mask[r]) + 1).tolist() == [label for label, _ in ref]
             for label, s in ref:
                 assert exits[r, label - 1].tobytes() == s.tobytes()
-            one = bp_mod.alpha_preimage(bp, b, tol)
+            one = bp_mod.alpha_preimage(bp, b)
             assert [(label, s.tobytes()) for label, s in one] == [
                 (label, s.tobytes()) for label, s in ref]
         if off:
@@ -372,7 +376,7 @@ class TestCollapseOracles:
         first = next((e for e in (outcome(reference_alpha_preimage, bp, b, tol) for b in points)
                       if isinstance(e, Exception)), None)
         if first is not None:
-            assert_raises_like(first, bp_mod.alpha_preimage, bp, np.array(points), tol)
+            assert_raises_like(first, bp_mod.alpha_preimage, bp, np.array(points))
 
     @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(0, 400), st.integers(0, 400))
     @settings(max_examples=30, deadline=None)
@@ -400,13 +404,13 @@ class TestCollapseOracles:
         with pytest.raises(bp_mod.BlueprintError, match="not on blueprint"):
             bp_mod.alpha_preimage(bp, [[0.0, 0.3], [0.3, 0.3], [math.nan, 0.0]])
         with pytest.raises(geom.GeometryError, match="finite"):
-            bp_mod.alpha(chord_cleavage(), 1, [[-1.0, 0.0], [math.nan, 0.0]])
+            bp_mod.alpha(bp, 1, [[-1.0, 0.0], [math.nan, 0.0]])
 
     def test_empty_stacks(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         mask, exits = bp_mod.alpha_preimage(bp, np.zeros((0, 2)))
         assert mask.shape == (0, 2) and exits.shape == (0, 2, 2)
-        assert bp_mod.alpha(bp.cleavage, 1, np.zeros((0, 2))).point.shape == (0, 2)
+        assert bp_mod.alpha(bp, 1, np.zeros((0, 2))).point.shape == (0, 2)
         empty = bp_mod.build_blueprint(operad.unit())
         assert bp_mod.alpha_preimage(empty, np.zeros((0, 2)))[0].shape == (0, 1)
 
@@ -415,7 +419,7 @@ class TestAlpha:
     def test_frozen_oracle(self):
         c = chord_cleavage()
         s = np.array([math.cos(2.5), math.sin(2.5)])
-        hit = bp_mod.alpha(c, 1, s)
+        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s)
         t = math.cos(2.5) / (math.cos(2.5) - 4 / (3 * PI))
         assert hit.point == pytest.approx([0.0, math.sin(2.5) * (1 - t)], abs=1e-12)
         assert hit.point[1] == pytest.approx(0.2072523014526812, abs=1e-12)
@@ -425,42 +429,42 @@ class TestAlpha:
         assert not hit.corner
 
     def test_domain_error_inside_trace(self):
-        c = chord_cleavage()
+        bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(c, 1, [1.0, 0.0])
+            bp_mod.alpha(bp, 1, [1.0, 0.0])
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(c, 2, [-1.0, 0.0])
+            bp_mod.alpha(bp, 2, [-1.0, 0.0])
 
     def test_trace_endpoint_is_fixed(self):
-        c = chord_cleavage()
-        hit = bp_mod.alpha(c, 1, [0.0, 1.0])
+        hit = bp_mod.alpha(bp_mod.build_blueprint(chord_cleavage()), 1, [0.0, 1.0])
         assert hit.point == pytest.approx([0.0, 1.0], abs=1e-12)
         assert hit.t == pytest.approx(0.0)
         assert hit.face_index == -1
 
     def test_not_on_circle(self):
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(chord_cleavage(), 1, [0.5, 0.0])
+            bp_mod.alpha(bp_mod.build_blueprint(chord_cleavage()), 1, [0.5, 0.0])
 
     def test_unit_has_no_domain(self):
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(operad.unit(), 1, [1.0, 0.0])
+            bp_mod.alpha(bp_mod.build_blueprint(operad.unit()), 1, [1.0, 0.0])
 
     def test_corner_hit(self):
         c = tee_cleavage()
         cen = geom.centroid(c.timber(2))
         s = -cen / np.linalg.norm(cen)
-        hit = bp_mod.alpha(c, 2, s)
+        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 2, s)
         assert hit.corner
         assert hit.point == pytest.approx([0.0, 0.0], abs=1e-9)
         assert hit.face_index == 0
 
     def test_explicit_centroid_matches(self):
+        # alpha lands toward the diagram's centroid, the timber's exact centroid.
         c = chord_cleavage()
         s = np.array([math.cos(2.2), math.sin(2.2)])
-        a = bp_mod.alpha(c, 1, s)
-        b = bp_mod.alpha(c, 1, s, centroid_point=geom.centroid(c.timber(1)))
-        assert a.point == pytest.approx(b.point, abs=0)
+        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s)
+        point, *_ = reference_alpha(c, 1, s, geom.TOL, geom.centroid(c.timber(1)))
+        assert hit.point.tobytes() == point.tobytes()
 
 
 class TestPreimage:
@@ -468,7 +472,7 @@ class TestPreimage:
         c = chord_cleavage()
         bp = bp_mod.build_blueprint(c)
         s = np.array([math.cos(2.5), math.sin(2.5)])
-        hit = bp_mod.alpha(c, 1, s)
+        hit = bp_mod.alpha(bp, 1, s)
         pre = bp_mod.alpha_preimage(bp, hit.point)
         assert [lab for lab, _ in pre] == [1, 2]
         assert pre[0][1] == pytest.approx(s, abs=1e-12)
@@ -562,7 +566,7 @@ class TestThicken:
     def test_single_chord_counts(self):
         tb = bp_mod.thicken(chord_cleavage(), density=5)
         assert len(tb.samples) == 5
-        assert tb.n_components == 1
+        assert tb.blueprint.n_components == 1
         for s in tb.samples:
             assert s.component == 0
             assert s.participants == (1, 2)
@@ -597,10 +601,6 @@ class TestThicken:
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True])
     def test_bad_tol_is_a_domain_error(self, tol):
         with pytest.raises(bp_mod.BlueprintError, match="tol"):
-            bp_mod.thicken(chord_cleavage(), tol=tol)
-        with pytest.raises(bp_mod.BlueprintError, match="tol"):
-            bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), tol=tol)
-        with pytest.raises(bp_mod.BlueprintError, match="tol"):
             bp_mod.build_blueprint(chord_cleavage(), tol=tol)
 
     def test_numpy_integer_density(self):
@@ -620,10 +620,10 @@ class TestThicken:
             ref = reference_thicken(c, density, tol)
         except bp_mod.BlueprintError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                bp_mod.thicken(c, density, tol)
+                bp_mod.thicken(bp_mod.build_blueprint(c, tol), density)
             return
         with mock.patch.object(bp_mod, "_DEDUP_PAIRS", block):
-            tb = bp_mod.thicken(c, density, tol)
+            tb = bp_mod.thicken(bp_mod.build_blueprint(c, tol), density)
         assert len(tb.samples) == len(ref)
         for s, (point, component, preimages) in zip(tb.samples, ref):
             assert s.point.tobytes() == point.tobytes()
@@ -658,12 +658,12 @@ class TestThicken:
             )
             assert s.participants == tuple(label for label, _ in pre)
             for label, sphere_pt in pre:
-                hit = bp_mod.alpha(c, label, sphere_pt)
+                hit = bp_mod.alpha(tb.blueprint, label, sphere_pt)
                 assert hit.point == pytest.approx(s.point, abs=1e-8)
 
     def test_chord_sample_spines(self):
         tb = bp_mod.thicken(chord_cleavage(), density=3)
-        assert tb.n_components == 1
+        assert tb.blueprint.n_components == 1
         assert len(tb.samples) == 3
         s0 = tb.samples[0]
         assert s0.participants == (1, 2)

@@ -28,7 +28,7 @@ class TestCorridor:
     def test_cleavage_shape(self, corridor):
         c, tb = corridor
         assert c.k == 3
-        assert tb.n_components == 2
+        assert tb.blueprint.n_components == 2
         assert len(tb.samples) == 48
 
     def test_only_the_tip_enters_a_corridor_window(self):

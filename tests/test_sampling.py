@@ -92,6 +92,16 @@ class TestFatCleavage:
         with pytest.raises(SamplingError, match="40"):
             fat_cleavage(0, 2, min_arc=7.0, max_tries=40)
 
+    def test_budget_counts_every_draw(self, monkeypatch):
+        # Most k = 5 trees fail validation.  Nesting random_cleavage's budget
+        # inside its own allowed max_tries**2 draws; this call made 293.
+        calls = []
+        draw = sampling.random_tree
+        monkeypatch.setattr(sampling, "random_tree", lambda *a, **kw: calls.append(1) or draw(*a, **kw))
+        with pytest.raises(SamplingError, match="40"):
+            fat_cleavage(0, 5, min_arc=7.0, max_tries=40)
+        assert len(calls) == 40
+
     def test_accepts_shared_rng(self):
         rng = np.random.default_rng(9)
         a = fat_cleavage(rng, 3)
