@@ -13,10 +13,13 @@ Exit codes: 0 success, 1 domain error (bad geometry, malformed input),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .blueprint import (
@@ -52,8 +55,87 @@ def _load_cleavage(path: str, tol: float):
     return cleavage_from_json(_load_json(path), tol=tol)
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+# Compact encoder for the scalars that _write does not spell out itself.
+_encode = json.JSONEncoder().encode
+_NUMBERS = frozenset((float, int))
+
+
+def _dump(doc) -> str:
+    """``doc`` as exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    Dicts and lists are written here, and lists of numbers or of equal
+    number rows in one join. A dict key that is not a ``str``, a value of
+    a type this writer does not know, an int too long for ``repr`` or a
+    cycle sends the whole document to that ``json.dumps`` call, which
+    gives its own text or its own error.
+    """
+    parts: list = []
+    try:
+        _write(doc, "\n", parts)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(parts)
+
+
+def _numbers(items, nl: str) -> str | None:
+    """An opened list of exact ints and finite floats, one per line at ``nl``."""
+    if _NUMBERS.issuperset(map(type, items)):
+        text = "[" + nl + ("," + nl).join(map(repr, items))
+        if "n" not in text:  # only nan and the infinities put an "n" in a repr
+            return text
+    return None
+
+
+def _rows(items, nl: str) -> str | None:
+    """An opened list of equal-length non-empty number lists, rows at ``nl``."""
+    width = len(items[0])
+    if width and {list} == set(map(type, items)) and {width} == set(map(len, items)):
+        flat = list(chain.from_iterable(items))
+        if _NUMBERS.issuperset(map(type, flat)):
+            inner = nl + "  "
+            row = "[" + inner + ("," + inner).join(["%s"] * width) + nl + "]"
+            text = ("[" + nl + ("," + nl).join([row] * len(items))) % tuple(map(repr, flat))
+            if "n" not in text:
+                return text
+    return None
+
+
+def _write(value, nl: str, parts: list) -> None:
+    """Append ``value`` as json.dumps indents it, ``nl`` being its own line start."""
+    inner = nl + "  "
+    kind = value.__class__
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):  # _quote raises TypeError on a non-str key
+            parts.append(sep + _quote(key) + ": ")
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        text = _rows(value, inner) if value[0].__class__ is list else _numbers(value, inner)
+        if text is not None:
+            parts.append(text + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif kind is str:
+        parts.append(_quote(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        parts.append(float.__repr__(value))
+    else:  # NaN, the infinities, bools, None and subclasses of str, int and float
+        parts.append(_encode(value))
 
 
 def _cmd_gen(args) -> int:
@@ -166,6 +248,7 @@ def _cmd_export_obj(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cleave",

@@ -580,7 +580,7 @@ def clearance(
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
     inside = (t > 0.0) & (t < 1.0)
-    ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(t - 0.5)),
+    ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
                       out=np.full(t.shape, INF), where=inside)
     arg = int(np.argmin(ratio))
     best = float(ratio[arg])

@@ -260,6 +260,18 @@ class TestUmkehr:
         assert err.startswith("error: torus period 1e+16 is too large") and err.count("\n") == 1
         assert "repeats vertex" not in err
 
+    def test_huge_epsilon_raises_no_warning(self, capsys, tmp_path):
+        # The tube half-width was formed from t on every row, also far outside
+        # [0, 1], so 1.7e308 overflowed in numpy's multiply before the inside
+        # mask dropped those rows.
+        doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
+        loops = write_json(tmp_path, "rings.json", fx.mirrored_pair(0.05).to_json())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "umkehr", doc, loops, "--epsilon", "1.7e308")
+        assert rc == 0 and json.loads(out)["config"]["epsilon"] == 1.7e308
+        assert caught == [] and "Warning" not in err
+
     def test_strand_given_as_an_object_is_a_one_line_domain_error(self, capsys, tmp_path):
         # numpy's TypeError on the object used to escape as a traceback.
         doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
@@ -371,11 +383,167 @@ class TestKnobFuzz:
         argv = [knob_files.get(arg, arg) for arg in argv]
         cli._build_parser().parse_args(argv)  # raises SystemExit if a drawn vector fails to parse
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+        assert caught == []
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert "Traceback" not in err.getvalue()
         if rc == 1:
             assert len(errors) == 1 and out.getvalue() == ""
         else:
             assert rc == 0 and not errors
+
+
+def stdlib_dump(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def outcome(dump, value):
+    """The text ``dump`` gives for ``value``, or the type and message it raises."""
+    try:
+        return dump(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+EDGE_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7,
+])
+FLOATS = st.floats() | EDGE_FLOATS
+NUMBERS = FLOATS | st.integers() | st.sampled_from([2**64, -(2**100), 10**300])
+ODD_TEXT = st.sampled_from(["é", "ü∑", "\U0001f600", '"', "\\", "\x00", "\x1f\n\t", "[", "{",
+                            ", ", '", "', "[]", "{}", '"quoted, [x]": {y}'])
+TEXT = st.text() | ODD_TEXT | st.text(alphabet=st.sampled_from(list('[]{}", \\:é\x01')))
+SCALARS = st.none() | st.booleans() | NUMBERS | FLOATS.map(np.float64) | TEXT
+
+
+def rows(width, elements=NUMBERS):
+    return st.lists(st.lists(elements, min_size=width, max_size=width), min_size=1, max_size=6)
+
+
+# The lists the writer joins or templates, and the near misses it must write one by one.
+ROWS = st.one_of(
+    st.integers(1, 4).flatmap(rows),
+    st.lists(st.lists(NUMBERS, max_size=4), min_size=1, max_size=6),  # ragged, empty rows
+    st.integers(1, 3).flatmap(lambda w: rows(w).map(lambda r: r + [[]])),
+    st.integers(1, 3).flatmap(lambda w: rows(w, SCALARS)),
+    st.lists(NUMBERS | st.lists(NUMBERS, max_size=3), min_size=1, max_size=6),
+    st.lists(FLOATS, min_size=1, max_size=4).flatmap(
+        lambda head: SCALARS.map(lambda tail: head + [tail])),
+    st.integers(1, 3).flatmap(rows).map(lambda r: tuple(tuple(x) for x in r)),
+    st.integers(1, 3).flatmap(rows).map(lambda r: r + [tuple(r[0])]),
+    st.integers(1, 3).flatmap(rows).map(lambda r: [r]),
+)
+JSON = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=5),
+    max_leaves=15,
+)
+
+
+class Opaque:
+    """A value of a type neither encoder knows."""
+
+
+# Int keys and unknown values are left to json.dumps, which converts or rejects them.
+FALLBACK = st.recursive(
+    JSON | st.builds(Opaque) | st.sampled_from([{1, 2}, 1j, b"bytes"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.integers() | TEXT | st.none() | st.booleans() | FLOATS, inner,
+                      max_size=4),
+    max_leaves=10,
+)
+
+
+class TestDump:
+    @given(JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert cli._dump(value) == stdlib_dump(value)
+
+    @given(FALLBACK)
+    @settings(max_examples=100, deadline=None)
+    def test_falls_back_with_the_same_result_or_error(self, value):
+        assert outcome(cli._dump, value) == outcome(stdlib_dump, value)
+
+    @pytest.mark.parametrize("value", [
+        [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0], []], [[], [1.0]],
+        [[1.0, math.nan]], [[1.0], (2.0,)], [[1.0], [True]], [[1.0], [[2.0]]], [[1.0], 2.0],
+        [1.0, "a, [b]"], [0.5, [1.0]], [1, -0.0, math.inf], (np.float64(0.1), 2), [[np.float64(1e-7)]],
+        {"k": [[1, 2], [3, 4]], "": {}, "é": []},
+    ], ids=["ragged-same-total", "ragged", "empty-last-row", "empty-first-row", "nan-in-row",
+            "tuple-row", "bool-in-row", "nested-row", "row-then-number", "string-after-float",
+            "list-after-float", "special-floats", "float64-tuple", "float64-row", "mixed-dict"])
+    def test_near_misses(self, value):
+        assert cli._dump(value) == stdlib_dump(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: 2, 0: [3.0]}, {"a": Opaque()}, [1.0, Opaque()], [[1.0], [Opaque()]], {"a": 1, 2: 3},
+        {(1, 2): 3}, 10**5000, [10**5000], [[1.0, 10**5000]], {"x": [[[]]]},
+    ], ids=["int-keys", "opaque-value", "opaque-in-numbers", "opaque-in-rows", "mixed-keys",
+            "tuple-key", "huge-int", "huge-int-in-numbers", "huge-int-in-rows", "nested-empty"])
+    def test_fallback_cases(self, value):
+        assert outcome(cli._dump, value) == outcome(stdlib_dump, value)
+
+    def test_cycle_gives_the_stdlib_error(self):
+        loop = [1.0]
+        loop.append(loop)
+        assert outcome(cli._dump, loop) == (ValueError, "Circular reference detected")
+
+
+class TestStdoutLayout:
+    """Every document the CLI prints is json.dumps(doc, indent=2, sort_keys=True)."""
+
+    @pytest.fixture
+    def docs(self, tmp_path):
+        # The odd loops file name makes the echoed config exercise string escapes.
+        trio = fx.corridor_trio(62.0)
+        return {
+            "chord": write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json()),
+            "rot": write_json(tmp_path, "rot.json", ROT_CHORD),
+            "tri": write_json(tmp_path, "tri.json", fx.corridor_cleavage().to_json()),
+            "pair": write_json(tmp_path, 'loops é [1], "q".json', fx.mirrored_pair(0.05).to_json()),
+            "glued": write_json(tmp_path, "glued.json", fx.mirrored_pair(0.0).to_json()),
+            "torus": write_json(tmp_path, "torus.json", {
+                "metric": {"kind": "torus", "d": 2, "L": 4.0},
+                "loops": [np.mod(loop, 4.0).tolist() for loop in trio.loops],
+            }),
+            "trio": write_json(tmp_path, "trio.json", trio.to_json()),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--k", 4, "--seed", 9],
+        ["gen", "--n", 2, "--k", 3, "--seed", 2],
+        ["compose", "chord", 1, "rot"],
+        ["permute", "tri", "3,1,2"],
+        ["umkehr", "chord", "pair", "--epsilon", 0.2],
+        ["umkehr", "chord", "glued", "--epsilon", 0.2, "--mapping"],
+        ["umkehr", "tri", "trio", "--epsilon", 0.2, "--density", 24],
+        ["umkehr", "tri", "torus", "--epsilon", 0.2, "--density", 24],
+        ["check", "degree", "--seed", 0],
+    ], ids=lambda argv: " ".join(map(str, argv)))
+    def test_stdout_is_the_stdlib_text(self, capsys, docs, argv):
+        rc, out, _ = run(capsys, *[docs.get(arg, arg) for arg in argv])
+        assert rc == 0
+        assert out == stdlib_dump(json.loads(out)) + "\n"
+
+    def test_escaped_path_is_echoed(self, capsys, docs):
+        rc, out, _ = run(capsys, "umkehr", docs["chord"], docs["pair"], "--epsilon", 0.2)
+        assert rc == 0
+        assert json.loads(out)["config"]["loops"] == str(docs["pair"])
+        assert '\\u00e9 [1], \\"q\\".json' in out
+
+    def test_one_parser_serves_every_call(self, capsys, docs):
+        argv = ["umkehr", docs["chord"], docs["pair"], "--epsilon", 0.2]
+        rc, out, _ = run(capsys, *argv, "--mapping")
+        assert rc == 0 and json.loads(out)["config"]["mapping"] is True
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and json.loads(out)["config"]["mapping"] is False
+        assert run(capsys, *argv[:3])[0] == 2  # no --epsilon
+        rc, out, _ = run(capsys, *argv, "--t", 0.5)
+        assert rc == 0 and json.loads(out)["config"]["t_homotopy"] == 0.5
+        assert cli._build_parser() is cli._build_parser()
