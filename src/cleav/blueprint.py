@@ -75,7 +75,8 @@ class CutPiece:
 
     @property
     def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
+        d = self.b - self.a
+        return math.sqrt(_rowdot(d, d))
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = b - ci
     qa = _rowdot(d, d)
     qb = 2.0 * _rowdot(ci, d)
-    qc = float(ci @ ci) - 1.0
+    qc = _rowdot(ci, ci) - 1.0
     u = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
     s = ci + u[:, None] * d
     return s / np.sqrt(_rowdot(s, s))[:, None]
@@ -342,18 +343,18 @@ def _first_kept(points: np.ndarray, tol: float) -> list[int]:
     """Indices of the points kept when each is dropped within tol of one kept before it.
 
     The distances come from one pairwise matrix, built in row blocks of
-    about _DEDUP_PAIRS entries; each entry is the sqrt of the row-wise
-    1 x d by d x 1 product of the difference with itself, the same dot
-    that np.linalg.norm takes on one difference vector.  A pass in
-    candidate order then keeps a point unless a point kept before it lies
-    within tol, so a point dropped as a duplicate never drops another.
+    about _DEDUP_PAIRS entries; each entry is the sqrt of the _rowdot of
+    the difference with itself, so it rounds as a one-pair distance does.
+    A pass in candidate order then keeps a point unless a point kept
+    before it lies within tol, so a point dropped as a duplicate never
+    drops another.
     """
     n = points.shape[0]
     later: dict[int, list[int]] = {}
     step = max(1, _DEDUP_PAIRS // max(n, 1))
     for lo in range(0, n, step):
         diff = points[lo : lo + step, None, :] - points[None, :, :]
-        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+        dist = np.sqrt(_rowdot(diff, diff))
         rows, cols = np.nonzero(dist <= tol)
         rows += lo
         ahead = cols > rows

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .blueprint import _exit_points
 from .geom import OrientedHyperplane, centroid
 from .operad import Cleavage, Internal, Leaf, validate
 from .umkehr import DiscreteEmbedding, FlatMetric
@@ -228,13 +229,8 @@ def _polar(deg, rad):
 
 
 def _exit_deg(cpt: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Angles where rays from cpt through pts leave the unit circle."""
-    d = pts - cpt
-    qa = np.einsum("ij,ij->i", d, d)
-    qb = 2.0 * (d @ cpt)
-    qc = float(cpt @ cpt) - 1.0
-    u = (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
-    s = cpt + u[:, None] * d
+    """Angles in degrees where rays from cpt through pts leave the unit circle."""
+    s = _exit_points(cpt, pts)
     return np.degrees(np.arctan2(s[:, 1], s[:, 0]))
 
 

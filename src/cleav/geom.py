@@ -93,9 +93,17 @@ def _rowwise(index: int):
 
 
 def _rowdot(x, y) -> np.ndarray:
-    """Row-wise dots, each a 1 x d by d x 1 product: unlike a matrix-vector
-    product or einsum, every row rounds as float(a @ b) does on its pair."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+    """Dots over the last axis: x[..., 0]*y[..., 0] + x[..., 1]*y[..., 1] + ...
+
+    The one dot product of the package.  Each product is rounded, then the
+    products are added left to right; numpy never fuses a separate * and +,
+    and no BLAS call is made, so a row rounds the same in any stack, for a
+    single pair and on every CPU.  x and y broadcast against each other.
+    """
+    total = x[..., 0] * y[..., 0]
+    for axis in range(1, np.shape(x)[-1]):
+        total = total + x[..., axis] * y[..., axis]
+    return total
 
 
 def _clamp01(x: np.ndarray) -> np.ndarray:
@@ -109,9 +117,9 @@ def segment_closest(P1, D1, P2, D2):
     The clamped two-parameter solve of Ericson, Real-Time Collision
     Detection (2005), 5.1.9, over (n, d) stacks.  Returns (s, t, pa, pb)
     with pa = P1 + s*D1 and pb = P2 + t*D2.  Row r equals the one-pair
-    scalar solve bit for bit: every dot is row-wise (_rowdot), and a
-    segment of squared length <= 1e-18 counts as its first end point,
-    which pa or pb then is exactly.
+    scalar solve bit for bit: every dot is a _rowdot, which rounds a row
+    the same in any stack, and a segment of squared length <= 1e-18
+    counts as its first end point, which pa or pb then is exactly.
     """
     eps = 1e-18
     r = P1 - P2
@@ -157,7 +165,7 @@ class OrientedHyperplane:
 
     def __init__(self, normal, offset: float):
         v = _as_vector(normal)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(_rowdot(v, v))
         if norm <= TOL:
             raise GeometryError("hyperplane normal must be nonzero")
         unit = v / norm
@@ -180,7 +188,7 @@ class OrientedHyperplane:
 def signed_eval(h: OrientedHyperplane, x) -> float:
     """<normal, x> - offset; positive on the normal side."""
     v = _as_vector(x, h.dim)
-    return float(h.normal @ v) - h.offset
+    return float(_rowdot(h.normal, v)) - h.offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,9 +290,6 @@ class ArcSet:
     def empty() -> "ArcSet":
         return ArcSet(())
 
-    def is_empty(self) -> bool:
-        return not self.arcs
-
     def is_full(self) -> bool:
         return self.measure() >= TWO_PI - 1e-15
 
@@ -308,9 +313,6 @@ class ArcSet:
                     if hi > lo:
                         pieces.append((lo, hi))
         return ArcSet(pieces)
-
-    def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet(self.arcs + other.arcs)
 
     def complement(self) -> "ArcSet":
         if not self.arcs:
@@ -481,7 +483,7 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
     offsets = planes[:, -1] * planes[:, -2] + tol
 
     def feasible(p: np.ndarray) -> bool:
-        return bool(np.all(normals @ p - offsets >= -1e-15))
+        return bool(np.all(_rowdot(normals, p) - offsets >= -1e-15))
 
     origin = np.zeros(2)
     candidates = []
@@ -501,7 +503,7 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
                 rhs = np.array([offsets[j], offsets[l]])
                 candidates.append(np.linalg.solve(a, rhs))
     for p in candidates:
-        if feasible(p) and float(np.linalg.norm(p)) <= radius:
+        if feasible(p) and math.sqrt(_rowdot(p, p)) <= radius:
             return True
     return False
 
@@ -527,8 +529,8 @@ def _face_interval(body: ConvexBody, j: int):
     for l, (h2, side2) in enumerate(body.constraints):
         if l == j:
             continue
-        a = side2 * float(h2.normal @ d)
-        b = side2 * (float(h2.normal @ p0) - h2.offset)
+        a = side2 * float(_rowdot(h2.normal, d))
+        b = side2 * (float(_rowdot(h2.normal, p0)) - h2.offset)
         # Need a*s + b >= 0.
         if abs(a) <= 1e-14:
             if b < 0.0:
@@ -632,7 +634,7 @@ def segment_boundary_hit(body: ConvexBody, src, dst, tol: float = TOL) -> Bounda
     if (seg_len <= tol).any():
         raise BoundaryHitError("segment is degenerate")
     margins_dst = body._margins(b[None])
-    if float(np.linalg.norm(b)) >= 1.0 - tol or (margins_dst.size and margins_dst.min() <= tol):
+    if math.sqrt(_rowdot(b, b)) >= 1.0 - tol or (margins_dst.size and margins_dst.min() <= tol):
         raise BoundaryHitError("destination point must be interior to the body")
 
     g0 = body._margins(a)

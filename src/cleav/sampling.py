@@ -8,11 +8,12 @@ tree, and reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
-from .geom import GeometryError, OrientedHyperplane
+from .geom import GeometryError, OrientedHyperplane, _rowdot
 from .operad import Cleavage, Internal, Leaf, Node, OperadError, validate
 
 ENV_SEED = "CLEAVE_SEED"
@@ -82,7 +83,7 @@ def random_plane(rng: np.random.Generator, dim: int) -> OrientedHyperplane:
     """Uniform unit normal (Gaussian direction) with a flat offset in (-1, 1)."""
     while True:
         v = rng.standard_normal(dim)
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(_rowdot(v, v))
         if nrm > 1e-12:
             break
     return OrientedHyperplane(v / nrm, float(rng.uniform(-1.0, 1.0)))

@@ -94,7 +94,7 @@ def check_partition(seed: int = 0, cleavages: int = 50, points: int = 10_000) ->
             count += c.timber(i).contains(pts, TOL)
         near = np.zeros(points, dtype=bool)
         for cut in c.cuts:
-            near |= np.abs(pts @ cut.plane.normal - cut.plane.offset) <= TOL
+            near |= np.abs(_rowdot(pts, cut.plane.normal) - cut.plane.offset) <= TOL
         bad = (count == 0) | ((count != 1) & ~near)
         checked += points
         if np.any(bad):

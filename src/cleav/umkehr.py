@@ -126,9 +126,6 @@ class Geodesic:
     tangent: np.ndarray
     disp: np.ndarray
 
-    def point(self, t: float) -> np.ndarray:
-        return self.a + t * self.disp
-
 
 def geodesic(metric: FlatMetric, a, b, tol: float = TOL) -> Geodesic:
     """The minimizing geodesic; zero length allowed, ties raise.
@@ -136,9 +133,9 @@ def geodesic(metric: FlatMetric, a, b, tol: float = TOL) -> Geodesic:
     a and b are one point each, or (n, d) stacks of n pairs.  A stack
     gives a Geodesic whose fields are stacked by row (length an (n,)
     array), and row r is bit for bit the one-pair geodesic from a[r] to
-    b[r]: the length is the square root of a row-wise dot (geom._rowdot),
-    which equals np.linalg.norm of the row.  A stack with ties raises the
-    first tying row's NonUniqueGeodesic.
+    b[r]: the length is the square root of geom._rowdot(disp, disp), which
+    rounds a row the same in any stack.  A stack with ties raises the first
+    tying row's NonUniqueGeodesic.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -524,21 +521,16 @@ def clearance(
     below 1 is returned with the first vertex attaining it, or (1.0, None)
     when no vertex enters the tube.
 
-    The kept rows are gathered once.  Their projections come from one
-    matrix-vector product over the kept rows alone, since a row of that
-    product can round unlike the same row in a taller matrix, except that a
-    strand keeping a single vertex takes the 1 x d by d product a one-row
-    scan would.  For d < 8 distances are column sums of squares taken left
-    to right, which is how np.linalg.norm adds a row of fewer than 8
-    coordinates; from d = 8 on they come from np.linalg.norm itself.  Where
-    0 < t < 1 the distance to the segment is the perpendicular distance,
-    so one pass serves both tests.
+    The kept rows are gathered once.  Every dot, the projections and the
+    squared distances alike, is a product per column added left to right
+    (geom._rowdot), so a vertex's row rounds the same whichever rows are
+    kept beside it.  Where 0 < t < 1 the distance to the segment is the
+    perpendicular distance, so one pass serves both tests.
     """
     if not g.length > 0.0:
         raise UmkehrError("clearance needs a geodesic of positive length")
     verts, labels, params, spans = gamma._table
     keep = None
-    cut = set()  # spans of the strands losing vertices
     for exc_label, exc_param in exclude:
         span = spans.get(exc_label)  # labels compare as numbers: 1.0 is strand 1
         if span is None:
@@ -549,28 +541,18 @@ def clearance(
         if keep is None:
             keep = np.ones(labels.shape[0], dtype=bool)
         keep[lo:hi] &= np.minimum(gap, TWO_PI - gap) > eta
-        cut.add(span)
     rows = None if keep is None else keep.nonzero()[0]
     if rows is not None and rows.size == 0:
         return 1.0, None
     pts = verts if rows is None else np.take(verts, rows, axis=0)  # a fancy index is slower
     w = gamma.metric.displacement_many(g.a, pts)
-    dots = w @ g.disp
-    for lo, hi in cut:
-        own = keep[lo:hi].nonzero()[0]
-        if own.size == 1:
-            r = int(np.searchsorted(rows, lo + own[0]))
-            dots[r] = (w[r : r + 1] @ g.disp)[0]
-    t = dots / (g.length * g.length)
+    t = _rowdot(w, g.disp) / (g.length * g.length)
     clamped = np.minimum(np.maximum(t, 0.0), 1.0)
-    if gamma.metric.d < 8:
-        total = None
-        for axis, step in enumerate(g.disp.tolist()):
-            diff = w[:, axis] - clamped * step
-            total = diff * diff if total is None else total + diff * diff
-        seg = np.sqrt(total)
-    else:  # numpy sums 8 or more coordinates pairwise
-        seg = np.linalg.norm(w - clamped[:, None] * g.disp, axis=1)
+    total = None
+    for axis, step in enumerate(g.disp.tolist()):
+        diff = w[:, axis] - clamped * step
+        total = diff * diff if total is None else total + diff * diff
+    seg = np.sqrt(total)
 
     def witness(row: int, delta: float) -> ClearanceWitness:
         v = row if rows is None else int(rows[row])
@@ -734,9 +716,12 @@ def umkehr(
     a component whose largest scale exceeds 1 + tol collapses to the
     infinity point.  Scales within tol of 1 are flagged as boundary
     pairs but stay finite.  In mapping mode, pairs closer than tol are glued:
-    zero vector, scale 0, sample recorded in the uf_mask.
+    zero vector, scale 0, sample recorded in the uf_mask.  c must be the
+    cleavage tb was thickened from, or one with the same tree.
     """
     _require_strands(gamma, c)
+    if c is not tb.blueprint.cleavage and c.to_json() != tb.blueprint.cleavage.to_json():
+        raise UmkehrError("the cleavage differs from the one the thickened diagram was built from")
     metric = gamma.metric
     if metric.kind == "torus" and not cfg.epsilon < metric.L / 4.0:
         raise UmkehrError(
@@ -836,14 +821,6 @@ class LocusInterval:
     label: int
     start: float
     end: float
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-    @property
-    def contractible(self) -> bool:
-        return self.length < TWO_PI - 1e-9
 
     def to_json(self) -> dict:
         return {"label": self.label, "start": self.start, "end": self.end}

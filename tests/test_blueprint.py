@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cleav import blueprint as bp_mod
 from cleav import geom, operad, sampling
+from oracles import ref_dot, ref_norm
 from test_geom import (
     assert_raises_like,
     outcome,
@@ -249,7 +250,7 @@ def reference_alpha(c, i, s, tol=geom.TOL, centroid_point=None):
     if not 1 <= i <= c.k:
         raise bp_mod.BlueprintError(f"label {i} out of range 1..{c.k}")
     s = np.asarray(s, dtype=float)
-    nrm = float(np.linalg.norm(s))
+    nrm = ref_norm(s)
     if abs(nrm - 1.0) > 1e-6:
         raise bp_mod.AlphaDomainError(f"query point has norm {nrm!r}, expected a circle point")
     s = s / nrm
@@ -265,11 +266,11 @@ def reference_alpha(c, i, s, tol=geom.TOL, centroid_point=None):
 def reference_point_seg_distance(p, a, b):
     """The one-pair point-segment distance, the reference for blueprint_distance."""
     d = b - a
-    dd = float(d @ d)
+    dd = ref_dot(d, d)
     if dd <= 1e-18:
-        return float(np.linalg.norm(p - a))
-    t = min(1.0, max(0.0, float((p - a) @ d) / dd))
-    return float(np.linalg.norm(p - (a + t * d)))
+        return ref_norm(p - a)
+    t = min(1.0, max(0.0, ref_dot(p - a, d) / dd))
+    return ref_norm(p - (a + t * d))
 
 
 def reference_blueprint_distance(bp, b):
@@ -288,15 +289,15 @@ def reference_alpha_preimage(bp, b, tol=None):
     for label in loop_participants(bp.cleavage, b, tol):
         ci = bp.centroids[label - 1]
         d = b - ci
-        qa = float(d @ d)
+        qa = ref_dot(d, d)
         if qa <= 1e-30:
             raise bp_mod.BlueprintError(f"b coincides with the centroid of timber {label}")
-        qb = 2.0 * float(ci @ d)
-        qc = float(ci @ ci) - 1.0
+        qb = 2.0 * ref_dot(ci, d)
+        qc = ref_dot(ci, ci) - 1.0
         disc = qb * qb - 4.0 * qa * qc
         u = (-qb + math.sqrt(disc)) / (2.0 * qa)
         s = ci + u * d
-        out.append((label, s / float(np.linalg.norm(s))))
+        out.append((label, s / ref_norm(s)))
     return out
 
 
@@ -546,12 +547,12 @@ def reference_thicken(c, density, tol):
             _, _, pa, pb = reference_closest_points(
                 bp.pieces[i].a, bp.pieces[i].b, bp.pieces[j].a, bp.pieces[j].b
             )
-            if float(np.linalg.norm(pa - pb)) <= tol:
+            if ref_norm(pa - pb) <= tol:
                 candidates.append(((pa + pb) / 2.0, i))
     kept = []
     out = []
     for point, idx in candidates:
-        if any(float(np.linalg.norm(point - q)) <= tol for q in kept):
+        if any(ref_norm(point - q) <= tol for q in kept):
             continue
         kept.append(point)
         preimages = tuple(

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -547,3 +551,52 @@ class TestStdoutLayout:
         rc, out, _ = run(capsys, *argv, "--t", 0.5)
         assert rc == 0 and json.loads(out)["config"]["t_homotopy"] == 0.5
         assert cli._build_parser() is cli._build_parser()
+
+
+def _cpu_flags() -> set:
+    """The flags of the first CPU in /proc/cpuinfo, or none where it cannot be read."""
+    try:
+        lines = pathlib.Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return set(next((line for line in lines if line.startswith("flags")), ":").split(":", 1)[1].split())
+
+
+def _numpy_on_openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its config
+        return False
+    return "openblas" in config["Build Dependencies"]["blas"]["name"].lower()
+
+
+# The README worked example, then a corridor evaluation, whose bytes
+# differed between the Haswell and Prescott kernels when dots went through BLAS.
+_EXAMPLES = """
+from cleav.cli import main
+main(["umkehr", "chord.json", "rings.json", "--epsilon", "0.2"])
+main(["umkehr", "corridor.json", "trio.json", "--epsilon", "0.2"])
+"""
+
+
+class TestBlasKernels:
+    @pytest.mark.skipif(not (_numpy_on_openblas() and "avx2" in _cpu_flags()),
+                        reason="needs numpy on OpenBLAS and a CPU with avx2")
+    def test_stdout_bytes_do_not_depend_on_the_kernel(self, tmp_path):
+        for name, doc in [("chord.json", fx.chord_cleavage()), ("rings.json", fx.mirrored_pair(0.05)),
+                          ("corridor.json", fx.corridor_cleavage()),
+                          ("trio.json", fx.corridor_trio(63.2))]:
+            write_json(tmp_path, name, doc.to_json())
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = {}
+        for kernel in ("default", "Prescott", "Haswell"):  # never one the CPU lacks
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = path
+            if kernel != "default":
+                env["OPENBLAS_CORETYPE"] = kernel
+            outs[kernel] = subprocess.run([sys.executable, "-c", _EXAMPLES], cwd=tmp_path, env=env,
+                                          capture_output=True, check=True).stdout
+        assert outs["default"].count(b'"components"') == 2
+        assert outs["Prescott"] == outs["default"]
+        assert outs["Haswell"] == outs["default"]

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as npst
 
 from cleav import geom
+from oracles import ref_dot, ref_norm
 
 PI = math.pi
 
@@ -53,6 +56,41 @@ def interior_point(body: geom.ConvexBody, seed: int = 0):
     return None
 
 
+def exact_stepwise_dot(xs, ys):
+    """Each product, then each left-to-right partial sum, rounded once from its exact value."""
+    total = None
+    for a, b in zip(xs, ys):
+        product = float(Fraction(a) * Fraction(b))
+        total = product if total is None else float(Fraction(total) + Fraction(product))
+    return total
+
+
+COORDS = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+class TestRowdot:
+    @given(st.integers(1, 9), st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_stepwise_rounding(self, d, n, data):
+        x = data.draw(npst.arrays(np.float64, (n, d), elements=COORDS))
+        y = data.draw(npst.arrays(np.float64, (n, d), elements=COORDS))
+        v = data.draw(npst.arrays(np.float64, (d,), elements=COORDS))
+        rows = geom._rowdot(x, y)
+        assert rows.shape == (n,)
+        assert rows.tolist() == [exact_stepwise_dot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        # One vector broadcast against the stack, on either side.
+        assert geom._rowdot(x, v).tolist() == [exact_stepwise_dot(a, v.tolist()) for a in x.tolist()]
+        assert geom._rowdot(v, x).tolist() == [exact_stepwise_dot(v.tolist(), a) for a in x.tolist()]
+        for r in range(n):
+            assert float(geom._rowdot(x[r], y[r])) == rows[r]
+
+    def test_cancelling_products_are_not_fused(self):
+        # a*b + b*(-a) is exactly 0 when each product is rounded; a fused
+        # multiply-add leaves the rounding error of one product instead.
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 2))
+        assert not geom._rowdot(x, x[:, ::-1] * [1.0, -1.0]).any()
+
+
 class TestHyperplane:
     def test_normalizes(self):
         h = geom.OrientedHyperplane([3.0, 0.0], 1.5)
@@ -86,7 +124,7 @@ class TestArcSet:
 
     def test_full_and_empty(self):
         assert geom.ArcSet.full().is_full()
-        assert geom.ArcSet.empty().is_empty()
+        assert geom.ArcSet.empty().arcs == ()
         assert geom.ArcSet([(0.0, 7.0)]).is_full()
 
     def test_measure(self):
@@ -125,7 +163,7 @@ class TestArcSet:
             for _ in range(rng.integers(1, 4))
         ])
         a, b = mk(), mk()
-        u = a.union(b)
+        u = geom.ArcSet(a.arcs + b.arcs)
         assert u.measure() <= a.measure() + b.measure() + 1e-12
         assert u.measure() >= max(a.measure(), b.measure()) - 1e-12
         # inclusion-exclusion
@@ -180,7 +218,7 @@ class TestTrace:
         whole = geom.sphere_trace(body).arcs
         left = geom.sphere_trace(geom.clip(body, h, 1)).arcs
         right = geom.sphere_trace(geom.clip(body, h, -1)).arcs
-        assert left.union(right).sym_diff_measure(whole) == pytest.approx(0.0, abs=1e-9)
+        assert geom.ArcSet(left.arcs + right.arcs).sym_diff_measure(whole) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_point_cloud_is_one_read_only_array_per_dim(self, dim):
@@ -256,8 +294,8 @@ def reference_face_interval(body, j, tol=0.0):
     for l, (h2, side2) in enumerate(body.constraints):
         if l == j:
             continue
-        a = side2 * float(h2.normal @ d)
-        b = side2 * (float(h2.normal @ p0) - h2.offset)
+        a = side2 * ref_dot(h2.normal, d)
+        b = side2 * (ref_dot(h2.normal, p0) - h2.offset)
         if abs(a) <= 1e-14:
             if b < -tol:
                 return None
@@ -430,15 +468,15 @@ class TestBoundaryHit:
 
 
 def loop_margins(body, x):
-    """One signed_eval per constraint, the reference for ConvexBody.margins."""
-    return np.array([side * geom.signed_eval(h, x) for h, side in body.constraints])
+    """One side * (<normal, x> - offset) per constraint, the reference for ConvexBody.margins."""
+    return np.array([side * (ref_dot(h.normal, x) - h.offset) for h, side in body.constraints])
 
 
 def loop_contains(body, x, tol):
     """The per-constraint membership test, the reference for ConvexBody.contains."""
-    if float(np.linalg.norm(x)) > 1.0 + tol:
+    if ref_norm(x) > 1.0 + tol:
         return False
-    return all(side * geom.signed_eval(h, x) >= -tol for h, side in body.constraints)
+    return bool((loop_margins(body, x) >= -tol).all())
 
 
 class TestMembership:
@@ -524,23 +562,23 @@ def reference_segment_boundary_hit(body, src, dst, tol=geom.TOL):
     a = geom._as_vector(src, body.dim)
     b = geom._as_vector(dst, body.dim)
     seg = b - a
-    seg_len = float(np.linalg.norm(seg))
+    seg_len = ref_norm(seg)
     if seg_len <= tol:
         raise geom.BoundaryHitError("segment is degenerate")
     margins_dst = loop_margins(body, b)
-    if float(np.linalg.norm(b)) >= 1.0 - tol or (margins_dst.size and margins_dst.min() <= tol):
+    if ref_norm(b) >= 1.0 - tol or (margins_dst.size and margins_dst.min() <= tol):
         raise geom.BoundaryHitError("destination point must be interior to the body")
     entries = []
     for j, (h, side) in enumerate(body.constraints):
-        g0 = side * geom.signed_eval(h, a)
-        g1 = side * geom.signed_eval(h, b)
+        g0 = side * (ref_dot(h.normal, a) - h.offset)
+        g1 = side * (ref_dot(h.normal, b) - h.offset)
         if g0 < 0.0:
             entries.append((g0 / (g0 - g1), j))
-    na = float(np.linalg.norm(a))
+    na = ref_norm(a)
     if na > 1.0:
-        qa = seg @ seg
-        qb = 2.0 * (a @ seg)
-        qc = a @ a - 1.0
+        qa = ref_dot(seg, seg)
+        qb = 2.0 * ref_dot(a, seg)
+        qc = ref_dot(a, a) - 1.0
         disc = qb * qb - 4.0 * qa * qc
         if disc < 0.0:
             raise geom.BoundaryHitError("segment never enters the unit ball")
@@ -643,20 +681,20 @@ def reference_closest_points(p1, q1, p2, q2):
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
+    a = ref_dot(d1, d1)
+    e = ref_dot(d2, d2)
+    f = ref_dot(d2, r)
     eps = 1e-18
     if a <= eps and e <= eps:
         return 0.0, 0.0, p1, p2
     if a <= eps:
         t = min(1.0, max(0.0, f / e))
         return 0.0, t, p1, p2 + t * d2
-    c = float(d1 @ r)
+    c = ref_dot(d1, r)
     if e <= eps:
         s = min(1.0, max(0.0, -c / a))
         return s, 0.0, p1 + s * d1, p2
-    b = float(d1 @ d2)
+    b = ref_dot(d1, d2)
     denom = a * e - b * b
     s = min(1.0, max(0.0, (b * f - c * e) / denom)) if denom > eps else 0.0
     t = (b * s + f) / e

@@ -19,6 +19,7 @@ from cleav import operad
 from cleav import sampling
 from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
+from oracles import ref_dot, ref_norm
 
 PI = math.pi
 EUCLID = um.FlatMetric("euclidean", 2)
@@ -53,14 +54,14 @@ def reference_displacement(metric, a, B):
 
 
 def reference_geodesic(metric, a, b, tol=geom.TOL):
-    """One-pair geodesic with np.linalg.norm, as the reference for the stacked geodesic."""
+    """One-pair geodesic with a pure-Python length, the reference for the stacked geodesic."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     disp = reference_displacement(metric, a, b)
     if metric.ties(disp, tol):
         raise um.NonUniqueGeodesic(
             f"displacement {(b - a).tolist()} sits half a period away on some axis")
-    length = float(np.linalg.norm(disp))
+    length = ref_norm(disp)
     tangent = disp / length if length > 0.0 else np.zeros(metric.d)
     return um.Geodesic(a, b, length, tangent, disp)
 
@@ -70,7 +71,7 @@ class TestMetric:
         g = um.geodesic(EUCLID, [0.0, 0.0], [1.0, 0.0])
         assert g.length == 1.0
         assert g.tangent.tolist() == [1.0, 0.0]
-        assert g.point(0.5).tolist() == [0.5, 0.0]
+        assert (g.a + 0.5 * g.disp).tolist() == [0.5, 0.0]
 
     def test_torus_wraps(self):
         torus = um.FlatMetric("torus", 2, 10.0)
@@ -653,10 +654,10 @@ def reference_clearance(gamma, g, cfg, exclude=()):
         if not np.any(keep):
             continue
         w = reference_displacement(gamma.metric, g.a, loop[keep])
-        t = (w @ g.disp) / ell2
+        t = ref_dot(w, g.disp) / ell2
         perp = w - t[:, None] * g.disp
-        pd = np.linalg.norm(perp, axis=1)
-        seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
+        pd = ref_norm(perp)
+        seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp)
         kept_params = params[keep]
         on_seg = seg <= cfg.tol
         if np.any(on_seg) and zero_witness is None:
@@ -685,11 +686,8 @@ def reference_clearance(gamma, g, cfg, exclude=()):
 
 
 def reference_one_pass_clearance(gamma, g, cfg, exclude=()):
-    """The one-pass scan clearance replaced: one matrix-vector product over
-    the kept rows and np.linalg.norm distances.  It is the reference in
-    every dimension; the per-strand scan above matches it only for small d,
-    where a row of a matrix-vector product does not depend on the rows
-    around it."""
+    """The one-pass scan over the kept rows of all strands at once, with
+    pure-Python dots, the reference for clearance in every dimension."""
     verts = np.concatenate(gamma.loops)
     labels = np.concatenate([np.full(loop.shape[0], i + 1) for i, loop in enumerate(gamma.loops)])
     params = np.concatenate([gamma.params(i + 1) for i in range(gamma.k)])
@@ -704,24 +702,19 @@ def reference_one_pass_clearance(gamma, g, cfg, exclude=()):
     if rows.size == 0:
         return 1.0, None
     w = reference_displacement(gamma.metric, g.a, verts[rows])
-    dots = w @ g.disp
-    if exclude and rows.size > 1:
-        kept_labels = labels[rows]
-        for r in (np.bincount(kept_labels)[kept_labels] == 1).nonzero()[0].tolist():
-            dots[r] = (w[r : r + 1] @ g.disp)[0]
-    t = dots / (g.length * g.length)
+    t = ref_dot(w, g.disp) / (g.length * g.length)
 
     def witness(row, delta):
         v = int(rows[row])
         return um.ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
-    seg = np.linalg.norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp, axis=1)
+    seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp)
     on_seg = seg <= cfg.tol
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
     inside = ((t > 0.0) & (t < 1.0)).nonzero()[0]
     t_in = t[inside]
-    pd = np.linalg.norm(w[inside] - t_in[:, None] * g.disp, axis=1)
+    pd = ref_norm(w[inside] - t_in[:, None] * g.disp)
     ratio = pd / (cfg.epsilon * (0.5 - np.abs(t_in - 0.5)))
     hit = (ratio < 1.0).nonzero()[0]
     if hit.size == 0:
@@ -778,14 +771,12 @@ class TestClearanceOracle:
                          for _ in range(int(rng.integers(0, 3))))
         got = um.clearance(emb, g, cfg, exclude)
         assert_same_clearance(got, reference_one_pass_clearance(emb, g, cfg, exclude))
-        if d < 8:
-            assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
+        assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
 
     def test_strands_keeping_one_vertex(self):
         # eta just under pi leaves an excluded strand with an even vertex
-        # count only the vertex opposite parameter 0; its projection takes
-        # a 1 x d by d product, which can round unlike its row of a
-        # matrix-vector product (seeds 0-199 hold a few such rows).
+        # count only the vertex opposite parameter 0: its row must round as
+        # the same vertex does in a one-strand scan.
         cfg = um.UmkehrConfig(epsilon=50.0, eta=PI - 1e-9)
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -801,11 +792,10 @@ class TestClearanceOracle:
 
     @pytest.mark.parametrize("kind", ["euclidean", "torus"])
     def test_eight_dimensions(self, kind):
-        # np.linalg.norm sums a row of 8 or more coordinates pairwise, so
-        # left-to-right column sums would move some ratios by an ulp.  The
-        # deepest vertex is the last row of the table, and excluding part of
-        # strand 1 shifts it within the kept rows: a product over all rows
-        # rounds some such rows unlike the product over the kept rows.
+        # Eight coordinates are still added left to right, as the
+        # reference adds them.  The deepest vertex is the last row of the
+        # table, and excluding part of strand 1 shifts it within the kept
+        # rows, which must not change how its row rounds.
         metric = um.FlatMetric(kind, 8, 4.0 if kind == "torus" else None)
         hits = 0
         for seed in range(40):
@@ -949,6 +939,16 @@ class TestUmkehr:
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5),))
         with pytest.raises(um.UmkehrError):
             um.umkehr(emb, self.c, self.tb, self.cfg)
+
+    def test_cleavage_must_be_the_thickened_one(self):
+        # Samples from another cleavage used to give component 0 'infinity'.
+        tb = bp_mod.thicken(sampling.random_cleavage(5, 2), 8)
+        with pytest.raises(um.UmkehrError, match="differs from the one the thickened diagram"):
+            um.umkehr(fx.mirrored_pair(0.05), fx.chord_cleavage(), tb, self.cfg)
+        # Another object with the same tree is the same cleavage.
+        tb = bp_mod.thicken(fx.chord_cleavage(), 8)
+        out = um.umkehr(fx.mirrored_pair(0.05), fx.chord_cleavage(), tb, self.cfg)
+        assert [cv.status for cv in out.components] == ["finite"]
 
     def test_self_intersecting_rejected(self):
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5), circle(0.5, mirrored=True)))
@@ -1321,8 +1321,8 @@ class TestLocus:
         locus = um.self_intersection_locus(emb, chord_cleavage(), tol=2e-4)
         assert sorted(li.label for li in locus) == [1, 2]
         for li in locus:
-            assert li.contractible
-            assert li.length == pytest.approx(0.3, abs=0.01)
+            assert li.end - li.start < 2 * PI - 1e-9
+            assert li.end - li.start == pytest.approx(0.3, abs=0.01)
         lab1 = next(li for li in locus if li.label == 1)
         assert (lab1.start + lab1.end) / 2 == pytest.approx(PI, abs=0.01)
 
@@ -1331,8 +1331,8 @@ class TestLocus:
         locus = um.self_intersection_locus(emb, chord_cleavage(), tol=2e-4)
         assert len(locus) == 2
         for li in locus:
-            assert li.length == pytest.approx(PI / 2, abs=0.01)
-            assert li.contractible
+            assert li.end - li.start == pytest.approx(PI / 2, abs=0.01)
+            assert li.end - li.start < 2 * PI - 1e-9
 
     def test_point_touch_degenerate(self):
         # apex on the sampling grid and on a strand vertex: w=0 marks a
@@ -1345,7 +1345,7 @@ class TestLocus:
         )
         assert sorted(li.label for li in locus) == [1, 2]
         for li in locus:
-            assert li.length <= 2 * PI / 2048
+            assert li.end - li.start <= 2 * PI / 2048
 
     def test_validation(self):
         emb = concentric(0.05)
