@@ -50,11 +50,6 @@ def _require_circle(c: Cleavage) -> None:
         )
 
 
-def _require_tol(tol) -> None:
-    if not (finite_real(tol) and tol > 0.0):
-        raise BlueprintError(f"tol must be a positive finite number, got {tol!r}")
-
-
 @dataclass(frozen=True)
 class Face:
     """One boundary chord of a timber."""
@@ -120,7 +115,8 @@ class Blueprint:
 def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
     """Extract the cut pieces, group touching pieces and record where they cross."""
     _require_circle(c)
-    _require_tol(tol)
+    if not (finite_real(tol) and tol > 0.0):
+        raise BlueprintError(f"tol must be a positive finite number, got {tol!r}")
     pieces = []
     for cut in c.cuts:
         with_cut = clip(cut.body, cut.plane, 1)
@@ -181,13 +177,16 @@ def blueprint_distance(bp: Blueprint, b):
 
 
 @_rowwise(1)
-def participants(c: Cleavage, b, tol: float = TOL):
+def participants(bp: Blueprint, b):
     """Labels whose timber contains b with b on one of its cut planes.
 
-    An (n, d) stack of points gives an (n, k) bool array whose row r marks
+    The cleavage and the tolerance (bp.tol) come from the diagram.  An
+    (n, d) stack of points gives an (n, k) bool array whose row r marks
     the labels of the one-point call on row r.
     """
-    _require_tol(tol)
+    if not isinstance(bp, Blueprint):
+        raise BlueprintError(f"bp must be a Blueprint, got {type(bp).__name__}")
+    c, tol = bp.cleavage, bp.tol
     b, single = _as_stack(b, c.timber(1).dim)
     inside = np.sqrt(_rowdot(b, b)) <= 1.0 + tol
     mask = np.empty((b.shape[0], c.k), dtype=bool)
@@ -271,7 +270,7 @@ def alpha_preimage(bp: Blueprint, b):
     if not (dist <= tol).all():
         dist = dist[(~(dist <= tol)).argmax()]
         raise BlueprintError(f"b not on blueprint: nearest piece at distance {dist:.3e}")
-    mask = participants(bp.cleavage, b, tol)
+    mask = participants(bp, b)
     points = np.zeros(mask.shape + (2,))
     for col in mask.any(axis=0).nonzero()[0].tolist():
         ci = bp.centroids[col]
@@ -286,32 +285,13 @@ def alpha_preimage(bp: Blueprint, b):
 
 
 @dataclass(frozen=True)
-class Spine:
-    """Edges of the p-simplex through one chosen vertex."""
-
-    dim: int
-    vertex: int
-    edges: tuple[tuple[int, int], ...]
-
-
-def spine(p: int, i: int) -> Spine:
-    """Star of vertex i in the p-simplex: all edges {i, j}, j != i."""
-    if p < 0:
-        raise BlueprintError(f"simplex dimension must be >= 0, got {p}")
-    if not 0 <= i <= p:
-        raise BlueprintError(f"vertex {i} out of range 0..{p}")
-    edges = tuple(tuple(sorted((i, j))) for j in range(p + 1) if j != i)
-    return Spine(p, i, edges)
-
-
-@dataclass(frozen=True)
 class BlueprintSample:
     """One thickening sample: a diagram point with its collapse preimages.
 
     preimages holds one (label, angle) pair per participating timber,
     sorted by label, the angle in [0, 2*pi) being where the ray from that
     timber's centroid through the point exits the circle.  Participants
-    and spines derive from it.
+    derive from it.
     """
 
     point: np.ndarray
@@ -322,15 +302,10 @@ class BlueprintSample:
     def participants(self) -> tuple[int, ...]:
         return tuple(label for label, _ in self.preimages)
 
-    @property
-    def spines(self) -> tuple[Spine, ...]:
-        p = len(self.preimages) - 1
-        return tuple(spine(p, v) for v in range(len(self.preimages)))
-
 
 @dataclass(frozen=True)
 class ThickenedBlueprint:
-    """Finite stand-in for the thickened diagram: samples with spines."""
+    """Finite stand-in for the thickened diagram: samples with their preimages."""
 
     samples: tuple[BlueprintSample, ...]
     blueprint: Blueprint
@@ -381,8 +356,7 @@ def thicken(c, density: int = 8) -> ThickenedBlueprint:
     wins, so the samples keep candidate order.  Each sample carries its
     component id and its collapse preimages, looked up here for all kept
     samples in one stacked alpha_preimage call: one (label, exit angle)
-    pair per participant, sorted by label.  Its spines are the vertex
-    stars of the simplex on that participant set.
+    pair per participant, sorted by label.
     """
     if not (whole_number(density) and density >= 2):
         raise BlueprintError(f"density must be an integer >= 2, got {density!r}")

@@ -2,11 +2,14 @@
 
 Shared by the test suite and the example scripts. Everything is
 deterministic; functions taking a seed use it only for reproducible
-jitter. The corridor trio is the centerpiece: three strands whose
-pairwise geodesics form thin radial corridors near the origin, with an
-excursion on strand 3 whose tip sweeps across one corridor at a chosen
-polar angle. The collapse threshold for the tip angle is known in
-closed form, so tests can bracket the finite-to-infinite transition.
+jitter. Vertices are built without np.arctan2 or complex angles, whose
+last bit can change with numpy's SIMD dispatch, so their bytes are the
+same with the dispatched CPU features disabled. The corridor trio is the
+centerpiece: three strands whose pairwise geodesics form thin radial
+corridors near the origin, with an excursion on strand 3 whose tip sweeps
+across one corridor at a chosen polar angle. The collapse threshold for
+the tip angle is known in closed form, so tests can bracket the
+finite-to-infinite transition.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 
 import numpy as np
 
-from .blueprint import _exit_points
 from .geom import OrientedHyperplane, centroid
 from .operad import Cleavage, Internal, Leaf, validate
 from .umkehr import DiscreteEmbedding, FlatMetric
@@ -56,7 +58,7 @@ def mirrored_pair(gap: float, r1: float = 0.5, m: int = 96) -> DiscreteEmbedding
 
 
 def _trapezoid(th: np.ndarray, center: float, width: float, ramp: float) -> np.ndarray:
-    d = np.abs(np.angle(np.exp(1j * (th - center))))
+    d = np.abs(np.mod(th - center + np.pi, 2.0 * np.pi) - np.pi)
     return np.where(
         d <= width / 2.0,
         1.0,
@@ -228,21 +230,19 @@ def _polar(deg, rad):
     return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
 
 
-def _exit_deg(cpt: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Angles in degrees where rays from cpt through pts leave the unit circle."""
-    s = _exit_points(cpt, pts)
-    return np.degrees(np.arctan2(s[:, 1], s[:, 0]))
+def _chord_y(cpt: np.ndarray, x: float, exit_deg: np.ndarray) -> np.ndarray:
+    """Heights of the points on the chord at abscissa x whose rays from cpt
+    leave the unit circle at the angles exit_deg (degrees).
+
+    Each is where the line from cpt to its exit point crosses the chord.
+    """
+    e = _polar(exit_deg, 1.0)
+    return cpt[1] + (x - cpt[0]) / (e[:, 0] - cpt[0]) * (e[:, 1] - cpt[1])
 
 
-def _invert_increasing(fn, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    lo_a = np.full_like(targets, lo)
-    hi_a = np.full_like(targets, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo_a + hi_a)
-        below = fn(mid) < targets
-        lo_a = np.where(below, mid, lo_a)
-        hi_a = np.where(below, hi_a, mid)
-    return 0.5 * (lo_a + hi_a)
+def _band(x: float, y: np.ndarray, radius: float) -> np.ndarray:
+    """The points (x, y) scaled to the given radius."""
+    return radius * np.stack([np.full_like(y, x), y], axis=1) / np.sqrt(x * x + y * y)[:, None]
 
 
 _STATIC_CACHE: dict = {}
@@ -252,25 +252,14 @@ def _corridor_static() -> dict:
     if _STATIC_CACHE:
         return _STATIC_CACHE
     c = corridor_cleavage()
-    c1 = centroid(c.timber(1))
-    c3 = centroid(c.timber(3))
 
-    def s1(y):
-        pts = np.stack([np.full_like(y, 0.5), y], axis=1)
-        return np.mod(_exit_deg(c1, pts), 360.0)
-
-    def s3(y):
-        pts = np.stack([np.full_like(y, -0.5), y], axis=1)
-        return _exit_deg(c3, pts)
-
-    # strand 1: partner band at params [60, 300], image angle atan2(y, 1/2)
+    # strand 1: partner band at params [60, 300], toward the chord x = 1/2
     p1 = _STEP * np.arange(240, 1201)
-    y1 = _invert_increasing(lambda y: -s1(y), -p1, -ROOT3_2, ROOT3_2)
+    y1 = _chord_y(centroid(c.timber(1)), 0.5, p1)
     y1[0], y1[-1] = ROOT3_2, -ROOT3_2
     y1[p1.searchsorted(180.0)] = 0.0
-    img1 = np.degrees(np.arctan2(y1, 0.5))
     loop1 = np.empty((CORRIDOR_M, 2))
-    loop1[240:1201] = _polar(img1, _R1_BAND)
+    loop1[240:1201] = _band(0.5, y1, _R1_BAND)
     loop1[1201] = _polar(-60.5, 0.057)
     loop1[1202] = _polar(-61.0, _R1_LEDGE)
     ledge_idx = np.concatenate([np.arange(1203, 1440), np.arange(0, 239)])
@@ -304,14 +293,12 @@ def _corridor_static() -> dict:
     # strand 3 static part: partner band and the radial stubs at +-120
     band_idx = np.concatenate([np.arange(0, 481), np.arange(960, 1440)])
     u = _STEP * band_idx
-    u = np.where(u > 180.0, u - 360.0, u)
-    y3 = _invert_increasing(s3, u, -ROOT3_2, ROOT3_2)
+    y3 = _chord_y(centroid(c.timber(3)), -0.5, np.where(u > 180.0, u - 360.0, u))
     y3[480] = ROOT3_2
     y3[481] = -ROOT3_2
     y3[0] = 0.0
-    img3 = np.mod(np.degrees(np.arctan2(y3, -0.5)), 360.0)
     loop3_static = np.full((CORRIDOR_M, 2), np.nan)
-    loop3_static[band_idx] = _polar(img3, _R3_BAND)
+    loop3_static[band_idx] = _band(-0.5, y3, _R3_BAND)
     p_in = _STEP * np.arange(481, 504)
     loop3_static[481:504] = _polar(120.0, 0.038 + (p_in - 120.0) / 6.0 * (_R_LOW - 0.038))
     p_out = _STEP * np.arange(936, 960)

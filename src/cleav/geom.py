@@ -228,19 +228,11 @@ class ConvexBody:
         inside = (np.sqrt(_rowdot(v, v)) <= 1.0 + tol) & (self._margins(v) >= -tol).all(axis=0)
         return bool(inside[0]) if single else inside
 
-    @_rowwise(1)
-    def margins(self, x) -> np.ndarray:
-        """Signed slack of each plane constraint at x (>= 0 means satisfied).
-
-        Equal bit for bit to side * signed_eval(h, x) per constraint.  An
-        (n, d) stack gives one row per point.
-        """
-        v, single = _as_stack(x, self.dim)
-        margins = self._margins(v)
-        return margins[:, 0] if single else margins.T
-
     def _margins(self, v: np.ndarray) -> np.ndarray:
-        """margins of a checked (n, d) stack, plane by plane: (m, n), so reductions run on axis 0."""
+        """side * signed_eval(h, v) of each constraint at a checked (n, d) stack, bit for bit.
+
+        One row per plane, (m, n), so reductions run on axis 0; >= 0 means satisfied.
+        """
         planes = self._planes
         dots = _rowdot(planes[:, None, : self.dim], v)
         return planes[:, -1:] * (dots - planes[:, -2:-1])
@@ -296,13 +288,6 @@ class ArcSet:
     def measure(self) -> float:
         return sum(e - s for s, e in self.arcs)
 
-    def contains(self, theta: float, tol: float = TOL) -> bool:
-        t = _norm_angle(theta)
-        for s, e in self.arcs:
-            if s - tol <= t <= e + tol or s - tol <= t + TWO_PI <= e + tol:
-                return True
-        return False
-
     def intersect(self, other: "ArcSet") -> "ArcSet":
         pieces = []
         for s1, e1 in self.arcs:
@@ -327,10 +312,6 @@ class ArcSet:
             if nxt_start > cur_end:
                 gaps.append((cur_end, nxt_start))
         return ArcSet(gaps)
-
-    def sym_diff_measure(self, other: "ArcSet") -> float:
-        inter = self.intersect(other).measure()
-        return self.measure() + other.measure() - 2.0 * inter
 
     def distance(self, theta) -> np.ndarray:
         """Circular distance from each of the angles theta to this set (0 if inside)."""
@@ -496,12 +477,13 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
             candidates.append(normals[j] * offsets[j])
         for j in range(m):
             for l in range(j + 1, m):
-                a = np.array([normals[j], normals[l]])
-                det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+                (a00, a01), (a10, a11) = normals[j], normals[l]
+                det = a00 * a11 - a01 * a10
                 if abs(det) <= 1e-14:
                     continue
-                rhs = np.array([offsets[j], offsets[l]])
-                candidates.append(np.linalg.solve(a, rhs))
+                r0, r1 = offsets[j], offsets[l]
+                x, y = (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
+                candidates.append(np.array([x, y]))
     for p in candidates:
         if feasible(p) and math.sqrt(_rowdot(p, p)) <= radius:
             return True

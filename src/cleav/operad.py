@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
 from .geom import (
     TOL,
     ConvexBody,
@@ -218,33 +216,6 @@ def cleavage_from_json(doc: object, tol: float = TOL) -> Cleavage:
     return validate(tree_from_json(doc["tree"]), n, tol)
 
 
-def _cloud_traces_agree(ta: SphereRegion, tb: SphereRegion, tol: float) -> bool:
-    # Shared sample cloud; ignore points within a hair of either boundary,
-    # where membership is float noise.
-    pts = ta.points
-    band = max(tol, 1e-9)
-    near = np.zeros(len(pts), dtype=bool)
-    for region in (ta, tb):
-        near |= (np.abs(region.body._margins(pts)) <= band).any(axis=0)
-    return not np.any((ta.mask != tb.mask) & ~near)
-
-
-def chop_equal(a: Cleavage, b: Cleavage, tol: float = 1e-9) -> bool:
-    """Whether a and b carve out the same sphere region for every label."""
-    if a.k != b.k:
-        raise OperadError(f"arity mismatch: {a.k} != {b.k}")
-    if a.n != b.n:
-        raise OperadError(f"sphere dimension mismatch: {a.n} != {b.n}")
-    if a.n == 1:
-        return all(
-            ta.arcs.sym_diff_measure(tb.arcs) <= tol
-            for ta, tb in zip(a.traces, b.traces)
-        )
-    return all(
-        _cloud_traces_agree(ta, tb, tol) for ta, tb in zip(a.traces, b.traces)
-    )
-
-
 def compose(outer: Cleavage, i: int, inner, tol: float = TOL) -> Cleavage:
     """Graft a tree at outer's leaf labeled i and revalidate the whole tree.
 
@@ -288,10 +259,6 @@ class Permutation:
             raise OperadError(f"not a permutation of 1..{len(images)}: {self.images}")
         object.__setattr__(self, "images", images)
 
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(tuple(range(1, k + 1)))
-
     @property
     def k(self) -> int:
         return len(self.images)
@@ -301,34 +268,9 @@ class Permutation:
             raise OperadError(f"index {i} out of range 1..{self.k}")
         return self.images[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.k
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    def after(self, other: "Permutation") -> "Permutation":
-        """Composite applying `other` first, then self."""
-        if self.k != other.k:
-            raise OperadError(f"size mismatch: {self.k} != {other.k}")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.k + 1)))
-
-    @property
-    def sign(self) -> int:
-        inversions = 0
-        im = self.images
-        for i in range(len(im)):
-            for j in range(i + 1, len(im)):
-                if im[i] > im[j]:
-                    inversions += 1
-        return -1 if inversions % 2 else 1
-
 
 def permute(c: Cleavage, sigma: Permutation, tol: float = TOL) -> Cleavage:
-    """Relabel leaves by sigma; timber sigma(i) of the result is timber i of c.
-
-    The orientation sign of the relabeling is sigma.sign.
-    """
+    """Relabel leaves by sigma; timber sigma(i) of the result is timber i of c."""
     if sigma.k != c.k:
         raise OperadError(f"permutation size {sigma.k} != arity {c.k}")
     tree = _map_labels(c.tree, sigma)

@@ -358,7 +358,7 @@ def check_soundness(seed: int = 0) -> SuiteReport:
     component exactly once.
     """
     c, tb = _corridor_setup()
-    cfg = UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
+    cfg = UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON)
     failures: list = []
     checked = 0
     flips = 0
@@ -441,7 +441,7 @@ def check_nontriviality(seed: int = 0) -> SuiteReport:
         failures.append({"gap": 0.3, "kind": "expected collapse"})
 
     c, tb = _corridor_setup()
-    far = umkehr(fx.corridor_trio(74.8), c, tb, UmkehrConfig(epsilon=cfg.epsilon, density=24))
+    far = umkehr(fx.corridor_trio(74.8), c, tb, cfg)
     checked += 1
     tops = []
     for cv in far.components:
@@ -474,7 +474,7 @@ def check_homotopy(seed: int = 0, perturbations: int = 10) -> SuiteReport:
         return json.dumps([cv.to_json() for cv in value.components], sort_keys=True)
 
     for tip in (61.6, 63.2):
-        cfg1 = UmkehrConfig(epsilon=eps, t_homotopy=1.0, density=24)
+        cfg1 = UmkehrConfig(epsilon=eps, t_homotopy=1.0)
         ref = comp_json(umkehr(fx.corridor_trio(tip), c, tb, cfg1))
         for p in range(perturbations):
             emb = fx.corridor_trio(tip, jitter_seed=10_000 * seed + p + 1)
@@ -483,8 +483,8 @@ def check_homotopy(seed: int = 0, perturbations: int = 10) -> SuiteReport:
                 failures.append({"tip": tip, "perturbation": p, "kind": "t1 instability"})
 
         emb0 = fx.corridor_trio(tip)
-        cfg0 = UmkehrConfig(epsilon=eps, t_homotopy=0.0, density=24)
-        dflt = UmkehrConfig(epsilon=eps, density=24)
+        cfg0 = UmkehrConfig(epsilon=eps, t_homotopy=0.0)
+        dflt = UmkehrConfig(epsilon=eps)
         a = umkehr(emb0, c, tb, cfg0)
         b = umkehr(emb0, c, tb, dflt)
         checked += 1
@@ -492,10 +492,9 @@ def check_homotopy(seed: int = 0, perturbations: int = 10) -> SuiteReport:
             failures.append({"tip": tip, "kind": "t0 default mismatch"})
 
     # contrast: the same perturbation is visible when the tube is live
-    base = comp_json(umkehr(fx.corridor_trio(63.2), c, tb,
-                            UmkehrConfig(epsilon=eps, density=24)))
+    base = comp_json(umkehr(fx.corridor_trio(63.2), c, tb, UmkehrConfig(epsilon=eps)))
     jit = comp_json(umkehr(fx.corridor_trio(63.2, jitter_seed=10_000 * seed + 1), c, tb,
-                           UmkehrConfig(epsilon=eps, density=24)))
+                           UmkehrConfig(epsilon=eps)))
     checked += 1
     if base == jit:
         failures.append({"tip": 63.2, "kind": "t0 blind to invader"})
@@ -541,11 +540,12 @@ def check_degree(seed: int = 0, cleavages: int = 1000) -> SuiteReport:
 def check_locus(seed: int = 0) -> SuiteReport:
     """Every fixture yields a nonempty locus of proper intervals."""
     cc = fx.chord_cleavage()
+    bp = build_blueprint(cc)
     failures: list = []
     checked = 0
     shapes: dict = {}
     for name, emb, density, ltol in fx.locus_fixtures():
-        found = self_intersection_locus(emb, cc, tol=ltol, density=density)
+        found = self_intersection_locus(emb, bp, tol=ltol, density=density)
         if not found:
             failures.append({"fixture": name, "kind": "empty locus"})
             continue

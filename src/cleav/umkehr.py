@@ -19,12 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .blueprint import (
+    Blueprint,
     ThickenedBlueprint,
-    _exit_points,
     _require_circle,
     alpha,
-    build_blueprint,
-    participants,
+    alpha_preimage,
 )
 from .geom import TOL, TWO_PI, _rowdot, finite_real, segment_closest, whole_number
 
@@ -828,38 +827,41 @@ class LocusInterval:
 
 def self_intersection_locus(
     gamma: DiscreteEmbedding,
-    c,
+    bp: Blueprint,
     tol: float = TOL,
     density: int = 2048,
 ) -> list:
     """Parameter intervals where a strand's image meets a partner strand.
 
-    For each strand label and each arc of the complement of its trace, the
-    arc is sampled on a uniform grid; a parameter is marked when some
-    collapse partner's strand point lies within tol of this strand's
-    point.  Consecutive marked parameters merge into maximal intervals;
-    isolated marks yield degenerate single-parameter intervals.
+    The cleavage is the diagram's.  For each strand label and each arc of
+    the complement of its trace, the arc is sampled on a uniform grid whose
+    points land on the diagram by alpha; one stacked alpha_preimage per arc
+    gives each landing point's collapse partners and their sphere points,
+    at the diagram's tol.  A parameter is marked when some partner's strand
+    point lies within tol of this strand's point.  Consecutive marked
+    parameters merge into maximal intervals; isolated marks yield
+    degenerate single-parameter intervals.
     """
+    if not isinstance(bp, Blueprint):
+        raise UmkehrError(f"bp must be a Blueprint, got {type(bp).__name__}")
+    c = bp.cleavage
     _require_strands(gamma, c)
     _require_tol(tol)
     _require_density(density)
-    bp = build_blueprint(c)
     out = []
     for label in range(1, c.k + 1):
-        comp = c.trace(label).arcs.complement()
-        for s0, s1 in comp.arcs:
+        for s0, s1 in c.trace(label).arcs.complement().arcs:
             grid = np.linspace(s0, s1, density)
             circle = np.stack([np.cos(grid), np.sin(grid)], axis=1)
-            landed = alpha(bp, label, circle).point
-            partners = participants(c, landed, tol)
+            partners, exits = alpha_preimage(bp, alpha(bp, label, circle).point)
             marked = np.zeros(density, dtype=bool)
             own = gamma.points_at(label, grid)
             for other in range(1, c.k + 1):
                 sel = partners[:, other - 1]
                 if other == label or not sel.any():
                     continue
-                exits = _exit_points(bp.centroids[other - 1], landed[sel])
-                partner = np.mod(np.arctan2(exits[:, 1], exits[:, 0]), TWO_PI)
+                ends = exits[sel, other - 1]
+                partner = np.mod(np.arctan2(ends[:, 1], ends[:, 0]), TWO_PI)
                 theirs = gamma.points_at(other, partner)
                 diff = gamma.metric.displacement_many(np.zeros(gamma.metric.d), theirs - own[sel])
                 marked[sel] |= np.linalg.norm(diff, axis=1) <= tol

@@ -1,15 +1,18 @@
-"""Pure-Python dot products for the bit-identity references.
+"""References the tests compare the package with.
 
 The references in the test modules take every dot product here, so they
 share no arithmetic with geom._rowdot and none with BLAS: each product is
 rounded to a float, then the products are added left to right, which is
-the rounding the package promises for every dot.
+the rounding the package promises for every dot.  The arc, cleavage and
+permutation helpers below are ones the package itself does not need.
 """
 
 import math
 import operator
 
 import numpy as np
+
+from cleav import geom, operad
 
 
 def ref_dot(x, y):
@@ -33,3 +36,57 @@ def ref_norm(x):
     """Euclidean length over the last axis: the square root of ref_dot(x, x)."""
     sq = ref_dot(x, x)
     return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
+
+
+def arc_contains(arcs: geom.ArcSet, theta: float, tol: float = geom.TOL) -> bool:
+    """Whether the angle theta lies within tol of one of the arcs."""
+    t = math.fmod(theta, geom.TWO_PI)
+    t = t + geom.TWO_PI if t < 0.0 else t
+    return any(s - tol <= t <= e + tol or s - tol <= t + geom.TWO_PI <= e + tol
+               for s, e in arcs.arcs)
+
+
+def sym_diff_measure(a: geom.ArcSet, b: geom.ArcSet) -> float:
+    """Total length of the arcs in exactly one of a and b."""
+    return a.measure() + b.measure() - 2.0 * a.intersect(b).measure()
+
+
+def chop_equal(a: operad.Cleavage, b: operad.Cleavage, tol: float = 1e-9) -> bool:
+    """Whether a and b carve out the same sphere region for every label.
+
+    Masks on the shared point cloud may differ within max(tol, 1e-9) of
+    either body's boundary, where membership is float noise.
+    """
+    if a.k != b.k:
+        raise operad.OperadError(f"arity mismatch: {a.k} != {b.k}")
+    if a.n != b.n:
+        raise operad.OperadError(f"sphere dimension mismatch: {a.n} != {b.n}")
+    if a.n == 1:
+        return all(sym_diff_measure(ta.arcs, tb.arcs) <= tol for ta, tb in zip(a.traces, b.traces))
+    band = max(tol, 1e-9)
+    for ta, tb in zip(a.traces, b.traces):
+        near = np.zeros(len(ta.points), dtype=bool)
+        for region in (ta, tb):
+            near |= (np.abs(region.body._margins(ta.points)) <= band).any(axis=0)
+        if ((ta.mask != tb.mask) & ~near).any():
+            return False
+    return True
+
+
+def perm_inverse(sigma: operad.Permutation) -> operad.Permutation:
+    inv = [0] * sigma.k
+    for i, img in enumerate(sigma.images, start=1):
+        inv[img - 1] = i
+    return operad.Permutation(tuple(inv))
+
+
+def perm_after(sigma: operad.Permutation, other: operad.Permutation) -> operad.Permutation:
+    """The composite applying other first, then sigma."""
+    return operad.Permutation(tuple(sigma(other(i)) for i in range(1, sigma.k + 1)))
+
+
+def perm_sign(sigma: operad.Permutation) -> int:
+    """+1 or -1 by the parity of the inversions of sigma's images."""
+    im = sigma.images
+    inversions = sum(im[i] > im[j] for i in range(len(im)) for j in range(i + 1, len(im)))
+    return -1 if inversions % 2 else 1

@@ -165,15 +165,15 @@ class TestBuild:
 
 class TestParticipants:
     def test_generic_point(self):
-        c = chord_cleavage()
-        assert bp_mod.participants(c, [0.0, 0.3]) == (1, 2)
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        assert bp_mod.participants(bp, [0.0, 0.3]) == (1, 2)
 
     def test_off_diagram(self):
-        c = chord_cleavage()
-        assert bp_mod.participants(c, [0.3, 0.3]) == ()
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        assert bp_mod.participants(bp, [0.3, 0.3]) == ()
 
     def test_tee_junction(self):
-        assert bp_mod.participants(tee_cleavage(), [0.0, 0.0]) == (1, 2, 3)
+        assert bp_mod.participants(bp_mod.build_blueprint(tee_cleavage()), [0.0, 0.0]) == (1, 2, 3)
 
     def test_collinear_cross(self):
         c = operad.validate(
@@ -183,7 +183,7 @@ class TestParticipants:
                 operad.Internal(chord(0, 1, 0.0), operad.Leaf(3), operad.Leaf(4)),
             )
         )
-        assert bp_mod.participants(c, [0.0, 0.0]) == (1, 2, 3, 4)
+        assert bp_mod.participants(bp_mod.build_blueprint(c), [0.0, 0.0]) == (1, 2, 3, 4)
 
 
 class TestCollapseTol:
@@ -191,18 +191,22 @@ class TestCollapseTol:
     @pytest.mark.parametrize("call", ["participants", "alpha", "alpha_preimage"])
     def test_bad_tol_is_a_domain_error(self, call, tol):
         # At tol = nan participants found no timber, alpha landed a point and
-        # alpha_preimage reported the nearest piece at distance 0.  alpha and
-        # alpha_preimage read the tol of the diagram they are given, so a bad
-        # tol meant for them stops where that diagram is built.
+        # alpha_preimage reported the nearest piece at distance 0.  All three
+        # read the tol of the diagram they are given, so a bad tol meant for
+        # them stops where that diagram is built.
         c = chord_cleavage()
         evaluate = {
-            "participants": lambda: bp_mod.participants(c, [0.0, 0.3], tol),
+            "participants": lambda: bp_mod.participants(bp_mod.build_blueprint(c, tol), [0.0, 0.3]),
             "alpha": lambda: bp_mod.alpha(bp_mod.build_blueprint(c, tol), 1, [-1.0, 0.0]),
             "alpha_preimage": lambda: bp_mod.alpha_preimage(
                 bp_mod.build_blueprint(c, tol), [0.0, 0.3]),
         }[call]
         with pytest.raises(bp_mod.BlueprintError, match="tol must be a positive finite number"):
             evaluate()
+
+    def test_participants_needs_the_diagram(self):
+        with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
+            bp_mod.participants(chord_cleavage(), [0.0, 0.3])
 
 
 def loop_participants(c, b, tol=geom.TOL):
@@ -226,23 +230,24 @@ class TestParticipantsOracle:
     def test_matches_per_constraint_loop(self, seed, k, tol):
         rng = np.random.default_rng(seed)
         c = operad.validate(operad.Leaf(1)) if k == 1 else sampling.random_cleavage(seed, k)
-        bp = bp_mod.build_blueprint(c)
+        bp = bp_mod.build_blueprint(c, tol)
         points = list(rng.uniform(-1.1, 1.1, size=(20, 2)))
         for piece in bp.pieces:
             points += [piece.a, piece.b, piece.a + rng.uniform() * (piece.b - piece.a)]
             # The cut line past the circle: on a plane, but outside the ball.
             points += [piece.a + t * (piece.b - piece.a) for t in (-0.05, 1.05)]
         for b in points:
-            assert bp_mod.participants(c, b, tol) == loop_participants(c, b, tol)
-        mask = bp_mod.participants(c, np.array(points), tol)
+            assert bp_mod.participants(bp, b) == loop_participants(c, b, tol)
+        mask = bp_mod.participants(bp, np.array(points))
         assert [tuple(np.flatnonzero(row) + 1) for row in mask] == [
             loop_participants(c, b, tol) for b in points]
 
     def test_bad_points_still_raise(self):
+        bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(geom.DimensionMismatch):
-            bp_mod.participants(chord_cleavage(), [0.0, 0.0, 0.0])
+            bp_mod.participants(bp, [0.0, 0.0, 0.0])
         with pytest.raises(geom.GeometryError):
-            bp_mod.participants(chord_cleavage(), [math.inf, 0.0])
+            bp_mod.participants(bp, [math.inf, 0.0])
 
 
 def reference_alpha(c, i, s, tol=geom.TOL, centroid_point=None):
@@ -387,7 +392,7 @@ class TestCollapseOracles:
         points = diagram_points(bp, rng)
         b = points[where % len(points)]
         points.insert(off % (len(points) + 1), np.array([2.0, 2.0]))
-        label = bp_mod.participants(bp.cleavage, b)[-1]
+        label = bp_mod.participants(bp, b)[-1]
         centroids = list(bp.centroids)
         centroids[label - 1] = b.copy()
         moved = copy.copy(bp)
@@ -508,28 +513,6 @@ class TestPreimage:
             bp_mod.alpha_preimage(bp, [0.0, 0.0])
 
 
-class TestSpine:
-    def test_segment(self):
-        s = bp_mod.spine(1, 0)
-        assert (s.dim, s.vertex, s.edges) == (1, 0, ((0, 1),))
-        s2 = bp_mod.spine(1, 1)
-        assert (s2.dim, s2.vertex, s2.edges) == (1, 1, ((0, 1),))
-
-    def test_triangle_middle(self):
-        s = bp_mod.spine(2, 1)
-        assert s.edges == ((0, 1), (1, 2))
-
-    def test_tetrahedron_corner(self):
-        s = bp_mod.spine(3, 0)
-        assert s.edges == ((0, 1), (0, 2), (0, 3))
-
-    def test_vertex_out_of_range(self):
-        with pytest.raises(bp_mod.BlueprintError):
-            bp_mod.spine(1, 2)
-        with pytest.raises(bp_mod.BlueprintError):
-            bp_mod.spine(2, -1)
-
-
 def reference_thicken(c, density, tol):
     """Candidates piece by piece, then crossings; each checked against every kept one.
 
@@ -571,8 +554,6 @@ class TestThicken:
         for s in tb.samples:
             assert s.component == 0
             assert s.participants == (1, 2)
-            assert len(s.spines) == 2
-            assert all(sp.dim == 1 for sp in s.spines)
 
     def test_tee_dedups_junction(self):
         tb = bp_mod.thicken(tee_cleavage(), density=3)
@@ -581,8 +562,6 @@ class TestThicken:
         junction = [s for s in tb.samples if np.linalg.norm(s.point) < 1e-9]
         assert len(junction) == 1
         assert junction[0].participants == (1, 2, 3)
-        assert all(sp.dim == 2 for sp in junction[0].spines)
-        assert [sp.vertex for sp in junction[0].spines] == [0, 1, 2]
 
     def test_accepts_prebuilt_blueprint(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
@@ -645,7 +624,6 @@ class TestThicken:
             )
             assert len(s.participants) == near + 1
             assert len(s.participants) >= 2
-            assert len(s.spines) == len(s.participants)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
@@ -662,13 +640,15 @@ class TestThicken:
                 hit = bp_mod.alpha(tb.blueprint, label, sphere_pt)
                 assert hit.point == pytest.approx(s.point, abs=1e-8)
 
-    def test_chord_sample_spines(self):
+    def test_chord_sample_preimages(self):
+        # A chord end lies on the circle, so both timbers' rays exit at the sample itself.
         tb = bp_mod.thicken(chord_cleavage(), density=3)
         assert tb.blueprint.n_components == 1
         assert len(tb.samples) == 3
         s0 = tb.samples[0]
         assert s0.participants == (1, 2)
-        assert s0.spines[0].edges == ((0, 1),)
+        end = math.atan2(s0.point[1], s0.point[0]) % (2 * PI)
+        assert [angle for _, angle in s0.preimages] == pytest.approx([end, end], abs=1e-12)
 
 
 class TestStableDegree:

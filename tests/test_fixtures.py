@@ -1,6 +1,10 @@
 """Checks that the shared strand families keep their designed margins."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,28 @@ import pytest
 import cleav.fixtures as fx
 from cleav.blueprint import thicken
 from cleav.umkehr import UmkehrConfig, strand_distance, umkehr
+
+
+def _dispatched_features() -> list:
+    """numpy's runtime-dispatched CPU features above its build baseline that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as core
+    baseline = getattr(core, "__cpu_baseline__", [])
+    return [name for name in getattr(core, "__cpu_dispatch__", [])
+            if name not in baseline and core.__cpu_features__.get(name)]
+
+
+# sha256 of the vertex bytes of the corridor trio at tip 63.2 and of every locus fixture.
+_FIXTURE_DIGEST = """
+import hashlib, sys
+import numpy as np
+from cleav import fixtures
+embeddings = [fixtures.corridor_trio(63.2)] + [e for _, e, _, _ in fixtures.locus_fixtures()]
+digest = hashlib.sha256(b"".join(np.concatenate(e.loops).tobytes() for e in embeddings))
+sys.stdout.write(digest.hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +146,23 @@ class TestSimplePairs:
             assert emb.k == 2
             assert density >= 1024
             assert 0.0 < tol < 1e-2
+
+    def test_bytes_do_not_depend_on_simd_dispatch(self):
+        # np.arctan2 and np.angle round unlike the baseline build under
+        # AVX-512 on some CPUs, and used to move corridor and locus vertices.
+        features = _dispatched_features()
+        if not features:
+            pytest.skip("numpy dispatches no CPU feature above its baseline here")
+        src = str(pathlib.Path(fx.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests = []
+        for disabled in ("", " ".join(features)):
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            digests.append(subprocess.run([sys.executable, "-c", _FIXTURE_DIGEST], env=env,
+                                          capture_output=True, text=True, check=True).stdout)
+        assert len(digests[0]) == 64
+        assert digests[1] == digests[0]
 
     def test_fourier_loop_deterministic(self):
         a = fx.fourier_loop(7)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cleav import geom, operad
+from oracles import chop_equal, perm_after, perm_inverse, perm_sign, sym_diff_measure
 
 PI = math.pi
 
@@ -50,8 +51,8 @@ class TestValidate:
         assert c.n == 1
         right_half = geom.ArcSet([(-PI / 2, PI / 2)])
         left_half = geom.ArcSet([(PI / 2, 3 * PI / 2)])
-        assert c.trace(1).arcs.sym_diff_measure(right_half) < 1e-12
-        assert c.trace(2).arcs.sym_diff_measure(left_half) < 1e-12
+        assert sym_diff_measure(c.trace(1).arcs, right_half) < 1e-12
+        assert sym_diff_measure(c.trace(2).arcs, left_half) < 1e-12
         assert c.timber(1).contains([0.5, 0.0])
         assert not c.timber(1).contains([-0.5, 0.0])
 
@@ -128,8 +129,8 @@ class TestValidate:
         c = operad.validate(chord_tree(), within=upper)
         q1 = geom.ArcSet([(0.0, PI / 2)])
         q2 = geom.ArcSet([(PI / 2, PI)])
-        assert c.trace(1).arcs.sym_diff_measure(q1) < 1e-12
-        assert c.trace(2).arcs.sym_diff_measure(q2) < 1e-12
+        assert sym_diff_measure(c.trace(1).arcs, q1) < 1e-12
+        assert sym_diff_measure(c.trace(2).arcs, q2) < 1e-12
 
     def test_within_can_fail(self):
         left = geom.clip(geom.unit_disk(), chord(1, 0, 0.0), -1)
@@ -170,7 +171,7 @@ class TestJson:
     def test_cleavage_roundtrip(self):
         c = operad.validate(chord_tree(0.25))
         c2 = operad.cleavage_from_json(c.to_json())
-        assert operad.chop_equal(c, c2)
+        assert chop_equal(c, c2)
 
     def test_malformed(self):
         with pytest.raises(operad.OperadError):
@@ -226,18 +227,18 @@ class TestChopEqual:
                 operad.Leaf(3),
             )
         )
-        assert operad.chop_equal(a, b)
+        assert chop_equal(a, b)
 
     def test_different_planes_differ(self):
         a = operad.validate(chord_tree())
         b = operad.validate(
             operad.Internal(chord(0, 1, 0.0), operad.Leaf(1), operad.Leaf(2))
         )
-        assert not operad.chop_equal(a, b)
+        assert not chop_equal(a, b)
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(operad.OperadError):
-            operad.chop_equal(operad.unit(), operad.validate(chord_tree()))
+            chop_equal(operad.unit(), operad.validate(chord_tree()))
 
     def test_n2_chop_equal(self):
         up = geom.OrientedHyperplane([0, 0, 1], 0.0)
@@ -247,11 +248,11 @@ class TestChopEqual:
         b = operad.validate(
             operad.Internal(up, operad.Leaf(1), operad.Leaf(2)), n=2
         )
-        assert operad.chop_equal(a, b)
+        assert chop_equal(a, b)
         flipped = operad.validate(
             operad.Internal(up, operad.Leaf(2), operad.Leaf(1)), n=2
         )
-        assert not operad.chop_equal(a, flipped)
+        assert not chop_equal(a, flipped)
 
 
 class TestCompose:
@@ -262,10 +263,10 @@ class TestCompose:
         )
         c = operad.compose(outer, 1, inner)
         assert c.k == 3
-        assert c.trace(1).arcs.sym_diff_measure(geom.ArcSet([(0.0, PI / 2)])) < 1e-12
-        assert c.trace(2).arcs.sym_diff_measure(geom.ArcSet([(-PI / 2, 0.0)])) < 1e-12
+        assert sym_diff_measure(c.trace(1).arcs, geom.ArcSet([(0.0, PI / 2)])) < 1e-12
+        assert sym_diff_measure(c.trace(2).arcs, geom.ArcSet([(-PI / 2, 0.0)])) < 1e-12
         assert (
-            c.trace(3).arcs.sym_diff_measure(geom.ArcSet([(PI / 2, 3 * PI / 2)]))
+            sym_diff_measure(c.trace(3).arcs, geom.ArcSet([(PI / 2, 3 * PI / 2)]))
             < 1e-12
         )
 
@@ -355,27 +356,27 @@ class TestPermute:
         c = operad.validate(chord_tree())
         sigma = operad.Permutation((2, 1))
         swapped = operad.permute(c, sigma)
-        assert sigma.sign == -1
-        assert swapped.trace(1).arcs.sym_diff_measure(c.trace(2).arcs) < 1e-12
-        assert swapped.trace(2).arcs.sym_diff_measure(c.trace(1).arcs) < 1e-12
+        assert perm_sign(sigma) == -1
+        assert sym_diff_measure(swapped.trace(1).arcs, c.trace(2).arcs) < 1e-12
+        assert sym_diff_measure(swapped.trace(2).arcs, c.trace(1).arcs) < 1e-12
 
     def test_identity(self):
         c = random_cleavage(3)
-        ident = operad.Permutation.identity(c.k)
+        ident = operad.Permutation(tuple(range(1, c.k + 1)))
         same = operad.permute(c, ident)
-        assert ident.sign == 1
+        assert perm_sign(ident) == 1
         assert operad.tree_to_json(same.tree) == operad.tree_to_json(c.tree)
 
     def test_signs(self):
-        assert operad.Permutation((1, 2, 3)).sign == 1
-        assert operad.Permutation((2, 1, 3)).sign == -1
-        assert operad.Permutation((2, 3, 1)).sign == 1
-        assert operad.Permutation((3, 2, 1)).sign == -1
+        assert perm_sign(operad.Permutation((1, 2, 3))) == 1
+        assert perm_sign(operad.Permutation((2, 1, 3))) == -1
+        assert perm_sign(operad.Permutation((2, 3, 1))) == 1
+        assert perm_sign(operad.Permutation((3, 2, 1))) == -1
 
     def test_inverse_roundtrip(self):
         sigma = operad.Permutation((3, 1, 4, 2))
-        assert sigma.after(sigma.inverse()).images == (1, 2, 3, 4)
-        assert sigma.inverse().after(sigma).images == (1, 2, 3, 4)
+        assert perm_after(sigma, perm_inverse(sigma)).images == (1, 2, 3, 4)
+        assert perm_after(perm_inverse(sigma), sigma).images == (1, 2, 3, 4)
 
     def test_not_a_permutation(self):
         with pytest.raises(operad.OperadError):
@@ -395,10 +396,10 @@ class TestPermute:
         c = random_cleavage(seed)
         sigma = operad.Permutation(tuple(int(x) for x in rng.permutation(c.k) + 1))
         moved = operad.permute(c, sigma)
-        inv = sigma.inverse()
+        inv = perm_inverse(sigma)
         for label in range(1, c.k + 1):
             orig = c.trace(inv(label)).arcs
-            assert moved.trace(label).arcs.sym_diff_measure(orig) < 1e-12
+            assert sym_diff_measure(moved.trace(label).arcs, orig) < 1e-12
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -408,8 +409,8 @@ class TestPermute:
         sig1 = operad.Permutation(tuple(int(x) for x in rng.permutation(c.k) + 1))
         sig2 = operad.Permutation(tuple(int(x) for x in rng.permutation(c.k) + 1))
         twice = operad.permute(operad.permute(c, sig1), sig2)
-        combo = sig2.after(sig1)
-        assert sig1.sign * sig2.sign == combo.sign
+        combo = perm_after(sig2, sig1)
+        assert perm_sign(sig1) * perm_sign(sig2) == perm_sign(combo)
         assert operad.tree_to_json(twice.tree) == operad.tree_to_json(
             operad.permute(c, combo).tree
         )

@@ -32,6 +32,10 @@ def chord_cleavage():
     return operad.validate(tree)
 
 
+def chord_blueprint():
+    return bp_mod.build_blueprint(chord_cleavage())
+
+
 def circle(r, m=96, mirrored=False, center=(0.0, 0.0)):
     th = 2 * np.pi * np.arange(m) / m
     if mirrored:
@@ -1275,17 +1279,21 @@ class TestCollapseKnobs:
     On the first locus fixture, whose locus has 2 intervals at its own tol,
     tol = nan or -1 used to give no interval and a float density a
     TypeError; restrict at tol = nan kept only the 2 end points of each arc.
+    The locus reads its cleavage from the diagram, so a bare cleavage is
+    rejected too.
     """
 
     @pytest.mark.parametrize("knob", [{"tol": tol} for tol in BAD_TOLS] + [
         {"density": 1024.0}, {"density": 2.5}, {"density": "8"}, {"density": None},
-    ], ids=lambda knob: ",".join(f"{k}={v!r}" for k, v in knob.items()))
+        {"bp": chord_cleavage()},
+    ], ids=lambda knob: ",".join(
+        f"{k}={type(v).__name__ if k == 'bp' else repr(v)}" for k, v in knob.items()))
     def test_bad_locus_knobs_are_domain_errors(self, knob):
         _, emb, density, tol = fx.locus_fixtures()[0]
-        knobs = {"tol": tol, "density": density, **knob}
+        knobs = {"bp": chord_blueprint(), "tol": tol, "density": density, **knob}
         name = next(iter(knob))
         with pytest.raises(um.UmkehrError, match=f"{name} must be a"):
-            um.self_intersection_locus(emb, chord_cleavage(), **knobs)
+            um.self_intersection_locus(emb, **knobs)
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_restrict_tol_is_a_domain_error(self, tol):
@@ -1314,11 +1322,11 @@ def plateau_pair(w, ramp=0.2, thc=0.0, r1=0.5, r2=0.45, m=512):
 class TestLocus:
     def test_disjoint_empty(self):
         emb = concentric(0.05)
-        assert um.self_intersection_locus(emb, chord_cleavage(), tol=2e-4) == []
+        assert um.self_intersection_locus(emb, chord_blueprint(), tol=2e-4) == []
 
     def test_plateau_interval(self):
         emb = plateau_pair(w=0.3)
-        locus = um.self_intersection_locus(emb, chord_cleavage(), tol=2e-4)
+        locus = um.self_intersection_locus(emb, chord_blueprint(), tol=2e-4)
         assert sorted(li.label for li in locus) == [1, 2]
         for li in locus:
             assert li.end - li.start < 2 * PI - 1e-9
@@ -1328,7 +1336,7 @@ class TestLocus:
 
     def test_quarter_arc_overlap(self):
         emb = plateau_pair(w=PI / 2)
-        locus = um.self_intersection_locus(emb, chord_cleavage(), tol=2e-4)
+        locus = um.self_intersection_locus(emb, chord_blueprint(), tol=2e-4)
         assert len(locus) == 2
         for li in locus:
             assert li.end - li.start == pytest.approx(PI / 2, abs=0.01)
@@ -1341,7 +1349,7 @@ class TestLocus:
         thc = PI / 2 - a * PI / 2048
         emb = plateau_pair(w=0.0, ramp=0.1, thc=thc, m=4096)
         locus = um.self_intersection_locus(
-            emb, chord_cleavage(), tol=2e-4, density=2049
+            emb, chord_blueprint(), tol=2e-4, density=2049
         )
         assert sorted(li.label for li in locus) == [1, 2]
         for li in locus:
@@ -1350,9 +1358,9 @@ class TestLocus:
     def test_validation(self):
         emb = concentric(0.05)
         with pytest.raises(um.UmkehrError):
-            um.self_intersection_locus(emb, operad.unit())
+            um.self_intersection_locus(emb, bp_mod.build_blueprint(operad.unit()))
         with pytest.raises(um.UmkehrError):
-            um.self_intersection_locus(emb, chord_cleavage(), density=1)
+            um.self_intersection_locus(emb, chord_blueprint(), density=1)
 
 
 def reference_entry_points(c, label, cpt, grid):
@@ -1417,8 +1425,9 @@ def reference_self_intersection_locus(gamma, c, tol, density):
 class TestLocusOracle:
     def test_fixture_intervals_match_reference(self):
         cc = fx.chord_cleavage()
+        bp = bp_mod.build_blueprint(cc)
         for name, emb, density, ltol in fx.locus_fixtures():
-            got = um.self_intersection_locus(emb, cc, tol=ltol, density=density)
+            got = um.self_intersection_locus(emb, bp, tol=ltol, density=density)
             ref = reference_self_intersection_locus(emb, cc, ltol, density)
             assert [(iv.label, iv.start, iv.end) for iv in got] == ref, name
 
