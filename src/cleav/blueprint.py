@@ -81,7 +81,8 @@ class Blueprint:
     crossings holds one row per pair of pieces within tol of each other,
     pairs (i, j), i < j, in row-major order: the midpoint of their closest
     points, with piece i in the same row of crossing_pieces.  Timber faces
-    and centroids are computed on first use.
+    and centroids are computed on first use and kept; so are the sampled
+    collapse landings of arc_landings, by label and grid size.
     """
 
     cleavage: Cleavage
@@ -110,6 +111,11 @@ class Blueprint:
     @cached_property
     def centroids(self) -> tuple[np.ndarray, ...]:
         return tuple(centroid(body) for body in self.cleavage.timbers)
+
+    @cached_property
+    def _landings(self) -> dict:
+        """arc_landings results by (label, density), filled as they are asked for."""
+        return {}
 
 
 def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
@@ -215,8 +221,8 @@ def alpha(bp: Blueprint, i: int, s) -> BoundaryHit:
     on row r bit for bit.
     """
     c, tol = bp.cleavage, bp.tol
-    if not 1 <= i <= c.k:
-        raise BlueprintError(f"label {i} out of range 1..{c.k}")
+    if not (whole_number(i) and 1 <= i <= c.k):
+        raise BlueprintError(f"label must be an integer in 1..{c.k}, got {i!r}")
     s, single = _as_stack(s, 2)
     nrm = np.sqrt(_rowdot(s, s))
     bad = np.abs(nrm - 1.0) > 1e-6
@@ -282,6 +288,41 @@ def alpha_preimage(bp: Blueprint, b):
     if single:
         return [(col + 1, points[0, col]) for col in mask[0].nonzero()[0].tolist()]
     return mask, points
+
+
+def arc_landings(bp: Blueprint, label: int, density: int) -> tuple:
+    """The collapse of timber label's outside, sampled per arc; kept on bp.
+
+    One (grid, partners) per arc of the complement of the label's trace:
+    grid holds density angles along the arc, whose circle points land on
+    the diagram by alpha, and partners one (other, rows, angles) per other
+    label that one stacked alpha_preimage of the landings finds: a bool
+    mask over the grid and, for those rows, the angles in [0, 2*pi) of
+    their preimages on timber other.  Computed once per (label, density)
+    and kept on bp, as its faces and centroids are; the arrays are
+    read-only.
+    """
+    key = (label, density)
+    if key not in bp._landings:
+        arcs = []
+        for s0, s1 in bp.cleavage.trace(label).arcs.complement().arcs:
+            grid = np.linspace(s0, s1, density)
+            circle = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+            mask, exits = alpha_preimage(bp, alpha(bp, label, circle).point)
+            partners = []
+            for other in range(1, bp.cleavage.k + 1):
+                rows = mask[:, other - 1]
+                if other == label or not rows.any():
+                    continue
+                ends = exits[rows, other - 1]
+                angles = np.mod(np.arctan2(ends[:, 1], ends[:, 0]), TWO_PI)
+                rows.setflags(write=False)
+                angles.setflags(write=False)
+                partners.append((other, rows, angles))
+            grid.setflags(write=False)
+            arcs.append((grid, tuple(partners)))
+        bp._landings[key] = tuple(arcs)
+    return bp._landings[key]
 
 
 @dataclass(frozen=True)

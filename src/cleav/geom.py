@@ -185,19 +185,13 @@ class OrientedHyperplane:
         return OrientedHyperplane(doc["normal"], doc["offset"])
 
 
-def signed_eval(h: OrientedHyperplane, x) -> float:
-    """<normal, x> - offset; positive on the normal side."""
-    v = _as_vector(x, h.dim)
-    return float(_rowdot(h.normal, v)) - h.offset
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """Intersection of the closed unit ball with signed half-spaces.
 
     constraints holds (hyperplane, side) pairs, side in {+1, -1}; membership
-    means side * signed_eval >= 0 for every pair plus |x| <= 1. The ball
-    constraint is implicit and always last in face indexing.
+    means side * (<normal, x> - offset) >= 0 for every pair plus |x| <= 1.
+    The ball constraint is implicit and always last in face indexing.
     """
 
     constraints: tuple = ()
@@ -229,7 +223,7 @@ class ConvexBody:
         return bool(inside[0]) if single else inside
 
     def _margins(self, v: np.ndarray) -> np.ndarray:
-        """side * signed_eval(h, v) of each constraint at a checked (n, d) stack, bit for bit.
+        """side * (<normal, v> - offset) of each constraint at a checked (n, d) stack.
 
         One row per plane, (m, n), so reductions run on axis 0; >= 0 means satisfied.
         """
@@ -274,13 +268,20 @@ class ArcSet:
     def __init__(self, intervals=()):
         self.arcs = _canonical_arcs(intervals)
 
+    @classmethod
+    def _of(cls, arcs: tuple) -> "ArcSet":
+        """The set of arcs already in canonical form, taken as they are."""
+        out = object.__new__(cls)
+        out.arcs = arcs
+        return out
+
     @staticmethod
     def full() -> "ArcSet":
-        return ArcSet(((0.0, TWO_PI),))
+        return ArcSet._of(_FULL)
 
     @staticmethod
     def empty() -> "ArcSet":
-        return ArcSet(())
+        return ArcSet._of(())
 
     def is_full(self) -> bool:
         return self.measure() >= TWO_PI - 1e-15
@@ -289,15 +290,28 @@ class ArcSet:
         return sum(e - s for s, e in self.arcs)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        pieces = []
+        """The arcs in both sets, merged straight into canonical form.
+
+        Each overlap (lo, hi) of an arc of self with an arc of other, the
+        latter shifted by -2*pi, 0 or 2*pi, is one piece.  Its start is
+        already in [0, 2*pi) unless lo wraps past 2*pi, and it ends at
+        start + (hi - lo): the normalisation ArcSet() gives a piece, so the
+        result equals ArcSet(pieces) without canonicalising them again.
+        """
+        raw = []
         for s1, e1 in self.arcs:
             for s2, e2 in other.arcs:
                 for shift in (-TWO_PI, 0.0, TWO_PI):
-                    lo = max(s1, s2 + shift)
-                    hi = min(e1, e2 + shift)
+                    lo, hi = s2 + shift, e2 + shift
+                    lo = lo if lo > s1 else s1
+                    hi = hi if hi < e1 else e1
                     if hi > lo:
-                        pieces.append((lo, hi))
-        return ArcSet(pieces)
+                        length = hi - lo
+                        if length >= TWO_PI:
+                            return ArcSet.full()
+                        s0 = lo if 0.0 <= lo < TWO_PI else _norm_angle(lo)
+                        raw.append((s0, s0 + length))
+        return ArcSet._of(_merge_arcs(raw))
 
     def complement(self) -> "ArcSet":
         if not self.arcs:
@@ -330,6 +344,9 @@ class ArcSet:
         return f"ArcSet({list(self.arcs)!r})"
 
 
+_FULL = ((0.0, TWO_PI),)
+
+
 def _canonical_arcs(intervals) -> tuple:
     raw = []
     for s, e in intervals:
@@ -337,27 +354,42 @@ def _canonical_arcs(intervals) -> tuple:
         if length <= 0.0:
             continue
         if length >= TWO_PI:
-            return ((0.0, TWO_PI),)
+            return _FULL
         s0 = _norm_angle(s)
         raw.append((s0, s0 + length))
+    return _merge_arcs(raw)
+
+
+def _merge_arcs(raw: list) -> tuple:
+    """Canonical arcs from pieces (s, e), s in [0, 2*pi) and 0 < e - s < 2*pi.
+
+    Sorts the pieces, joins each that starts within the arc before it, then
+    folds leading arcs into the last one while it wraps past them.
+    """
     if not raw:
         return ()
     raw.sort()
-    merged = [list(raw[0])]
-    for s, e in raw[1:]:
-        if s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
+    merged = []
+    pieces = iter(raw)
+    start, end = next(pieces)
+    for s, e in pieces:
+        if s <= end:
+            if e > end:
+                end = e
         else:
-            merged.append([s, e])
-    # Fold leading arcs into the last one while it wraps past them.
+            merged.append((start, end))
+            start, end = s, e
+    merged.append((start, end))
     while len(merged) > 1 and merged[-1][1] >= merged[0][0] + TWO_PI:
-        first = merged.pop(0)
-        merged[-1][1] = max(merged[-1][1], first[1] + TWO_PI)
-        if merged[-1][1] - merged[-1][0] >= TWO_PI:
-            return ((0.0, TWO_PI),)
-    if merged[0][1] - merged[0][0] >= TWO_PI:
-        return ((0.0, TWO_PI),)
-    return tuple((s, e) for s, e in merged)
+        first_end = merged.pop(0)[1] + TWO_PI
+        start, end = merged[-1]
+        if first_end > end:
+            end = first_end
+        merged[-1] = (start, end)
+        if end - start >= TWO_PI:
+            return _FULL
+    start, end = merged[0]
+    return _FULL if end - start >= TWO_PI else tuple(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +451,35 @@ def sphere_points(dim: int) -> np.ndarray:
     return pts
 
 
+def clip_trace(region: SphereRegion, h: OrientedHyperplane, side: int) -> SphereRegion:
+    """The trace of clip(region.body, h, side), from region's trace and the one new constraint.
+
+    dim 2: the arcs intersected with the new constraint's arcs.  dim >= 3:
+    the mask and-ed with the new constraint's row of margins, the row
+    ConvexBody._margins computes.  Bit for bit sphere_trace of the clipped
+    body, which is the fold of this step over its constraints.
+    """
+    body = clip(region.body, h, side)
+    if region.arcs is not None:
+        return SphereRegion(body, arcs=region.arcs.intersect(_constraint_arcs(h, side)))
+    margins = side * (_rowdot(h.normal, region.points) - h.offset)
+    return SphereRegion(body, points=region.points, mask=region.mask & (margins >= 0.0))
+
+
 def sphere_trace(body: ConvexBody) -> SphereRegion:
+    """The body's trace on the sphere: clip_trace folded over its constraints from the whole sphere.
+
+    A region cut from a parent whose trace is known is cheaper as one
+    clip_trace step; operad.validate carries its traces down the tree so.
+    """
     if body.dim == 2:
-        arcs = ArcSet.full()
-        for h, side in body.constraints:
-            arcs = arcs.intersect(_constraint_arcs(h, side))
-        return SphereRegion(body, arcs=arcs)
-    pts = sphere_points(body.dim)
-    mask = (body._margins(pts) >= 0.0).all(axis=0)
-    return SphereRegion(body, points=pts, mask=mask)
+        region = SphereRegion(unit_disk(2), arcs=ArcSet.full())
+    else:
+        pts = sphere_points(body.dim)
+        region = SphereRegion(unit_disk(body.dim), points=pts, mask=np.ones(len(pts), dtype=bool))
+    for h, side in body.constraints:
+        region = clip_trace(region, h, side)
+    return SphereRegion(body, region.arcs, region.points, region.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +493,9 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
     half-planes {margin >= tol} with the disk of radius 1 - tol; its
     minimum-norm point is the origin, a projection onto one boundary line,
     or an intersection of two boundary lines, so testing those candidates
-    decides feasibility.
+    decides feasibility.  A candidate lies on the lines it was solved from,
+    so only the other planes are checked; the rounding of a solve between
+    nearly parallel lines once rejected the corner of a sliver so.
 
     dim >= 3: seeded rejection sampling, INTERIOR_BUDGET points in the ball.
     """
@@ -463,18 +517,20 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
     normals = planes[:, -1:] * planes[:, :2]
     offsets = planes[:, -1] * planes[:, -2] + tol
 
-    def feasible(p: np.ndarray) -> bool:
-        return bool(np.all(_rowdot(normals, p) - offsets >= -1e-15))
+    def feasible(p: np.ndarray, on: tuple = ()) -> bool:
+        margins = _rowdot(normals, p) - offsets
+        margins[list(on)] = 0.0
+        return bool(np.all(margins >= -1e-15))
 
     origin = np.zeros(2)
     candidates = []
     if feasible(origin):
-        candidates.append(origin)
+        candidates.append((origin, ()))
     else:
         m = len(offsets)
         for j in range(m):
             # Projection of the origin onto the shifted line n.x = c.
-            candidates.append(normals[j] * offsets[j])
+            candidates.append((normals[j] * offsets[j], (j,)))
         for j in range(m):
             for l in range(j + 1, m):
                 (a00, a01), (a10, a11) = normals[j], normals[l]
@@ -483,9 +539,9 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
                     continue
                 r0, r1 = offsets[j], offsets[l]
                 x, y = (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
-                candidates.append(np.array([x, y]))
-    for p in candidates:
-        if feasible(p) and math.sqrt(_rowdot(p, p)) <= radius:
+                candidates.append((np.array([x, y]), (j, l)))
+    for p, on in candidates:
+        if feasible(p, on) and math.sqrt(_rowdot(p, p)) <= radius:
             return True
     return False
 

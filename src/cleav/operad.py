@@ -18,10 +18,11 @@ from .geom import (
     ConvexBody,
     OrientedHyperplane,
     SphereRegion,
-    clip,
+    clip_trace,
     finite_real,
     sphere_trace,
     unit_disk,
+    whole_number,
 )
 
 
@@ -154,15 +155,20 @@ def validate(
 
     Cuts apply from the root down, the normal side of each plane going to
     the left child.  `within` restricts the root region (default: the whole
-    ball); traces are still reported as absolute sphere regions.
+    ball); traces are still reported as absolute sphere regions.  The
+    walk takes sphere_trace of the root region once and carries it down:
+    each side of a cut is one clip_trace step from its parent's trace, so
+    a timber's trace equals sphere_trace(timber) bit for bit and is kept
+    as c.trace(label), with the timber as its body.
 
-    Raises DegeneratePlane when a plane misses the unit sphere, NonCleaving
-    when either side of a cut retains no sphere trace (the message names
-    the node by its root.left.right... path), and LabelError when the leaf
-    labels are not a permutation of 1..k.
+    Raises OperadError when n is not a whole number >= 1, DegeneratePlane
+    when a plane misses the unit sphere, NonCleaving when either side of a
+    cut retains no sphere trace (the message names the node by its
+    root.left.right... path), and LabelError when the leaf labels are not
+    a permutation of 1..k.
     """
-    if n < 1:
-        raise OperadError(f"sphere dimension must be >= 1, got {n}")
+    if not (whole_number(n) and n >= 1):
+        raise OperadError(f"sphere dimension must be an integer >= 1, got {n!r}")
     if not (finite_real(tol) and tol > 0.0):
         raise OperadError(f"tol must be a positive finite number, got {tol!r}")
     dim = n + 1
@@ -172,9 +178,9 @@ def validate(
     leaves: list[tuple[int, SphereRegion]] = []
     cuts: list[NodeCut] = []
 
-    def walk(node: Node, body: ConvexBody, path: str, trace: SphereRegion | None = None) -> None:
+    def walk(node: Node, trace: SphereRegion, path: str) -> None:
         if isinstance(node, Leaf):
-            leaves.append((node.label, sphere_trace(body) if trace is None else trace))
+            leaves.append((node.label, trace))
             return
         plane = node.plane
         if plane.dim != dim:
@@ -183,18 +189,18 @@ def validate(
             raise DegeneratePlane(
                 f"cut at {path} misses the sphere: |offset| = {abs(plane.offset)!r} is not < 1"
             )
-        cuts.append(NodeCut(path, plane, body))
+        cuts.append(NodeCut(path, plane, trace.body))
         halves = []
         for side, side_name in ((1, "left"), (-1, "right")):
-            halves.append(sphere_trace(clip(body, plane, side)))
+            halves.append(clip_trace(trace, plane, side))
             if not halves[-1].is_nonempty(tol):
                 raise NonCleaving(
                     f"cut at {path} leaves no sphere trace on the {side_name} side"
                 )
-        walk(node.left, halves[0].body, path + ".left", halves[0])
-        walk(node.right, halves[1].body, path + ".right", halves[1])
+        walk(node.left, halves[0], path + ".left")
+        walk(node.right, halves[1], path + ".right")
 
-    walk(tree, root_body, "root")
+    walk(tree, sphere_trace(root_body), "root")
     k = len(leaves)
     labels = sorted(lab for lab, _ in leaves)
     if labels != list(range(1, k + 1)):
@@ -202,7 +208,7 @@ def validate(
     by_label = dict(leaves)
     traces = tuple(by_label[i] for i in range(1, k + 1))
     timbers = tuple(trace.body for trace in traces)
-    return Cleavage(n, tree, k, timbers, traces, tuple(cuts), root_body)
+    return Cleavage(int(n), tree, k, timbers, traces, tuple(cuts), root_body)
 
 
 def cleavage_from_json(doc: object, tol: float = TOL) -> Cleavage:

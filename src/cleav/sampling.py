@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .geom import GeometryError, OrientedHyperplane, _rowdot
+from .geom import GeometryError, OrientedHyperplane, _rowdot, whole_number
 from .operad import Cleavage, Internal, Leaf, Node, OperadError, validate
 
 ENV_SEED = "CLEAVE_SEED"
@@ -21,7 +21,7 @@ MAX_TRIES = 10_000
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling exhausted its budget."""
+    """A bad sampling knob, or rejection sampling exhausted its budget."""
 
 
 def resolve_seed(seed: int | None = None) -> int:
@@ -90,9 +90,14 @@ def random_plane(rng: np.random.Generator, dim: int) -> OrientedHyperplane:
 
 
 def random_tree(seed_or_rng, k: int, n: int = 1) -> Node:
-    """One decorated candidate tree; may or may not validate."""
-    if k < 1:
-        raise SamplingError(f"arity must be >= 1, got {k}")
+    """One decorated candidate tree; may or may not validate.
+
+    Raises SamplingError, before any draw, unless k and n are whole
+    numbers >= 1.
+    """
+    for name, value in (("arity", k), ("sphere dimension", n)):
+        if not (whole_number(value) and value >= 1):
+            raise SamplingError(f"{name} must be an integer >= 1, got {value!r}")
     rng = _as_rng(seed_or_rng)
     shape = _random_shape(rng, k)
     labels = iter(int(x) + 1 for x in rng.permutation(k))

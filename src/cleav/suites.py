@@ -213,7 +213,7 @@ def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000) -> 
         pick = rng.integers(0, len(bp.pieces), samples)
         t = rng.random(samples)
         pts = A[pick] + t[:, None] * (B[pick] - A[pick])
-        extra = np.array([s.point for s in thicken(c, density=2).samples])
+        extra = np.array([s.point for s in thicken(bp, density=2).samples])
         b = np.concatenate([pts, extra])
         planes = sum(np.abs(_rowdot(cut.plane.normal, b) - cut.plane.offset) <= TOL
                      for cut in c.cuts)

@@ -22,8 +22,7 @@ from .blueprint import (
     Blueprint,
     ThickenedBlueprint,
     _require_circle,
-    alpha,
-    alpha_preimage,
+    arc_landings,
 )
 from .geom import TOL, TWO_PI, _rowdot, finite_real, segment_closest, whole_number
 
@@ -835,12 +834,13 @@ def self_intersection_locus(
 
     The cleavage is the diagram's.  For each strand label and each arc of
     the complement of its trace, the arc is sampled on a uniform grid whose
-    points land on the diagram by alpha; one stacked alpha_preimage per arc
-    gives each landing point's collapse partners and their sphere points,
-    at the diagram's tol.  A parameter is marked when some partner's strand
-    point lies within tol of this strand's point.  Consecutive marked
-    parameters merge into maximal intervals; isolated marks yield
-    degenerate single-parameter intervals.
+    points land on the diagram by alpha; arc_landings gives each landing
+    point's collapse partners and their sphere angles, at the diagram's
+    tol, and keeps them on bp, so later calls on the same diagram and
+    density (other strands, another tol) reuse them.  A parameter is
+    marked when some partner's strand point lies within tol of this
+    strand's point.  Consecutive marked parameters merge into maximal
+    intervals; isolated marks yield degenerate single-parameter intervals.
     """
     if not isinstance(bp, Blueprint):
         raise UmkehrError(f"bp must be a Blueprint, got {type(bp).__name__}")
@@ -850,18 +850,10 @@ def self_intersection_locus(
     _require_density(density)
     out = []
     for label in range(1, c.k + 1):
-        for s0, s1 in c.trace(label).arcs.complement().arcs:
-            grid = np.linspace(s0, s1, density)
-            circle = np.stack([np.cos(grid), np.sin(grid)], axis=1)
-            partners, exits = alpha_preimage(bp, alpha(bp, label, circle).point)
+        for grid, partners in arc_landings(bp, label, density):
             marked = np.zeros(density, dtype=bool)
             own = gamma.points_at(label, grid)
-            for other in range(1, c.k + 1):
-                sel = partners[:, other - 1]
-                if other == label or not sel.any():
-                    continue
-                ends = exits[sel, other - 1]
-                partner = np.mod(np.arctan2(ends[:, 1], ends[:, 0]), TWO_PI)
+            for other, sel, partner in partners:
                 theirs = gamma.points_at(other, partner)
                 diff = gamma.metric.displacement_many(np.zeros(gamma.metric.d), theirs - own[sel])
                 marked[sel] |= np.linalg.norm(diff, axis=1) <= tol

@@ -3,8 +3,9 @@
 The references in the test modules take every dot product here, so they
 share no arithmetic with geom._rowdot and none with BLAS: each product is
 rounded to a float, then the products are added left to right, which is
-the rounding the package promises for every dot.  The arc, cleavage and
-permutation helpers below are ones the package itself does not need.
+the rounding the package promises for every dot.  The plane, arc,
+cleavage and permutation helpers below are ones the package itself does
+not need, or the code a faster kernel of the package replaced.
 """
 
 import math
@@ -36,6 +37,28 @@ def ref_norm(x):
     """Euclidean length over the last axis: the square root of ref_dot(x, x)."""
     sq = ref_dot(x, x)
     return math.sqrt(sq) if isinstance(sq, float) else np.sqrt(sq)
+
+
+def signed_eval(h: geom.OrientedHyperplane, x) -> float:
+    """<normal, x> - offset; positive on the normal side."""
+    return ref_dot(h.normal, geom._as_vector(x, h.dim)) - h.offset
+
+
+def canonicalising_intersect(a: geom.ArcSet, b: geom.ArcSet) -> geom.ArcSet:
+    """Every overlap of an arc of a with an arc of b shifted by -2*pi, 0 or 2*pi, made canonical anew.
+
+    The reference for ArcSet.intersect, which merges the same pieces
+    straight into canonical form.
+    """
+    pieces = []
+    for s1, e1 in a.arcs:
+        for s2, e2 in b.arcs:
+            for shift in (-geom.TWO_PI, 0.0, geom.TWO_PI):
+                lo = max(s1, s2 + shift)
+                hi = min(e1, e2 + shift)
+                if hi > lo:
+                    pieces.append((lo, hi))
+    return geom.ArcSet(pieces)
 
 
 def arc_contains(arcs: geom.ArcSet, theta: float, tol: float = geom.TOL) -> bool:

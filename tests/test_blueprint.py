@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cleav import blueprint as bp_mod
 from cleav import geom, operad, sampling
-from oracles import ref_dot, ref_norm
+from oracles import ref_dot, ref_norm, signed_eval
 from test_geom import (
     assert_raises_like,
     outcome,
@@ -204,6 +204,13 @@ class TestCollapseTol:
         with pytest.raises(bp_mod.BlueprintError, match="tol must be a positive finite number"):
             evaluate()
 
+    @pytest.mark.parametrize("label", [0, 3, -1, 1.5, 1.0, True, None])
+    def test_bad_label_is_a_domain_error(self, label):
+        # label = 1.5 raised TypeError from tuple indexing, and True was taken as label 1.
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        with pytest.raises(bp_mod.BlueprintError, match=r"label must be an integer in 1\.\.2, got "):
+            bp_mod.alpha(bp, label, [-1.0, 0.0])
+
     def test_participants_needs_the_diagram(self):
         with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
             bp_mod.participants(chord_cleavage(), [0.0, 0.3])
@@ -217,9 +224,9 @@ def loop_participants(c, b, tol=geom.TOL):
         body = c.timber(label)
         if float(np.linalg.norm(b)) > 1.0 + tol:
             continue
-        if not all(side * geom.signed_eval(h, b) >= -tol for h, side in body.constraints):
+        if not all(side * signed_eval(h, b) >= -tol for h, side in body.constraints):
             continue
-        if any(abs(geom.signed_eval(h, b)) <= tol for h, _ in body.constraints):
+        if any(abs(signed_eval(h, b)) <= tol for h, _ in body.constraints):
             out.append(label)
     return tuple(out)
 

@@ -9,7 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from cleav import geom
-from oracles import arc_contains, ref_dot, ref_norm, sym_diff_measure
+from oracles import (
+    arc_contains,
+    canonicalising_intersect,
+    ref_dot,
+    ref_norm,
+    signed_eval,
+    sym_diff_measure,
+)
 
 PI = math.pi
 
@@ -118,9 +125,9 @@ class TestHyperplane:
 
     def test_signed_eval_sign(self):
         h = geom.OrientedHyperplane([1.0, 0.0], 0.25)
-        assert geom.signed_eval(h, [1.0, 0.0]) > 0
-        assert geom.signed_eval(h, [0.0, 3.0]) < 0
-        assert geom.signed_eval(h, [0.25, -2.0]) == pytest.approx(0.0)
+        assert signed_eval(h, [1.0, 0.0]) > 0
+        assert signed_eval(h, [0.0, 3.0]) < 0
+        assert signed_eval(h, [0.25, -2.0]) == pytest.approx(0.0)
 
     def test_json_roundtrip(self):
         h = geom.OrientedHyperplane([0.6, 0.8], -0.3)
@@ -184,6 +191,67 @@ class TestArcSet:
         # inclusion-exclusion
         assert u.measure() == pytest.approx(
             a.measure() + b.measure() - a.intersect(b).measure(), abs=1e-9)
+
+
+# Angles that canonical arcs start or end at: 0, its sign, pi and 2*pi, the
+# floats next to them, and arbitrary ones within two turns either way.
+EDGE_ANGLES = [0.0, -0.0, PI, geom.TWO_PI, -geom.TWO_PI, 2 * geom.TWO_PI,
+               math.nextafter(geom.TWO_PI, 0.0), math.nextafter(geom.TWO_PI, 7.0),
+               math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0)]
+ANGLES = st.one_of(st.floats(-2 * geom.TWO_PI, 2 * geom.TWO_PI), st.sampled_from(EDGE_ANGLES))
+
+
+@st.composite
+def arc_set_pairs(draw):
+    """Two canonical arc sets; the second often starts or ends where the first does."""
+    a = geom.ArcSet(draw(st.lists(st.tuples(ANGLES, ANGLES).map(sorted), max_size=4)))
+    ends = [x + shift for arc in a.arcs for x in arc for shift in (-geom.TWO_PI, 0.0, geom.TWO_PI)]
+    pool = st.one_of(ANGLES, st.sampled_from(ends)) if ends else ANGLES
+    b = geom.ArcSet(draw(st.lists(st.tuples(pool, pool).map(sorted), max_size=4)))
+    return a, b
+
+
+def arc_bits(arcs: geom.ArcSet) -> list:
+    return [(s.hex(), e.hex()) for s, e in arcs.arcs]
+
+
+def assert_canonical(arcs: geom.ArcSet) -> None:
+    """Starts in [0, 2*pi), each arc shorter than a turn, sorted, apart, and clear of the wrap."""
+    if arcs.arcs == ((0.0, geom.TWO_PI),):
+        return
+    for s, e in arcs.arcs:
+        assert 0.0 <= s < geom.TWO_PI and s < e and e - s < geom.TWO_PI
+    for (_, e), (s, _) in zip(arcs.arcs, arcs.arcs[1:]):
+        assert e < s
+    if arcs.arcs:
+        assert arcs.arcs[-1][1] < arcs.arcs[0][0] + geom.TWO_PI
+
+
+class TestArcMergeOracle:
+    @given(arc_set_pairs())
+    @example((geom.ArcSet.full(), geom.ArcSet.full()))
+    @example((geom.ArcSet.full(), geom.ArcSet.empty()))
+    @example((geom.ArcSet([(6.0, 7.0)]), geom.ArcSet([(0.5, 6.0)])))
+    @example((geom.ArcSet([(6.0, 6.0 + geom.TWO_PI - 0.5)]), geom.ArcSet([(5.9, 6.1), (0.4, 1.0)])))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_canonicalising_intersect(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            got, ref = x.intersect(y), canonicalising_intersect(x, y)
+            assert got.arcs == ref.arcs
+            assert arc_bits(got) == arc_bits(ref)
+            assert_canonical(got)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_constraint_arcs_fold(self, seed):
+        """Random bodies fold the same arcs both ways, touching ends included."""
+        body = body_from_seed(seed, max_planes=5)
+        got = ref = geom.ArcSet.full()
+        for h, side in body.constraints:
+            arcs = geom._constraint_arcs(h, side)
+            got, ref = got.intersect(arcs), canonicalising_intersect(ref, arcs)
+            assert arc_bits(got) == arc_bits(ref)
 
 
 def reference_sphere_points(dim, budget=2048, seed=0):
@@ -252,6 +320,38 @@ class TestTrace:
         assert tr.is_nonempty()
 
 
+class TestClipTrace:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_step_equals_a_fresh_trace(self, seed, dim):
+        """clip_trace of a body's trace is sphere_trace of the clipped body, bit for bit."""
+        rng = np.random.default_rng(seed)
+        body = geom.unit_disk(dim)
+        for _ in range(int(rng.integers(0, 4))):
+            body = geom.clip(body, geom.OrientedHyperplane(rng.normal(size=dim), rng.uniform(-0.9, 0.9)),
+                             1 if rng.random() < 0.5 else -1)
+        h = geom.OrientedHyperplane(rng.normal(size=dim), rng.uniform(-0.9, 0.9))
+        region = geom.sphere_trace(body)
+        for side in (1, -1):
+            step = geom.clip_trace(region, h, side)
+            fresh = geom.sphere_trace(geom.clip(body, h, side))
+            assert step.body.constraints == body.constraints + ((h, side),)
+            if dim == 2:
+                assert arc_bits(step.arcs) == arc_bits(fresh.arcs)
+            else:
+                assert step.points is fresh.points is geom.sphere_points(dim)
+                assert step.mask.tobytes() == fresh.mask.tobytes()
+                margins = fresh.body._margins(fresh.points)
+                assert step.mask.tobytes() == (margins >= 0.0).all(axis=0).tobytes()
+
+    def test_rejects_what_clip_rejects(self):
+        region = geom.sphere_trace(geom.unit_disk())
+        with pytest.raises(geom.DimensionMismatch):
+            geom.clip_trace(region, geom.OrientedHyperplane([1, 0, 0], 0.0), 1)
+        with pytest.raises(geom.GeometryError, match="side"):
+            geom.clip_trace(region, geom.OrientedHyperplane([1, 0], 0.0), 0)
+
+
 class TestInterior:
     def test_sliver(self):
         sl = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.999999), 1)
@@ -281,6 +381,23 @@ class TestInterior:
             assert exact or not geom.is_nonempty_interior(body, 1e-9)
         if exact:
             assert found
+
+    def test_sliver_corner_between_nearly_parallel_planes(self):
+        # Timber 1 of random_cleavage(109916, 6): its corner at |p| = 0.51,
+        # solved from two planes 1 degree apart, missed its own two planes
+        # by 1.3e-15, and centroid raised EmptyBodyError for a body that
+        # holds points 1e-3 inside every plane.
+        b = geom.unit_disk()
+        for normal, offset, side in (
+            ([0.14383931167606318, -0.9896010572026267], -0.659011655093141, 1),
+            ([-0.7412361106409308, -0.6712443878960226], 0.3981980500582361, -1),
+            ([-0.752635672982753, -0.6584371980331901], 0.4036061966537341, 1),
+        ):
+            b = geom.clip(b, geom.OrientedHyperplane(normal, offset), side)
+        inside = 0.999 * np.array([math.cos(2.71), math.sin(2.71)])
+        assert (b._margins(inside[None]) > 1e-3).all()
+        assert geom.is_nonempty_interior(b, 1e-9)
+        assert b.contains(geom.centroid(b))
 
     def test_dim3(self):
         b = geom.clip(geom.unit_disk(3), geom.OrientedHyperplane([1, 0, 0], 0.0), 1)
@@ -479,7 +596,7 @@ class TestBoundaryHit:
         assert on_sphere or on_plane
         if hit.face_index >= 0:
             h, side = body.constraints[hit.face_index]
-            assert abs(geom.signed_eval(h, p)) <= 1e-7
+            assert abs(signed_eval(h, p)) <= 1e-7
 
 
 def loop_margins(body, x):

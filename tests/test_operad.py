@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleav import geom, operad
+from cleav import geom, operad, sampling
 from oracles import chop_equal, perm_after, perm_inverse, perm_sign, sym_diff_measure
 
 PI = math.pi
@@ -80,6 +80,12 @@ class TestValidate:
         # tol = inf used to be reported as a cut leaving no sphere trace.
         with pytest.raises(operad.OperadError, match="tol"):
             operad.validate(chord_tree(0.0), tol=tol)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, True, None])
+    def test_bad_sphere_dimension_is_a_domain_error(self, n):
+        # n = 1.5 used to build a body of dimension 2.5, and n = True was taken as 1.
+        with pytest.raises(operad.OperadError, match="sphere dimension must be an integer >= 1"):
+            operad.validate(operad.Leaf(1), n)
 
     def test_recleave_same_plane(self):
         tree = operad.Internal(
@@ -470,6 +476,52 @@ class TestLeafTraces:
                 else:
                     assert trace.mask.tobytes() == fresh.mask.tobytes()
                     assert trace.points is fresh.points
+
+
+def fresh_trace_walk(tree, n, within, tol=geom.TOL):
+    """The NonCleaving message of the first failing cut, or None, from fresh traces.
+
+    The reference for validate's admissibility check: every side of every
+    cut is clipped and traced anew, constraint by constraint.
+    """
+    def walk(node, body, path):
+        if isinstance(node, operad.Leaf):
+            return None
+        for side, side_name in ((1, "left"), (-1, "right")):
+            if not geom.sphere_trace(geom.clip(body, node.plane, side)).is_nonempty(tol):
+                return f"cut at {path} leaves no sphere trace on the {side_name} side"
+        return (walk(node.left, geom.clip(body, node.plane, 1), path + ".left")
+                or walk(node.right, geom.clip(body, node.plane, -1), path + ".right"))
+
+    return walk(tree, geom.unit_disk(n + 1) if within is None else within, "root")
+
+
+class TestCarriedTraces:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_traces_match_fresh_traces(self, seed, n, restricted):
+        """Traces carried down random trees equal fresh ones, and so does every verdict."""
+        rng = np.random.default_rng(seed)
+        within = None
+        if restricted:
+            within = geom.clip(geom.unit_disk(n + 1), sampling.random_plane(rng, n + 1), 1)
+        for _ in range(10):
+            tree = sampling.random_tree(rng, int(rng.integers(1, 6)), n)
+            expected = fresh_trace_walk(tree, n, within)
+            if expected is not None:
+                with pytest.raises(operad.NonCleaving, match=re.escape(expected)):
+                    operad.validate(tree, n, within=within)
+                continue
+            c = operad.validate(tree, n, within=within)
+            if restricted:
+                assert c.incoming is within
+            for label in range(1, c.k + 1):
+                trace, fresh = c.trace(label), geom.sphere_trace(c.timber(label))
+                assert trace.body is c.timber(label)
+                if n == 1:
+                    assert trace.arcs.arcs == fresh.arcs.arcs
+                else:
+                    assert trace.mask.tobytes() == fresh.mask.tobytes()
 
 
 class TestPartitionProperties:

@@ -107,3 +107,29 @@ class TestFatCleavage:
         a = fat_cleavage(rng, 3)
         b = fat_cleavage(rng, 3)
         assert json.dumps(a.to_json()) != json.dumps(b.to_json())
+
+
+class TestBadKnobs:
+    @pytest.mark.parametrize("knobs", [
+        {"k": 0}, {"k": -1}, {"k": 2.5}, {"k": 2.0}, {"k": True}, {"k": None},
+        {"n": 0}, {"n": -1}, {"n": 1.5}, {"n": True}, {"n": None},
+    ], ids=lambda knobs: ",".join(f"{k}={v!r}" for k, v in knobs.items()))
+    @pytest.mark.parametrize("sampler", [random_cleavage, sampling.random_tree])
+    def test_rejected_before_any_draw(self, sampler, knobs):
+        # n = 0 used to spend its whole budget on trees validate rejects, n = -1
+        # raised IndexError, k = 2.5 TypeError, and n = True wrote "n": true.
+        args = {"k": 2, "n": 1, **knobs}
+        name = "arity" if "k" in knobs else "sphere dimension"
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError, match=f"{name} must be an integer >= 1, got {knobs[next(iter(knobs))]!r}"):
+            sampler(rng, args["k"], n=args["n"])
+        assert rng.bit_generator.state == before
+
+    def test_fat_cleavage_rejects_a_bad_arity(self):
+        with pytest.raises(SamplingError, match="arity"):
+            fat_cleavage(0, 2.5)
+
+    def test_numpy_integers_are_whole_numbers(self):
+        a = random_cleavage(7, np.int64(3), n=np.int64(1)).to_json()
+        assert json.dumps(a) == json.dumps(random_cleavage(7, 3).to_json())

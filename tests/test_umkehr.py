@@ -1443,3 +1443,75 @@ class TestLocusOracle:
                 pts, ref = reference_entry_points(c, label, cpt, np.linspace(s0, s1, 64))
                 landed = bp_mod.alpha(bp, label, pts).point
                 assert np.abs(landed - ref).max() <= 1e-12
+
+
+def direct_arc_landings(bp, label, density):
+    """The landings computed in place, as the locus scan did per call before it kept them."""
+    out = []
+    for s0, s1 in bp.cleavage.trace(label).arcs.complement().arcs:
+        grid = np.linspace(s0, s1, density)
+        circle = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+        mask, exits = bp_mod.alpha_preimage(bp, bp_mod.alpha(bp, label, circle).point)
+        partners = []
+        for other in range(1, bp.cleavage.k + 1):
+            sel = mask[:, other - 1]
+            if other != label and sel.any():
+                ends = exits[sel, other - 1]
+                partners.append((other, sel, np.mod(np.arctan2(ends[:, 1], ends[:, 0]), 2 * PI)))
+        out.append((grid, partners))
+    return out
+
+
+def landing_arrays(landings):
+    for grid, partners in landings:
+        yield grid
+        for _, rows, angles in partners:
+            yield rows
+            yield angles
+
+
+class TestLocusLandings:
+    @given(st.integers(0, 10 ** 6), st.sampled_from([16, 64, 257]))
+    @settings(max_examples=20, deadline=None)
+    def test_kept_landings_match_direct_ones(self, seed, density):
+        bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, 2 + seed % 5))
+        for label in range(1, bp.cleavage.k + 1):
+            kept = bp_mod.arc_landings(bp, label, density)
+            assert bp_mod.arc_landings(bp, label, density) is kept
+            direct = direct_arc_landings(bp, label, density)
+            assert len(kept) == len(direct)
+            for (grid, partners), (ref_grid, ref_partners) in zip(kept, direct):
+                assert grid.tobytes() == ref_grid.tobytes()
+                assert [(o, r.tobytes(), a.tobytes()) for o, r, a in partners] == [
+                    (o, r.tobytes(), a.tobytes()) for o, r, a in ref_partners]
+
+    def test_cache_hit_returns_equal_intervals(self):
+        cc = fx.chord_cleavage()
+        bp = bp_mod.build_blueprint(cc)
+        for name, emb, density, ltol in fx.locus_fixtures():
+            fresh = um.self_intersection_locus(emb, bp_mod.build_blueprint(cc), tol=ltol, density=density)
+            first = um.self_intersection_locus(emb, bp, tol=ltol, density=density)
+            again = um.self_intersection_locus(emb, bp, tol=ltol, density=density)
+            assert fresh == first == again, name
+
+    def test_cache_is_kept_per_blueprint(self):
+        bp, other = chord_blueprint(), chord_blueprint()
+        emb = plateau_pair(w=0.3)
+        first = um.self_intersection_locus(emb, bp, tol=2e-4, density=512)
+        assert set(bp._landings) == {(1, 512), (2, 512)}
+        assert "_landings" not in other.__dict__
+        assert um.self_intersection_locus(emb, other, tol=2e-4, density=512) == first
+        for label in (1, 2):
+            assert bp_mod.arc_landings(other, label, 512) is not bp_mod.arc_landings(bp, label, 512)
+        um.self_intersection_locus(emb, bp, tol=2e-4, density=64)
+        assert set(bp._landings) == {(1, 512), (2, 512), (1, 64), (2, 64)}
+
+    def test_kept_arrays_are_read_only(self):
+        bp = chord_blueprint()
+        um.self_intersection_locus(plateau_pair(w=0.3), bp, tol=2e-4, density=128)
+        arrays = [a for landings in bp._landings.values() for a in landing_arrays(landings)]
+        assert len(arrays) == 2 * 3
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[-1]
