@@ -12,13 +12,13 @@ the observed flip against the analytically predicted critical angle.
 import argparse
 
 from cleav import fixtures as fx
-from cleav.blueprint import thicken
+from cleav.blueprint import build_blueprint, thicken
 from cleav.umkehr import UmkehrConfig, umkehr
 
 
 def run(tips, epsilon: float, density: int) -> None:
     c = fx.corridor_cleavage()
-    tb = thicken(c, density)
+    tb = thicken(build_blueprint(c), density)
     cfg = UmkehrConfig(epsilon=epsilon, density=density)
     print(f"# corridor trio, epsilon {epsilon}, density {density}")
     print(f"{'tip deg':>8} {'excursion':>10} {'max scale':>11} {'bystander':>10} {'max scale':>11}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cleav import fixtures as fx
-from cleav.blueprint import thicken
+from cleav.blueprint import build_blueprint, thicken
 from cleav.umkehr import UmkehrConfig, umkehr
 
 
@@ -28,7 +28,7 @@ class SweepConfig:
 
 def run(cfg: SweepConfig) -> None:
     c = fx.chord_cleavage()
-    tb = thicken(c)
+    tb = thicken(build_blueprint(c))
     ucfg = UmkehrConfig(epsilon=cfg.epsilon)
     print(f"# concentric pair, outer radius {cfg.radius}, epsilon {cfg.epsilon}")
     print(f"{'gap':>8} {'status':>9} {'max scale':>12} {'g/eps':>10} {'error':>10}")

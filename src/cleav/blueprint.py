@@ -24,7 +24,6 @@ from .geom import (
     _as_stack,
     _face_interval,
     _rowdot,
-    _rowwise,
     centroid,
     clip,
     finite_real,
@@ -163,37 +162,34 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
     )
 
 
-def blueprint_distance(bp: Blueprint, b):
-    """Distance from b to the nearest cut piece (inf when there are none).
+def blueprint_distance(bp: Blueprint, b) -> np.ndarray:
+    """Distance from each row of the (n, 2) stack b to the nearest cut piece.
 
-    An (n, 2) stack gives one distance per row, from one (points x pieces)
-    array whose entries take the one-pair arithmetic.
+    inf when there are no pieces.  One (points x pieces) array whose
+    entries take the one-pair arithmetic, so row r depends on b[r] alone.
     """
-    b = np.asarray(b, dtype=float)
-    p = b.reshape(-1, 1, b.shape[-1])
+    p = _as_stack(b, 2)[:, None, :]
     if not bp.pieces:
-        return math.inf if b.ndim == 1 else np.full(len(p), math.inf)
+        return np.full(len(p), math.inf)
     a, d = np.array([[piece.a, piece.b - piece.a] for piece in bp.pieces]).transpose(1, 0, 2)
     dd = _rowdot(d, d)
     with np.errstate(all="ignore"):  # a piece shorter than 1e-9 counts as its first end
         t = np.where(dd > 1e-18, np.minimum(1.0, np.maximum(0.0, _rowdot(p - a, d) / dd)), 0.0)
     off = p - (a + t[..., None] * d)
-    dist = np.sqrt(_rowdot(off, off)).min(axis=1)
-    return float(dist[0]) if b.ndim == 1 else dist
+    return np.sqrt(_rowdot(off, off)).min(axis=1)
 
 
-@_rowwise(1)
-def participants(bp: Blueprint, b):
-    """Labels whose timber contains b with b on one of its cut planes.
+def participants(bp: Blueprint, b) -> np.ndarray:
+    """Per row of the (n, d) stack b, the labels whose timber holds it on a cut plane.
 
-    The cleavage and the tolerance (bp.tol) come from the diagram.  An
-    (n, d) stack of points gives an (n, k) bool array whose row r marks
-    the labels of the one-point call on row r.
+    The cleavage and the tolerance (bp.tol) come from the diagram.  The
+    result is an (n, k) bool array, column label - 1 marking that label,
+    and row r depends on b[r] alone.
     """
     if not isinstance(bp, Blueprint):
         raise BlueprintError(f"bp must be a Blueprint, got {type(bp).__name__}")
     c, tol = bp.cleavage, bp.tol
-    b, single = _as_stack(b, c.timber(1).dim)
+    b = _as_stack(b, c.timber(1).dim)
     inside = np.sqrt(_rowdot(b, b)) <= 1.0 + tol
     mask = np.empty((b.shape[0], c.k), dtype=bool)
     for label in range(1, c.k + 1):
@@ -201,29 +197,25 @@ def participants(bp: Blueprint, b):
         mask[:, label - 1] = (
             inside & (margins >= -tol).all(axis=0) & (np.abs(margins) <= tol).any(axis=0)
         )
-    if single:
-        return tuple((mask[0].nonzero()[0] + 1).tolist())
     return mask
 
 
-@_rowwise(2)
 def alpha(bp: Blueprint, i: int, s) -> BoundaryHit:
-    """Project the sphere point s onto timber i along the ray to its centroid.
+    """Project the circle points s, an (n, 2) stack, onto timber i along the rays to its centroid.
 
     The timber, its centroid (bp.centroids[i - 1]) and the tolerance
-    (bp.tol) come from the diagram.  s must lie outside the sphere trace
-    of timber i (within bp.tol).  The landing point is the first boundary
-    crossing of the segment from s to the centroid; for admissible s that
-    crossing is on a cut plane, with the corner flag raised when several
-    faces tie.
-
-    s may be an (n, 2) stack: row r of the hit equals the one-point call
-    on row r bit for bit.
+    (bp.tol) come from the diagram.  Every row must lie on the circle and
+    outside the sphere trace of timber i (within bp.tol); the error names
+    the first row that fails its check.  A row lands at the first boundary
+    crossing of the segment from it to the centroid; for admissible rows
+    that crossing is on a cut plane, with the corner flag raised when
+    several faces tie.  Row r of the stacked hit depends on s[r] alone,
+    bit for bit.
     """
     c, tol = bp.cleavage, bp.tol
     if not (whole_number(i) and 1 <= i <= c.k):
         raise BlueprintError(f"label must be an integer in 1..{c.k}, got {i!r}")
-    s, single = _as_stack(s, 2)
+    s = _as_stack(s, 2)
     nrm = np.sqrt(_rowdot(s, s))
     bad = np.abs(nrm - 1.0) > 1e-6
     if bad.any():
@@ -242,7 +234,7 @@ def alpha(bp: Blueprint, i: int, s) -> BoundaryHit:
         raise AlphaDomainError(
             f"angle {math.atan2(y, x):.9f} lies inside the sphere trace of timber {i}"
         )
-    return segment_boundary_hit(c.timber(i), s[0] if single else s, bp.centroids[i - 1], tol)
+    return segment_boundary_hit(c.timber(i), s, bp.centroids[i - 1], tol)
 
 
 def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,22 +248,19 @@ def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s / np.sqrt(_rowdot(s, s))[:, None]
 
 
-@_rowwise(1)
-def alpha_preimage(bp: Blueprint, b):
-    """All sphere points collapsing to the diagram point b, by timber label.
+def alpha_preimage(bp: Blueprint, b) -> tuple[np.ndarray, np.ndarray]:
+    """All sphere points collapsing to the diagram points b, an (n, 2) stack, by timber label.
 
     For each participating timber the preimage is where the ray from its
-    centroid (bp.centroids) through b exits the circle.  Returns
-    [(label, point)] sorted by label; raises when b is not on the diagram
-    within bp.tol, the tolerance participants are found at too.
-
-    b may be an (n, 2) stack: the result is then (mask, points), mask an
-    (n, k) bool array marking each row's labels and points[r, label - 1]
-    that label's sphere point, so row r holds the one-point result bit for
-    bit.
+    centroid (bp.centroids) through the point exits the circle.  Returns
+    (mask, points): mask the (n, k) participants of b, and
+    points[r, label - 1] that label's sphere point for row r (zeros where
+    the mask is off), so row r depends on b[r] alone, bit for bit.  Raises
+    when a row is not on the diagram within bp.tol, the tolerance
+    participants are found at too, naming the first such row's distance.
     """
     tol = bp.tol
-    b, single = _as_stack(b, 2)
+    b = _as_stack(b, 2)
     dist = blueprint_distance(bp, b)
     if not (dist <= tol).all():
         dist = dist[(~(dist <= tol)).argmax()]
@@ -285,8 +274,6 @@ def alpha_preimage(bp: Blueprint, b):
         if (_rowdot(d, d) <= 1e-30).any():
             raise BlueprintError(f"b coincides with the centroid of timber {col + 1}")
         points[rows, col] = _exit_points(ci, b[rows])
-    if single:
-        return [(col + 1, points[0, col]) for col in mask[0].nonzero()[0].tolist()]
     return mask, points
 
 
@@ -385,24 +372,24 @@ def _first_kept(points: np.ndarray, tol: float) -> list[int]:
     return kept
 
 
-def thicken(c, density: int = 8) -> ThickenedBlueprint:
+def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
     """Sample every piece uniformly plus all pairwise crossing points.
 
-    Accepts a Cleavage, whose diagram is built at TOL, or a prebuilt
-    Blueprint, which keeps the tol it was built at; that one tol governs
-    the whole thickening.  density, an integer >= 2, counts samples per
-    piece including both endpoints.  Candidates come piece by piece, then
-    the crossings the blueprint recorded; a candidate within tol of an
-    earlier kept one (shared endpoints, crossings) is dropped, first kept
-    wins, so the samples keep candidate order.  Each sample carries its
-    component id and its collapse preimages, looked up here for all kept
-    samples in one stacked alpha_preimage call: one (label, exit angle)
-    pair per participant, sorted by label.
+    bp is the diagram, whose tol governs the whole thickening: a cleavage
+    c is thickened as thicken(build_blueprint(c)).  density, an integer
+    >= 2, counts samples per piece including both endpoints.  Candidates
+    come piece by piece, then the crossings the blueprint recorded; a
+    candidate within tol of an earlier kept one (shared endpoints,
+    crossings) is dropped, first kept wins, so the samples keep candidate
+    order.  Each sample carries its component id and its collapse
+    preimages, looked up here for all kept samples in one stacked
+    alpha_preimage call: one (label, exit angle) pair per participant,
+    sorted by label.
     """
+    if not isinstance(bp, Blueprint):
+        raise BlueprintError(f"bp must be a Blueprint, got {type(bp).__name__}")
     if not (whole_number(density) and density >= 2):
         raise BlueprintError(f"density must be an integer >= 2, got {density!r}")
-    bp = c if isinstance(c, Blueprint) else build_blueprint(c)
-    tol = bp.tol
     steps = np.linspace(0.0, 1.0, density)[:, None]
     points = np.concatenate(
         [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces] + [bp.crossings]
@@ -410,7 +397,7 @@ def thicken(c, density: int = 8) -> ThickenedBlueprint:
     owners = [idx for idx in range(len(bp.pieces)) for _ in range(density)]
     owners += bp.crossing_pieces
 
-    kept = _first_kept(points, tol)
+    kept = _first_kept(points, bp.tol)
     points = points[kept]
     mask, exits = alpha_preimage(bp, points)
     rows, cols = mask.nonzero()

@@ -63,33 +63,14 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _as_stack(x, dim: int):
-    """x as an (n, dim) stack of checked points, and whether x was one point."""
+def _as_stack(x, dim: int) -> np.ndarray:
+    """x as a checked (n, dim) stack of points; a single point is a GeometryError."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
-        return _as_vector(v, dim)[None], True
+        raise GeometryError(f"expected an (n, {dim}) stack of points, got shape {v.shape}")
     if v.shape[1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[1]}")
-    return _as_vector(v.reshape(-1)).reshape(v.shape), False
-
-
-def _rowwise(index: int):
-    """Let argument index be one point or a stack; a failing stack raises its first bad row's error."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def call(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except ValueError:
-                if len(args) > index and np.ndim(args[index]) == 2:
-                    for row in np.asarray(args[index], dtype=float):
-                        fn(*args[:index], row, *args[index + 1 :], **kwargs)
-                raise
-
-        return call
-
-    return wrap
+    return _as_vector(v.reshape(-1)).reshape(v.shape)
 
 
 def _rowdot(x, y) -> np.ndarray:
@@ -192,17 +173,11 @@ class ConvexBody:
     constraints holds (hyperplane, side) pairs, side in {+1, -1}; membership
     means side * (<normal, x> - offset) >= 0 for every pair plus |x| <= 1.
     The ball constraint is implicit and always last in face indexing.
+    Bodies come from unit_disk and clip, which checks each new pair.
     """
 
     constraints: tuple = ()
     dim: int = 2
-
-    def __post_init__(self):
-        for h, side in self.constraints:
-            if side not in (-1, 1):
-                raise GeometryError(f"constraint side must be +1 or -1, got {side}")
-            if h.dim != self.dim:
-                raise DimensionMismatch("constraint dimension differs from body dimension")
 
     @cached_property
     def _planes(self) -> np.ndarray:
@@ -215,12 +190,10 @@ class ConvexBody:
             [[*h.normal, h.offset, side] for h, side in self.constraints], dtype=float
         ).reshape(-1, self.dim + 2)
 
-    @_rowwise(1)
-    def contains(self, x, tol: float = TOL):
-        """Is x within tol of the body?  An (n, d) stack gives one bool per row."""
-        v, single = _as_stack(x, self.dim)
-        inside = (np.sqrt(_rowdot(v, v)) <= 1.0 + tol) & (self._margins(v) >= -tol).all(axis=0)
-        return bool(inside[0]) if single else inside
+    def contains(self, x, tol: float = TOL) -> np.ndarray:
+        """Whether each row of the (n, d) stack x is within tol of the body, as n bools."""
+        v = _as_stack(x, self.dim)
+        return (np.sqrt(_rowdot(v, v)) <= 1.0 + tol) & (self._margins(v) >= -tol).all(axis=0)
 
     def _margins(self, v: np.ndarray) -> np.ndarray:
         """side * (<normal, v> - offset) of each constraint at a checked (n, d) stack.
@@ -644,27 +617,25 @@ def centroid_mc(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED
 
 @dataclass(frozen=True)
 class BoundaryHit:
-    """A boundary crossing; a stacked call holds one array entry per source in each field."""
+    """The boundary crossings of a stack of segments, one array entry per source in each field."""
 
-    point: np.ndarray
-    face_index: int  # into body.constraints; -1 when the crossing lies on the sphere
-    corner: bool
-    t: float
+    point: np.ndarray  # (n, d) crossing points
+    face_index: np.ndarray  # (n,) into body.constraints; -1 when the crossing lies on the sphere
+    corner: np.ndarray  # (n,) bools
+    t: np.ndarray  # (n,) segment parameters of the crossings
 
 
-@_rowwise(1)
 def segment_boundary_hit(body: ConvexBody, src, dst, tol: float = TOL) -> BoundaryHit:
-    """Unique crossing of segment [src, dst] with the body boundary.
+    """Unique crossing of each segment [src[r], dst] with the body boundary.
 
-    src must be exterior (or on the boundary), dst interior. The crossing is
-    the latest entry parameter among violated constraints; for a convex body
-    that is the single boundary point of the segment. Ties within tol are
-    corners: the lowest-index plane wins and the corner flag is set.
-
-    src may be an (n, d) stack sharing dst: row r of the hit equals the
-    one-point call on row r bit for bit.
+    src is an (n, d) stack of sources sharing the one point dst.  Each
+    source must be exterior (or on the boundary), dst interior. A crossing
+    is the latest entry parameter among violated constraints; for a convex
+    body that is the single boundary point of the segment. Ties within tol
+    are corners: the lowest-index plane wins and the corner flag is set.
+    Row r of the hit depends on row r of src alone, bit for bit.
     """
-    a, single = _as_stack(src, body.dim)
+    a = _as_stack(src, body.dim)
     b = _as_vector(dst, body.dim)
     seg = b - a
     qa = _rowdot(seg, seg)
@@ -702,6 +673,4 @@ def segment_boundary_hit(body: ConvexBody, src, dst, tol: float = TOL) -> Bounda
     face_index = np.where(entered & (first_tie < len(t) - 1), first_tie, -1)
     corner = tie.sum(axis=0) > 1
     point = np.where(entered[:, None], a + t_star[:, None] * seg, a)
-    if single:
-        return BoundaryHit(point[0], int(face_index[0]), bool(corner[0]), float(t_star[0]))
     return BoundaryHit(point, face_index, corner, t_star)

@@ -235,8 +235,8 @@ def compose(outer: Cleavage, i: int, inner, tol: float = TOL) -> Cleavage:
         inner = inner.tree
     if not isinstance(inner, (Leaf, Internal)):
         raise OperadError(f"inner must be a decorated tree, got {type(inner).__name__}")
-    if not 1 <= i <= outer.k:
-        raise OperadError(f"slot {i} out of range 1..{outer.k}")
+    if not (whole_number(i) and 1 <= i <= outer.k):
+        raise OperadError(f"slot must be an integer in 1..{outer.k}, got {i!r}")
     inner_labels = sorted(leaf_labels(inner))
     m = len(inner_labels)
     if inner_labels != list(range(1, m + 1)):
@@ -260,6 +260,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(whole_number(i) for i in self.images):
+            raise OperadError(f"permutation images must be integers, got {self.images!r}")
         images = tuple(int(i) for i in self.images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise OperadError(f"not a permutation of 1..{len(images)}: {self.images}")

@@ -273,7 +273,7 @@ def check_symmetry(seed: int = 0, instances: int = 50) -> SuiteReport:
             continue
         c2 = permute(c, sigma)
         gamma2 = DiscreteEmbedding(fx.EUCLIDEAN, (l2, l1))
-        tb1, tb2 = thicken(c), thicken(c2)
+        tb1, tb2 = thicken(build_blueprint(c)), thicken(build_blueprint(c2))
 
         def flag(kind: str, **extra) -> None:
             failures.append({
@@ -328,7 +328,7 @@ def _corridor_setup():
     if not _CORRIDOR_CACHE:
         c = fx.corridor_cleavage()
         _CORRIDOR_CACHE["c"] = c
-        _CORRIDOR_CACHE["tb"] = thicken(c, density=24)
+        _CORRIDOR_CACHE["tb"] = thicken(build_blueprint(c), density=24)
     return _CORRIDOR_CACHE["c"], _CORRIDOR_CACHE["tb"]
 
 
@@ -390,7 +390,7 @@ def check_soundness(seed: int = 0) -> SuiteReport:
         failures.append({"family": "corridor", "kind": "transition count", "flips": flips})
 
     cc = fx.chord_cleavage()
-    tbc = thicken(cc)
+    tbc = thicken(build_blueprint(cc))
     for gap in (0.02, 0.06, 0.10, 0.14, 0.18, 0.24, 0.28):
         emb = fx.mirrored_pair(gap)
         out = umkehr(emb, cc, tbc, cfg)
@@ -416,7 +416,7 @@ def check_soundness(seed: int = 0) -> SuiteReport:
 def check_nontriviality(seed: int = 0) -> SuiteReport:
     """Concentric pairs scale to gap over tube radius; far pairs collapse."""
     cc = fx.chord_cleavage()
-    tbc = thicken(cc)
+    tbc = thicken(build_blueprint(cc))
     cfg = UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON)
     failures: list = []
     checked = 0

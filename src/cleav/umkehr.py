@@ -483,6 +483,9 @@ class UmkehrConfig:
         if self.eta is not None and not (finite_real(self.eta) and self.eta >= 0.0):
             raise UmkehrError(f"eta must be a finite number >= 0, got {self.eta!r}")
         _require_tol(self.tol)
+        if not isinstance(self.mapping, (bool, np.bool_)):
+            raise UmkehrError(f"mapping must be a bool, got {self.mapping!r}")
+        object.__setattr__(self, "mapping", bool(self.mapping))
 
     def eta_radians(self, gamma: DiscreteEmbedding) -> list:
         if self.eta is not None:

@@ -11,7 +11,8 @@ from cleav import blueprint as bp_mod
 from cleav import geom, operad, sampling
 from oracles import ref_dot, ref_norm, signed_eval
 from test_geom import (
-    assert_raises_like,
+    assert_raises_first_of_its_kind,
+    assert_rows_stand_alone,
     outcome,
     reference_arc_distance,
     reference_closest_points,
@@ -19,6 +20,11 @@ from test_geom import (
 )
 
 PI = math.pi
+
+
+def labels(row) -> tuple:
+    """The labels a row of a participants mask marks."""
+    return tuple((np.flatnonzero(row) + 1).tolist())
 
 
 def chord(nx, ny, offset):
@@ -166,14 +172,15 @@ class TestBuild:
 class TestParticipants:
     def test_generic_point(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
-        assert bp_mod.participants(bp, [0.0, 0.3]) == (1, 2)
+        assert labels(bp_mod.participants(bp, [[0.0, 0.3]])[0]) == (1, 2)
 
     def test_off_diagram(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
-        assert bp_mod.participants(bp, [0.3, 0.3]) == ()
+        assert labels(bp_mod.participants(bp, [[0.3, 0.3]])[0]) == ()
 
     def test_tee_junction(self):
-        assert bp_mod.participants(bp_mod.build_blueprint(tee_cleavage()), [0.0, 0.0]) == (1, 2, 3)
+        mask = bp_mod.participants(bp_mod.build_blueprint(tee_cleavage()), [[0.0, 0.0]])
+        assert labels(mask[0]) == (1, 2, 3)
 
     def test_collinear_cross(self):
         c = operad.validate(
@@ -183,7 +190,8 @@ class TestParticipants:
                 operad.Internal(chord(0, 1, 0.0), operad.Leaf(3), operad.Leaf(4)),
             )
         )
-        assert bp_mod.participants(bp_mod.build_blueprint(c), [0.0, 0.0]) == (1, 2, 3, 4)
+        mask = bp_mod.participants(bp_mod.build_blueprint(c), [[0.0, 0.0]])
+        assert labels(mask[0]) == (1, 2, 3, 4)
 
 
 class TestCollapseTol:
@@ -196,10 +204,11 @@ class TestCollapseTol:
         # them stops where that diagram is built.
         c = chord_cleavage()
         evaluate = {
-            "participants": lambda: bp_mod.participants(bp_mod.build_blueprint(c, tol), [0.0, 0.3]),
-            "alpha": lambda: bp_mod.alpha(bp_mod.build_blueprint(c, tol), 1, [-1.0, 0.0]),
+            "participants": lambda: bp_mod.participants(
+                bp_mod.build_blueprint(c, tol), [[0.0, 0.3]]),
+            "alpha": lambda: bp_mod.alpha(bp_mod.build_blueprint(c, tol), 1, [[-1.0, 0.0]]),
             "alpha_preimage": lambda: bp_mod.alpha_preimage(
-                bp_mod.build_blueprint(c, tol), [0.0, 0.3]),
+                bp_mod.build_blueprint(c, tol), [[0.0, 0.3]]),
         }[call]
         with pytest.raises(bp_mod.BlueprintError, match="tol must be a positive finite number"):
             evaluate()
@@ -209,11 +218,32 @@ class TestCollapseTol:
         # label = 1.5 raised TypeError from tuple indexing, and True was taken as label 1.
         bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(bp_mod.BlueprintError, match=r"label must be an integer in 1\.\.2, got "):
-            bp_mod.alpha(bp, label, [-1.0, 0.0])
+            bp_mod.alpha(bp, label, [[-1.0, 0.0]])
 
     def test_participants_needs_the_diagram(self):
         with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
-            bp_mod.participants(chord_cleavage(), [0.0, 0.3])
+            bp_mod.participants(chord_cleavage(), [[0.0, 0.3]])
+
+
+class TestStacksOnly:
+    @pytest.mark.parametrize("kernel", ["contains", "segment_boundary_hit", "participants",
+                                        "alpha", "alpha_preimage", "blueprint_distance"])
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_other_shapes_are_geometry_errors(self, kernel, shape):
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        call = {
+            "contains": lambda b: bp.cleavage.timber(1).contains(b),
+            "segment_boundary_hit": lambda b: geom.segment_boundary_hit(
+                geom.unit_disk(), b, [0.1, 0.0]),
+            "participants": lambda b: bp_mod.participants(bp, b),
+            "alpha": lambda b: bp_mod.alpha(bp, 2, b),
+            "alpha_preimage": lambda b: bp_mod.alpha_preimage(bp, b),
+            "blueprint_distance": lambda b: bp_mod.blueprint_distance(bp, b),
+        }[kernel]
+        point = np.reshape([0.0, 1.0], shape)
+        with pytest.raises(geom.GeometryError, match=r"expected an \(n, 2\) stack of points"):
+            call(point)
+        assert call(point.reshape(1, 2)) is not None
 
 
 def loop_participants(c, b, tol=geom.TOL):
@@ -243,18 +273,16 @@ class TestParticipantsOracle:
             points += [piece.a, piece.b, piece.a + rng.uniform() * (piece.b - piece.a)]
             # The cut line past the circle: on a plane, but outside the ball.
             points += [piece.a + t * (piece.b - piece.a) for t in (-0.05, 1.05)]
-        for b in points:
-            assert bp_mod.participants(bp, b) == loop_participants(c, b, tol)
         mask = bp_mod.participants(bp, np.array(points))
-        assert [tuple(np.flatnonzero(row) + 1) for row in mask] == [
-            loop_participants(c, b, tol) for b in points]
+        assert [labels(row) for row in mask] == [loop_participants(c, b, tol) for b in points]
+        assert_rows_stand_alone(lambda rows: bp_mod.participants(bp, rows), np.array(points))
 
     def test_bad_points_still_raise(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(geom.DimensionMismatch):
-            bp_mod.participants(bp, [0.0, 0.0, 0.0])
-        with pytest.raises(geom.GeometryError):
-            bp_mod.participants(bp, [math.inf, 0.0])
+            bp_mod.participants(bp, [[0.0, 0.0, 0.0]])
+        with pytest.raises(geom.GeometryError, match="finite"):
+            bp_mod.participants(bp, [[math.inf, 0.0]])
 
 
 def reference_alpha(c, i, s, tol=geom.TOL, centroid_point=None):
@@ -353,17 +381,20 @@ class TestCollapseOracles:
                     point, face, corner, t = reference_alpha(c, i, s, tol, cpt)
                     assert hit.point[r].tobytes() == point.tobytes()
                     assert (hit.face_index[r], hit.corner[r], hit.t[r]) == (face, corner, t)
-            # Bad rows inside the trace or off the circle: the first must win.
+                assert_rows_stand_alone(lambda rows: bp_mod.alpha(bp, i, rows), np.array(good))
+            # Bad rows inside the trace or off the circle: the error names the
+            # first bad row of the kind it raises.
             stack = list(rows)
             for off_circle, where in bad:
                 s0, s1 = c.trace(i).arcs.arcs[0]
                 t = s0 + (s1 - s0) * rng.random()
                 row = np.array([math.cos(t), math.sin(t)]) * (rng.uniform(0.5, 0.9) if off_circle else 1)
                 stack.insert(where % (len(stack) + 1), row)
-            first = next((e for e in (outcome(reference_alpha, c, i, r, tol, cpt)
-                                      for r in stack) if isinstance(e, Exception)), None)
-            if first is not None:
-                assert_raises_like(first, bp_mod.alpha, bp, i, np.array(stack).reshape(-1, 2))
+            errors = [e for e in (outcome(reference_alpha, c, i, r, tol, cpt) for r in stack)
+                      if isinstance(e, Exception)]
+            if errors:
+                assert_raises_first_of_its_kind(
+                    errors, bp_mod.alpha, bp, i, np.array(stack).reshape(-1, 2))
 
     @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.sampled_from([geom.TOL, 1e-3]),
            st.booleans(), st.integers(0, 400))
@@ -381,41 +412,39 @@ class TestCollapseOracles:
             assert (np.flatnonzero(mask[r]) + 1).tolist() == [label for label, _ in ref]
             for label, s in ref:
                 assert exits[r, label - 1].tobytes() == s.tobytes()
-            one = bp_mod.alpha_preimage(bp, b)
-            assert [(label, s.tobytes()) for label, s in one] == [
-                (label, s.tobytes()) for label, s in ref]
+        assert_rows_stand_alone(lambda rows: bp_mod.blueprint_distance(bp, rows), stack)
+        assert_rows_stand_alone(lambda rows: bp_mod.alpha_preimage(bp, rows), stack)
         if off:
             points.insert(where % (len(points) + 1), rng.uniform(-1.0, 1.0, 2))
-        first = next((e for e in (outcome(reference_alpha_preimage, bp, b, tol) for b in points)
-                      if isinstance(e, Exception)), None)
-        if first is not None:
-            assert_raises_like(first, bp_mod.alpha_preimage, bp, np.array(points))
+        errors = [e for e in (outcome(reference_alpha_preimage, bp, b, tol) for b in points)
+                  if isinstance(e, Exception)]
+        if errors:
+            assert_raises_first_of_its_kind(errors, bp_mod.alpha_preimage, bp, np.array(points))
 
-    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(0, 400), st.integers(0, 400))
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(0, 400))
     @settings(max_examples=30, deadline=None)
-    def test_centroid_coincidence_raises_for_the_first_row(self, seed, k, where, off):
+    def test_centroid_coincidence_raises_for_the_first_row(self, seed, k, where):
         rng = np.random.default_rng(seed)
         bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, k))
         points = diagram_points(bp, rng)
         b = points[where % len(points)]
-        points.insert(off % (len(points) + 1), np.array([2.0, 2.0]))
-        label = bp_mod.participants(bp, b)[-1]
+        label = labels(bp_mod.participants(bp, b[None])[0])[-1]
         centroids = list(bp.centroids)
         centroids[label - 1] = b.copy()
         moved = copy.copy(bp)
         moved.__dict__["centroids"] = tuple(centroids)
-        first = next(e for e in (outcome(reference_alpha_preimage, moved, p) for p in points)
-                     if isinstance(e, Exception))
-        assert_raises_like(first, bp_mod.alpha_preimage, moved, np.array(points))
+        errors = [e for e in (outcome(reference_alpha_preimage, moved, p) for p in points)
+                  if isinstance(e, Exception)]
+        assert_raises_first_of_its_kind(errors, bp_mod.alpha_preimage, moved, np.array(points))
 
     def test_bad_points_are_domain_errors(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(geom.DimensionMismatch):
-            bp_mod.alpha_preimage(bp, [0.0, 0.0, 0.0])
+            bp_mod.alpha_preimage(bp, [[0.0, 0.0, 0.0]])
         with pytest.raises(geom.GeometryError, match="finite"):
             bp_mod.alpha_preimage(bp, [[0.0, 0.3], [math.nan, 0.0], [0.3, 0.3]])
         with pytest.raises(bp_mod.BlueprintError, match="not on blueprint"):
-            bp_mod.alpha_preimage(bp, [[0.0, 0.3], [0.3, 0.3], [math.nan, 0.0]])
+            bp_mod.alpha_preimage(bp, [[0.0, 0.3], [0.3, 0.3], [0.0, -0.3]])
         with pytest.raises(geom.GeometryError, match="finite"):
             bp_mod.alpha(bp, 1, [[-1.0, 0.0], [math.nan, 0.0]])
 
@@ -432,52 +461,52 @@ class TestAlpha:
     def test_frozen_oracle(self):
         c = chord_cleavage()
         s = np.array([math.cos(2.5), math.sin(2.5)])
-        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s)
+        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s[None])
         t = math.cos(2.5) / (math.cos(2.5) - 4 / (3 * PI))
-        assert hit.point == pytest.approx([0.0, math.sin(2.5) * (1 - t)], abs=1e-12)
-        assert hit.point[1] == pytest.approx(0.2072523014526812, abs=1e-12)
-        assert hit.t == pytest.approx(0.6536976641360925, abs=1e-12)
-        assert hit.face_index >= 0
-        assert abs(c.timber(1).constraints[hit.face_index][0].normal[0]) == pytest.approx(1.0)
-        assert not hit.corner
+        assert hit.point[0] == pytest.approx([0.0, math.sin(2.5) * (1 - t)], abs=1e-12)
+        assert hit.point[0, 1] == pytest.approx(0.2072523014526812, abs=1e-12)
+        assert hit.t[0] == pytest.approx(0.6536976641360925, abs=1e-12)
+        assert hit.face_index[0] >= 0
+        assert abs(c.timber(1).constraints[hit.face_index[0]][0].normal[0]) == pytest.approx(1.0)
+        assert hit.corner.tolist() == [False]
 
     def test_domain_error_inside_trace(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(bp, 1, [1.0, 0.0])
+            bp_mod.alpha(bp, 1, [[1.0, 0.0]])
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(bp, 2, [-1.0, 0.0])
+            bp_mod.alpha(bp, 2, [[-1.0, 0.0]])
 
     def test_trace_endpoint_is_fixed(self):
-        hit = bp_mod.alpha(bp_mod.build_blueprint(chord_cleavage()), 1, [0.0, 1.0])
-        assert hit.point == pytest.approx([0.0, 1.0], abs=1e-12)
-        assert hit.t == pytest.approx(0.0)
-        assert hit.face_index == -1
+        hit = bp_mod.alpha(bp_mod.build_blueprint(chord_cleavage()), 1, [[0.0, 1.0]])
+        assert hit.point[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert hit.t[0] == pytest.approx(0.0)
+        assert hit.face_index.tolist() == [-1]
 
     def test_not_on_circle(self):
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(bp_mod.build_blueprint(chord_cleavage()), 1, [0.5, 0.0])
+            bp_mod.alpha(bp_mod.build_blueprint(chord_cleavage()), 1, [[0.5, 0.0]])
 
     def test_unit_has_no_domain(self):
         with pytest.raises(bp_mod.AlphaDomainError):
-            bp_mod.alpha(bp_mod.build_blueprint(operad.unit()), 1, [1.0, 0.0])
+            bp_mod.alpha(bp_mod.build_blueprint(operad.unit()), 1, [[1.0, 0.0]])
 
     def test_corner_hit(self):
         c = tee_cleavage()
         cen = geom.centroid(c.timber(2))
         s = -cen / np.linalg.norm(cen)
-        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 2, s)
-        assert hit.corner
-        assert hit.point == pytest.approx([0.0, 0.0], abs=1e-9)
-        assert hit.face_index == 0
+        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 2, s[None])
+        assert hit.corner.tolist() == [True]
+        assert hit.point[0] == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert hit.face_index.tolist() == [0]
 
     def test_explicit_centroid_matches(self):
         # alpha lands toward the diagram's centroid, the timber's exact centroid.
         c = chord_cleavage()
         s = np.array([math.cos(2.2), math.sin(2.2)])
-        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s)
+        hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s[None])
         point, *_ = reference_alpha(c, 1, s, geom.TOL, geom.centroid(c.timber(1)))
-        assert hit.point.tobytes() == point.tobytes()
+        assert hit.point[0].tobytes() == point.tobytes()
 
 
 class TestPreimage:
@@ -485,39 +514,38 @@ class TestPreimage:
         c = chord_cleavage()
         bp = bp_mod.build_blueprint(c)
         s = np.array([math.cos(2.5), math.sin(2.5)])
-        hit = bp_mod.alpha(bp, 1, s)
-        pre = bp_mod.alpha_preimage(bp, hit.point)
-        assert [lab for lab, _ in pre] == [1, 2]
-        assert pre[0][1] == pytest.approx(s, abs=1e-12)
+        hit = bp_mod.alpha(bp, 1, s[None])
+        mask, pre = bp_mod.alpha_preimage(bp, hit.point)
+        assert labels(mask[0]) == (1, 2)
+        assert pre[0, 0] == pytest.approx(s, abs=1e-12)
         # Each preimage sits outside its own timber's trace; by symmetry
         # timber 2's exit point is the mirror image of s.
-        assert pre[1][1] == pytest.approx([-math.cos(2.5), math.sin(2.5)], abs=1e-12)
+        assert pre[0, 1] == pytest.approx([-math.cos(2.5), math.sin(2.5)], abs=1e-12)
 
     def test_preimage_count_generic(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
-        assert len(bp_mod.alpha_preimage(bp, [0.0, 0.3])) == 2
+        assert bp_mod.alpha_preimage(bp, [[0.0, 0.3]])[0].sum() == 2
 
     def test_preimage_count_tee(self):
         bp = bp_mod.build_blueprint(tee_cleavage())
-        assert len(bp_mod.alpha_preimage(bp, [0.0, 0.0])) == 3
+        assert bp_mod.alpha_preimage(bp, [[0.0, 0.0]])[0].sum() == 3
 
     def test_off_diagram_rejected(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         with pytest.raises(bp_mod.BlueprintError) as exc:
-            bp_mod.alpha_preimage(bp, [0.3, 0.3])
+            bp_mod.alpha_preimage(bp, [[0.3, 0.3]])
         assert "not on blueprint" in str(exc.value)
 
     def test_chord_endpoint_returns_itself(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
-        pre = bp_mod.alpha_preimage(bp, [0.0, 1.0])
-        assert len(pre) == 2
-        for _, s in pre:
-            assert s == pytest.approx([0.0, 1.0], abs=1e-9)
+        mask, pre = bp_mod.alpha_preimage(bp, [[0.0, 1.0]])
+        assert labels(mask[0]) == (1, 2)
+        assert pre[0] == pytest.approx(np.array([[0.0, 1.0], [0.0, 1.0]]), abs=1e-9)
 
     def test_empty_diagram(self):
         bp = bp_mod.build_blueprint(operad.unit())
         with pytest.raises(bp_mod.BlueprintError):
-            bp_mod.alpha_preimage(bp, [0.0, 0.0])
+            bp_mod.alpha_preimage(bp, [[0.0, 0.0]])
 
 
 def reference_thicken(c, density, tol):
@@ -555,7 +583,7 @@ def reference_thicken(c, density, tol):
 
 class TestThicken:
     def test_single_chord_counts(self):
-        tb = bp_mod.thicken(chord_cleavage(), density=5)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), density=5)
         assert len(tb.samples) == 5
         assert tb.blueprint.n_components == 1
         for s in tb.samples:
@@ -563,7 +591,7 @@ class TestThicken:
             assert s.participants == (1, 2)
 
     def test_tee_dedups_junction(self):
-        tb = bp_mod.thicken(tee_cleavage(), density=3)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(tee_cleavage()), density=3)
         # 3 + 3 minus the shared junction sample.
         assert len(tb.samples) == 5
         junction = [s for s in tb.samples if np.linalg.norm(s.point) < 1e-9]
@@ -575,15 +603,18 @@ class TestThicken:
         tb = bp_mod.thicken(bp, density=4)
         assert tb.blueprint is bp
         assert len(tb.samples) == 4
+        # A cleavage is no diagram: its tol would be a second, silent default.
+        with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
+            bp_mod.thicken(chord_cleavage(), density=4)
 
     def test_density_validated(self):
         with pytest.raises(bp_mod.BlueprintError):
-            bp_mod.thicken(chord_cleavage(), density=1)
+            bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), density=1)
 
     @pytest.mark.parametrize("density", [2.5, True, "8", None])
     def test_non_integer_density_is_a_domain_error(self, density):
         with pytest.raises(bp_mod.BlueprintError, match="density"):
-            bp_mod.thicken(chord_cleavage(), density=density)
+            bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), density=density)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True])
     def test_bad_tol_is_a_domain_error(self, tol):
@@ -591,7 +622,8 @@ class TestThicken:
             bp_mod.build_blueprint(chord_cleavage(), tol=tol)
 
     def test_numpy_integer_density(self):
-        assert len(bp_mod.thicken(chord_cleavage(), density=np.int64(4)).samples) == 4
+        bp = bp_mod.build_blueprint(chord_cleavage())
+        assert len(bp_mod.thicken(bp, density=np.int64(4)).samples) == 4
 
     @given(
         st.integers(0, 10 ** 6),
@@ -620,8 +652,7 @@ class TestThicken:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_participant_count_law(self, seed):
-        c = random_cleavage(seed)
-        tb = bp_mod.thicken(c, density=7)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(random_cleavage(seed)), density=7)
         bp = tb.blueprint
         for s in tb.samples:
             near = sum(
@@ -635,21 +666,21 @@ class TestThicken:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
     def test_preimage_roundtrip(self, seed):
-        c = random_cleavage(seed)
-        tb = bp_mod.thicken(c, density=5)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(random_cleavage(seed)), density=5)
         for s in tb.samples:
-            pre = bp_mod.alpha_preimage(tb.blueprint, s.point)
+            mask, pre = bp_mod.alpha_preimage(tb.blueprint, s.point[None])
+            assert s.participants == labels(mask[0])
             assert s.preimages == tuple(
-                (label, math.atan2(p[1], p[0]) % (2 * math.pi)) for label, p in pre
+                (label, math.atan2(pre[0, label - 1, 1], pre[0, label - 1, 0]) % (2 * math.pi))
+                for label in s.participants
             )
-            assert s.participants == tuple(label for label, _ in pre)
-            for label, sphere_pt in pre:
-                hit = bp_mod.alpha(tb.blueprint, label, sphere_pt)
-                assert hit.point == pytest.approx(s.point, abs=1e-8)
+            for label in s.participants:
+                hit = bp_mod.alpha(tb.blueprint, label, pre[0, label - 1][None])
+                assert hit.point[0] == pytest.approx(s.point, abs=1e-8)
 
     def test_chord_sample_preimages(self):
         # A chord end lies on the circle, so both timbers' rays exit at the sample itself.
-        tb = bp_mod.thicken(chord_cleavage(), density=3)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), density=3)
         assert tb.blueprint.n_components == 1
         assert len(tb.samples) == 3
         s0 = tb.samples[0]

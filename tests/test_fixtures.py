@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cleav.fixtures as fx
-from cleav.blueprint import thicken
+from cleav.blueprint import build_blueprint, thicken
 from cleav.umkehr import UmkehrConfig, strand_distance, umkehr
 
 
@@ -39,7 +39,7 @@ sys.stdout.write(digest.hexdigest())
 @pytest.fixture(scope="module")
 def corridor():
     c = fx.corridor_cleavage()
-    return c, thicken(c, density=24)
+    return c, thicken(build_blueprint(c), density=24)
 
 
 def pair12_component(tb):
@@ -126,7 +126,7 @@ class TestCorridor:
 class TestSimplePairs:
     def test_mirrored_pair_scale(self):
         c = fx.chord_cleavage()
-        tb = thicken(c, density=8)
+        tb = thicken(build_blueprint(c), density=8)
         tv = umkehr(fx.mirrored_pair(0.1), c, tb, UmkehrConfig(epsilon=0.2))
         mx = max(e.scale for cv in tv.components for e in cv.entries)
         assert abs(mx - 0.5) <= 1e-9

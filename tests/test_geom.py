@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +47,8 @@ def bounding_box(body: geom.ConvexBody):
         if face is not None:
             p0, d, lo, hi = face
             ends += [p0 + lo * d, p0 + hi * d]
-    ends += [p for p in np.vstack([np.eye(2), -np.eye(2)]) if body.contains(p)]
+    axes = np.vstack([np.eye(2), -np.eye(2)])
+    ends += list(axes[body.contains(axes)])
     if not ends:
         return None
     return np.min(ends, axis=0), np.max(ends, axis=0)
@@ -60,7 +62,7 @@ def interior_point(body: geom.ConvexBody, seed: int = 0):
     rng = np.random.default_rng(seed)
     for _ in range(20000):
         p = rng.uniform(*box)
-        if np.linalg.norm(p) < 1.0 - 1e-6 and body.contains(p, -1e-6):
+        if np.linalg.norm(p) < 1.0 - 1e-6 and loop_contains(body, p, -1e-6):
             return p
     return None
 
@@ -134,6 +136,17 @@ class TestHyperplane:
         h2 = geom.OrientedHyperplane.from_json(h.to_json())
         assert np.allclose(h.normal, h2.normal)
         assert h.offset == pytest.approx(h2.offset, abs=1e-15)
+
+
+class TestClip:
+    def test_bad_side_rejected(self):
+        for side in (0, 2, -2):
+            with pytest.raises(geom.GeometryError, match="side must be"):
+                geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), side)
+
+    def test_mismatched_dimension_rejected(self):
+        with pytest.raises(geom.DimensionMismatch):
+            geom.clip(geom.unit_disk(3), geom.OrientedHyperplane([1, 0], 0.0), 1)
 
 
 class TestArcSet:
@@ -397,7 +410,7 @@ class TestInterior:
         inside = 0.999 * np.array([math.cos(2.71), math.sin(2.71)])
         assert (b._margins(inside[None]) > 1e-3).all()
         assert geom.is_nonempty_interior(b, 1e-9)
-        assert b.contains(geom.centroid(b))
+        assert loop_contains(b, geom.centroid(b), geom.TOL)
 
     def test_dim3(self):
         b = geom.clip(geom.unit_disk(3), geom.OrientedHyperplane([1, 0, 0], 0.0), 1)
@@ -525,7 +538,7 @@ class TestCentroid:
         body = body_from_seed(seed)
         if not geom.is_nonempty_interior(body, 1e-6):
             return
-        assert body.contains(geom.centroid(body), 1e-9)
+        assert loop_contains(body, geom.centroid(body), 1e-9)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None)
@@ -535,7 +548,7 @@ class TestCentroid:
         q = interior_point(body, seed + 1)
         if p is None or q is None:
             return
-        assert body.contains((p + q) / 2, 1e-9)
+        assert loop_contains(body, (p + q) / 2, 1e-9)
 
 
 class TestBoundaryHit:
@@ -543,39 +556,39 @@ class TestBoundaryHit:
         half = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
         c = geom.centroid(half)
         s = np.array([math.cos(2.5), math.sin(2.5)])
-        hit = geom.segment_boundary_hit(half, s, c)
+        hit = geom.segment_boundary_hit(half, s[None], c)
         tpar = math.cos(2.5) / (math.cos(2.5) - 4 / (3 * PI))
-        assert hit.face_index == 0
-        assert not hit.corner
-        assert hit.point[0] == pytest.approx(0.0, abs=1e-12)
-        assert hit.point[1] == pytest.approx(math.sin(2.5) * (1 - tpar), abs=1e-12)
+        assert hit.face_index.tolist() == [0]
+        assert hit.corner.tolist() == [False]
+        assert hit.point[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert hit.point[0, 1] == pytest.approx(math.sin(2.5) * (1 - tpar), abs=1e-12)
 
     def test_sphere_face(self):
-        hit = geom.segment_boundary_hit(geom.unit_disk(), [2.0, 0.0], [0.2, 0.0])
-        assert hit.face_index == -1
-        assert np.allclose(hit.point, [1.0, 0.0], atol=1e-12)
+        hit = geom.segment_boundary_hit(geom.unit_disk(), [[2.0, 0.0]], [0.2, 0.0])
+        assert hit.face_index.tolist() == [-1]
+        assert np.allclose(hit.point, [[1.0, 0.0]], atol=1e-12)
 
     def test_corner_tie(self):
         q = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
         q = geom.clip(q, geom.OrientedHyperplane([0, 1], 0.0), 1)
-        hit = geom.segment_boundary_hit(q, [-0.5, -0.5], [0.3, 0.3])
-        assert hit.corner
-        assert hit.face_index == 0
-        assert np.allclose(hit.point, [0.0, 0.0], atol=1e-9)
+        hit = geom.segment_boundary_hit(q, [[-0.5, -0.5]], [0.3, 0.3])
+        assert hit.corner.tolist() == [True]
+        assert hit.face_index.tolist() == [0]
+        assert np.allclose(hit.point, [[0.0, 0.0]], atol=1e-9)
 
     def test_interior_source_rejected(self):
         half = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
         with pytest.raises(geom.BoundaryHitError):
-            geom.segment_boundary_hit(half, [0.5, 0.0], [0.3, 0.0])
+            geom.segment_boundary_hit(half, [[0.5, 0.0]], [0.3, 0.0])
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(geom.BoundaryHitError):
-            geom.segment_boundary_hit(geom.unit_disk(), [0.5, 0.0], [0.5, 0.0])
+            geom.segment_boundary_hit(geom.unit_disk(), [[0.5, 0.0]], [0.5, 0.0])
 
     def test_boundary_source_returns_source(self):
-        hit = geom.segment_boundary_hit(geom.unit_disk(), [1.0, 0.0], [0.0, 0.0])
-        assert hit.t == pytest.approx(0.0, abs=1e-12)
-        assert hit.face_index == -1
+        hit = geom.segment_boundary_hit(geom.unit_disk(), [[1.0, 0.0]], [0.0, 0.0])
+        assert hit.t[0] == pytest.approx(0.0, abs=1e-12)
+        assert hit.face_index.tolist() == [-1]
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
@@ -587,15 +600,15 @@ class TestBoundaryHit:
             return
         theta = rng.uniform(0, 2 * PI)
         src = 1.5 * np.array([math.cos(theta), math.sin(theta)])
-        hit = geom.segment_boundary_hit(body, src, dst)
-        p = hit.point
-        assert body.contains(p, 1e-7)
+        hit = geom.segment_boundary_hit(body, src[None], dst)
+        p, face = hit.point[0], int(hit.face_index[0])
+        assert loop_contains(body, p, 1e-7)
         on_sphere = abs(np.linalg.norm(p) - 1.0) <= 1e-7
-        margins = body._margins(p[None])
+        margins = loop_margins(body, p)
         on_plane = margins.size and np.min(np.abs(margins)) <= 1e-7
         assert on_sphere or on_plane
-        if hit.face_index >= 0:
-            h, side = body.constraints[hit.face_index]
+        if face >= 0:
+            h, side = body.constraints[face]
             assert abs(signed_eval(h, p)) <= 1e-7
 
 
@@ -630,27 +643,28 @@ class TestMembership:
             got = body._margins(x[None])[:, 0]
             assert got.shape == (planes,)
             assert got.tobytes() == loop_margins(body, x).tobytes()
-            for tol in (0.0, geom.TOL, 0.05, -1e-6):
-                assert body.contains(x, tol) is loop_contains(body, x, tol)
         stack = np.array(points)
         assert body._margins(stack).T.tobytes() == np.array(
             [loop_margins(body, x) for x in points]).reshape(len(points), planes).tobytes()
         for tol in (0.0, geom.TOL, 0.05, -1e-6):
             assert body.contains(stack, tol).tolist() == [
                 loop_contains(body, x, tol) for x in points]
+            assert_rows_stand_alone(lambda rows: body.contains(rows, tol), stack)
 
     def test_bad_points_still_raise(self):
         body = geom.clip(geom.unit_disk(), geom.OrientedHyperplane([1, 0], 0.0), 1)
         with pytest.raises(geom.DimensionMismatch):
-            body.contains([0.0, 0.0, 0.0])
-        with pytest.raises(geom.GeometryError):
-            body.contains([math.nan, 0.0])
+            body.contains([[0.0, 0.0, 0.0]])
+        with pytest.raises(geom.GeometryError, match="finite"):
+            body.contains([[math.nan, 0.0]])
         with pytest.raises(geom.DimensionMismatch):
-            geom.unit_disk().contains([0.0])
+            geom.unit_disk().contains([[0.0]])
         with pytest.raises(geom.DimensionMismatch):
             body.contains(np.zeros((4, 3)))
         with pytest.raises(geom.GeometryError, match="finite"):
             body.contains([[0.0, 0.0], [0.0, math.inf]])
+        with pytest.raises(geom.GeometryError, match=r"expected an \(n, 2\) stack"):
+            body.contains([0.0, 0.0])
 
 
 def reference_arc_distance(arcs, theta):
@@ -733,12 +747,42 @@ def outcome(fn, *args):
         return exc
 
 
-def assert_raises_like(expected: Exception, fn, *args):
-    """fn(*args) raises an exception of expected's type with its message."""
-    with pytest.raises(type(expected)) as got:
+def kind(exc: Exception) -> tuple:
+    """exc's class and its message with each number masked: what rows failing alike share."""
+    return type(exc), re.sub(r"-?\d+(\.\d+)?(e[-+]?\d+)?", "#", str(exc))
+
+
+def assert_raises_first_of_its_kind(errors: list, fn, *args):
+    """fn(*args) raises one of errors, the first of its kind among them, message and all.
+
+    errors are the ones a stack's bad rows raise alone, in row order.  A
+    stack with several kinds of bad row may raise any of those kinds, but
+    a message naming a value names the first bad row of that kind.
+    """
+    with pytest.raises(ValueError) as got:
         fn(*args)
-    assert type(got.value) is type(expected)
-    assert str(got.value) == str(expected)
+    same = [e for e in errors if kind(e) == kind(got.value)]
+    assert same, f"{got.value!r} is none of the bad rows' errors"
+    assert type(got.value) is type(same[0]) and str(got.value) == str(same[0])
+
+
+def assert_rows_stand_alone(kernel, stack):
+    """Row r of kernel(stack) is kernel(stack[r:r + 1]), bit for bit.
+
+    kernel maps an (n, d) stack to an array, a tuple of arrays or a
+    BoundaryHit, each with one leading row per point.
+    """
+
+    def fields(out):
+        if isinstance(out, geom.BoundaryHit):
+            return out.point, out.face_index, out.corner, out.t
+        return out if isinstance(out, tuple) else (out,)
+
+    whole = fields(kernel(stack))
+    for r in range(len(stack)):
+        for full, alone in zip(whole, fields(kernel(stack[r : r + 1]))):
+            assert full.dtype == alone.dtype and full[r : r + 1].shape == alone.shape
+            assert full[r : r + 1].tobytes() == alone.tobytes()
 
 
 class TestBoundaryHitOracle:
@@ -782,10 +826,9 @@ class TestBoundaryHitOracle:
                 point, face, corner, t = reference_segment_boundary_hit(body, src, dst)
                 assert hit.point[r].tobytes() == point.tobytes()
                 assert (hit.face_index[r], hit.corner[r], hit.t[r]) == (face, corner, t)
-                one = geom.segment_boundary_hit(body, src, dst)
-                assert one.point.tobytes() == point.tobytes()
-                assert (one.face_index, one.corner, one.t) == (face, corner, t)
-        # Bad rows of several kinds: the first bad row must win, whatever its kind.
+            assert_rows_stand_alone(
+                lambda rows: geom.segment_boundary_hit(body, rows, dst), np.array(good))
+        # Bad rows of several kinds: the stack raises the error of one of them.
         stack = list(rows)
         for kind, where in bad:
             if kind == "exterior dst":
@@ -793,10 +836,11 @@ class TestBoundaryHitOracle:
                 continue
             row = {"degenerate": dst, "interior": inner[1], "nonfinite": np.full(dim, math.nan)}
             stack.insert(where % (len(stack) + 1), row[kind].copy())
-        first = next((e for e in (outcome(reference_segment_boundary_hit, body, r, dst)
-                                  for r in stack) if isinstance(e, Exception)), None)
-        if first is not None:
-            assert_raises_like(first, geom.segment_boundary_hit, body, np.array(stack), dst)
+        errors = [e for e in (outcome(reference_segment_boundary_hit, body, r, dst) for r in stack)
+                  if isinstance(e, Exception)]
+        if errors:
+            assert_raises_first_of_its_kind(
+                errors, geom.segment_boundary_hit, body, np.array(stack), dst)
 
     def test_empty_stack(self):
         hit = geom.segment_boundary_hit(geom.unit_disk(), np.zeros((0, 2)), [0.1, 0.0])

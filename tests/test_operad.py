@@ -53,8 +53,7 @@ class TestValidate:
         left_half = geom.ArcSet([(PI / 2, 3 * PI / 2)])
         assert sym_diff_measure(c.trace(1).arcs, right_half) < 1e-12
         assert sym_diff_measure(c.trace(2).arcs, left_half) < 1e-12
-        assert c.timber(1).contains([0.5, 0.0])
-        assert not c.timber(1).contains([-0.5, 0.0])
+        assert c.timber(1).contains([[0.5, 0.0], [-0.5, 0.0]]).tolist() == [True, False]
 
     def test_unit(self):
         u = operad.unit()
@@ -120,8 +119,8 @@ class TestValidate:
         tree = operad.Internal(chord(1, 0, 0.0), operad.Leaf(2), operad.Leaf(1))
         c = operad.validate(tree)
         # Label 2 sits on the normal side now.
-        assert c.timber(2).contains([0.5, 0.0])
-        assert c.timber(1).contains([-0.5, 0.0])
+        assert c.timber(2).contains([[0.5, 0.0]]).tolist() == [True]
+        assert c.timber(1).contains([[-0.5, 0.0]]).tolist() == [True]
 
     def test_dim_mismatch(self):
         tree = operad.Internal(
@@ -291,6 +290,14 @@ class TestCompose:
         with pytest.raises(operad.OperadError):
             operad.compose(c, 0, operad.unit())
 
+    @pytest.mark.parametrize("slot", [1.5, 1.0, "1", True, None], ids=repr)
+    def test_slot_must_be_a_whole_number(self, slot):
+        # 1.5 raised a LabelError about shifted leaf labels and "1" a TypeError.
+        c = operad.validate(chord_tree())
+        with pytest.raises(operad.OperadError, match=r"slot must be an integer in 1\.\.2, got "):
+            operad.compose(c, slot, operad.unit())
+        assert operad.compose(c, np.int64(1), operad.unit()).k == 2
+
     def test_graft_can_fail(self):
         outer = operad.validate(chord_tree())
         # x = -0.5 misses outer timber 1 = {x >= 0} entirely.
@@ -389,6 +396,17 @@ class TestPermute:
             operad.Permutation((1, 1))
         with pytest.raises(operad.OperadError):
             operad.Permutation((0, 1))
+
+    @pytest.mark.parametrize("images", [(1.9, 2), (2.0, 1.0), (True, 2), ("2", "1"), (None, 1)],
+                             ids=repr)
+    def test_images_must_be_whole_numbers(self, images):
+        # (1.9, 2) was truncated to (1, 2); (True, 2) and ("2", "1") were accepted.
+        with pytest.raises(operad.OperadError, match="permutation images must be integers"):
+            operad.Permutation(images)
+
+    def test_numpy_integer_images(self):
+        sigma = operad.Permutation(tuple(np.array([2, 1])))
+        assert sigma.images == (2, 1) and all(type(i) is int for i in sigma.images)
 
     def test_size_mismatch(self):
         c = operad.validate(chord_tree())
@@ -541,17 +559,9 @@ class TestPartitionProperties:
     def test_timbers_convex_and_disjoint(self, seed):
         rng = np.random.default_rng(seed + 71)
         c = random_cleavage(seed)
-        for _ in range(50):
-            p = rng.uniform(-1, 1, size=2)
-            if np.linalg.norm(p) >= 1 - 1e-9:
-                continue
-            owners = [
-                lab
-                for lab in range(1, c.k + 1)
-                if c.timber(lab).contains(p, -1e-9)
-            ]
-            assert len(owners) <= 1
-            strict = [
-                lab for lab in range(1, c.k + 1) if c.timber(lab).contains(p, 1e-9)
-            ]
-            assert len(strict) >= 1
+        pts = rng.uniform(-1, 1, size=(50, 2))
+        pts = pts[np.linalg.norm(pts, axis=1) < 1 - 1e-9]
+        owners = sum(c.timber(lab).contains(pts, -1e-9).astype(int) for lab in range(1, c.k + 1))
+        assert (owners <= 1).all()
+        strict = sum(c.timber(lab).contains(pts, 1e-9).astype(int) for lab in range(1, c.k + 1))
+        assert (strict >= 1).all()

@@ -415,7 +415,7 @@ class TestStrandDistance:
         assert um.strand_distance(emb, 2, 1) == 0.0
         c = sampling.random_cleavage(0, 2)
         with pytest.raises(um.SelfIntersecting):
-            um.umkehr(emb, c, bp_mod.thicken(c), um.UmkehrConfig(epsilon=0.2))
+            um.umkehr(emb, c, bp_mod.thicken(bp_mod.build_blueprint(c)), um.UmkehrConfig(epsilon=0.2))
 
     def test_corridor_minimum_matches_all_pairs(self):
         emb = fx.corridor_trio(63.2)
@@ -516,7 +516,7 @@ class TestStrandDistance:
         assert brute_strand_distance(emb, 2, 3) == 0.0
         c = sampling.random_cleavage(0, 4)
         with pytest.raises(um.SelfIntersecting) as err:
-            um.umkehr(emb, c, bp_mod.thicken(c), um.UmkehrConfig(epsilon=0.2))
+            um.umkehr(emb, c, bp_mod.thicken(bp_mod.build_blueprint(c)), um.UmkehrConfig(epsilon=0.2))
         assert str(err.value) == f"strands 1 and 4 come within {b:.3e} of each other"
 
     @pytest.mark.parametrize("kind", ["euclidean", "torus"])
@@ -529,7 +529,7 @@ class TestStrandDistance:
         assert um.strand_distance(emb, 1, 2, geom.TOL) > geom.TOL
         assert um.strand_distance(emb, 1, 2, b) == b
         c = chord_cleavage()
-        tv = um.umkehr(emb, c, bp_mod.thicken(c), um.UmkehrConfig(epsilon=0.2))
+        tv = um.umkehr(emb, c, bp_mod.thicken(bp_mod.build_blueprint(c)), um.UmkehrConfig(epsilon=0.2))
         assert len(tv.components) == 1
 
 
@@ -843,7 +843,7 @@ class TestClearanceOracle:
         torus = um.DiscreteEmbedding(um.FlatMetric("torus", 2, 1.0),
                                      tuple(np.mod(loop, 1.0) for loop in plane.loops))
         c = fx.corridor_cleavage()
-        tb = bp_mod.thicken(c, density=24)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=24)
         cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
         for emb in (plane, torus):
             for sample in tb.samples:
@@ -873,6 +873,7 @@ class TestConfig:
         {"density": 2.5}, {"density": True}, {"density": "8"},
         {"eta": math.inf}, {"eta": math.nan},
         {"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-9},
+        {"mapping": 1}, {"mapping": 2}, {"mapping": "yes"},
     ], ids=lambda knob: ",".join(f"{k}={v!r}" for k, v in knob.items()))
     def test_bad_knobs_raise_domain_errors(self, knob):
         with pytest.raises(um.UmkehrError):
@@ -886,6 +887,9 @@ class TestConfig:
     def test_numpy_scalars_accepted(self):
         cfg = um.UmkehrConfig(epsilon=np.float64(0.2), density=np.int64(8), eta=np.float64(0.3))
         assert cfg.density == 8
+        # mapping = 1 once turned the glue masks into integer bit operations.
+        cfg = um.UmkehrConfig(epsilon=0.2, mapping=np.bool_(True))
+        assert cfg.mapping is True and cfg.to_json()["mapping"] is True
 
     def test_eta_default_follows_sampling(self):
         cfg = um.UmkehrConfig(epsilon=0.2)
@@ -898,7 +902,7 @@ class TestConfig:
 class TestUmkehr:
     def setup_method(self):
         self.c = chord_cleavage()
-        self.tb = bp_mod.thicken(self.c, density=8)
+        self.tb = bp_mod.thicken(bp_mod.build_blueprint(self.c), density=8)
         self.cfg = um.UmkehrConfig(epsilon=0.2)
 
     def test_concentric_finite(self):
@@ -946,11 +950,11 @@ class TestUmkehr:
 
     def test_cleavage_must_be_the_thickened_one(self):
         # Samples from another cleavage used to give component 0 'infinity'.
-        tb = bp_mod.thicken(sampling.random_cleavage(5, 2), 8)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(sampling.random_cleavage(5, 2)), 8)
         with pytest.raises(um.UmkehrError, match="differs from the one the thickened diagram"):
             um.umkehr(fx.mirrored_pair(0.05), fx.chord_cleavage(), tb, self.cfg)
         # Another object with the same tree is the same cleavage.
-        tb = bp_mod.thicken(fx.chord_cleavage(), 8)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(fx.chord_cleavage()), 8)
         out = um.umkehr(fx.mirrored_pair(0.05), fx.chord_cleavage(), tb, self.cfg)
         assert [cv.status for cv in out.components] == ["finite"]
 
@@ -1052,7 +1056,7 @@ class TestUmkehr:
         # evaluation tol below the samples' own rounding cannot push one
         # off the diagram
         c = fx.corridor_cleavage()
-        tb = bp_mod.thicken(c, density=24)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=24)
         loops = tuple(
             fx.fourier_loop(seed, base=0.18, wobble=0.04, drift=0.02) + [x, 0.0]
             for seed, x in ((1, -0.6), (2, 0.0), (3, 0.6))
@@ -1148,7 +1152,7 @@ class TestUmkehrOracle:
     def test_matches_the_per_pair_loop(self, seed, k, kind, t, mapping):
         rng = np.random.default_rng(seed)
         c = sampling.random_cleavage(rng, k)
-        tb = bp_mod.thicken(c, density=int(rng.integers(2, 7)))
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=int(rng.integers(2, 7)))
         # One loop per timber on a ring, far enough apart not to touch:
         # neighbouring centres sit 0.5 apart, each loop within 0.2 of its own.
         ring = 0.25 / math.sin(PI / k)
@@ -1176,7 +1180,7 @@ class TestUmkehrOracle:
         # Gap 0 glues every sample in mapping mode and is self-intersecting
         # otherwise; 0.2 puts every scale on the boundary; 0.3 collapses.
         c = fx.chord_cleavage()
-        tb = bp_mod.thicken(c)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c))
         cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping)
         emb = fx.mirrored_pair(gap)
         assert outcome(um.umkehr, emb, c, tb, cfg) == outcome(reference_umkehr, emb, c, tb, cfg)
@@ -1193,7 +1197,7 @@ class TestUmkehrOracle:
             emb = um.DiscreteEmbedding(um.FlatMetric("torus", 2, 1.0),
                                        tuple(np.mod(loop, 1.0) for loop in emb.loops))
         c = fx.corridor_cleavage()
-        tb = bp_mod.thicken(c, density=24)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=24)
         cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
         got = outcome(um.umkehr, emb, c, tb, cfg)
         assert got == outcome(reference_umkehr, emb, c, tb, cfg)
@@ -1206,7 +1210,7 @@ class TestUmkehrOracle:
         # each, so it has no pairs: glued samples (gap 0), boundary pairs
         # (0.2) and collapses (0.3) of component 0 must not leak into it.
         c = fx.chord_cleavage()
-        tb = bp_mod.thicken(c)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c))
         tb = replace(tb, samples=tuple(
             bp_mod.BlueprintSample(s.point, idx % 2, s.preimages[:1] if idx % 2 else s.preimages)
             for idx, s in enumerate(tb.samples)))
@@ -1224,7 +1228,7 @@ class TestUmkehrOracle:
         emb = um.DiscreteEmbedding(
             torus, (circle(0.01, 8), circle(0.01, 8, mirrored=True, center=(1.0, 0.0))))
         c = chord_cleavage()
-        tb = bp_mod.thicken(c)
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c))
         step = 2 * PI / 8
         preimages = [((1, 0.0), (2, 0.0)), ((1, step), (2, 0.0)),
                      ((1, 2 * step), (2, 2 * step)), ((1, 0.0), (2, 4 * step))]
