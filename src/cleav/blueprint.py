@@ -49,6 +49,11 @@ def _require_circle(c: Cleavage) -> None:
         )
 
 
+def _require_blueprint(bp) -> None:
+    if not isinstance(bp, Blueprint):
+        raise BlueprintError(f"bp must be a Blueprint, got {type(bp).__name__}")
+
+
 @dataclass(frozen=True)
 class Face:
     """One boundary chord of a timber."""
@@ -168,6 +173,7 @@ def blueprint_distance(bp: Blueprint, b) -> np.ndarray:
     inf when there are no pieces.  One (points x pieces) array whose
     entries take the one-pair arithmetic, so row r depends on b[r] alone.
     """
+    _require_blueprint(bp)
     p = _as_stack(b, 2)[:, None, :]
     if not bp.pieces:
         return np.full(len(p), math.inf)
@@ -186,8 +192,7 @@ def participants(bp: Blueprint, b) -> np.ndarray:
     result is an (n, k) bool array, column label - 1 marking that label,
     and row r depends on b[r] alone.
     """
-    if not isinstance(bp, Blueprint):
-        raise BlueprintError(f"bp must be a Blueprint, got {type(bp).__name__}")
+    _require_blueprint(bp)
     c, tol = bp.cleavage, bp.tol
     b = _as_stack(b, c.timber(1).dim)
     inside = np.sqrt(_rowdot(b, b)) <= 1.0 + tol
@@ -212,6 +217,7 @@ def alpha(bp: Blueprint, i: int, s) -> BoundaryHit:
     several faces tie.  Row r of the stacked hit depends on s[r] alone,
     bit for bit.
     """
+    _require_blueprint(bp)
     c, tol = bp.cleavage, bp.tol
     if not (whole_number(i) and 1 <= i <= c.k):
         raise BlueprintError(f"label must be an integer in 1..{c.k}, got {i!r}")
@@ -248,6 +254,15 @@ def _exit_points(ci: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s / np.sqrt(_rowdot(s, s))[:, None]
 
 
+def _exit_angles(points: np.ndarray) -> np.ndarray:
+    """Angles in [0, 2*pi) of the rows of an (n, 2) stack, math.atan2 per row.
+
+    math.atan2 rounds the same on every CPU, where np.arctan2 may take a
+    SIMD kernel that differs in the last bit.
+    """
+    return np.array([math.atan2(y, x) % TWO_PI for x, y in zip(*points.T.tolist())])
+
+
 def alpha_preimage(bp: Blueprint, b) -> tuple[np.ndarray, np.ndarray]:
     """All sphere points collapsing to the diagram points b, an (n, 2) stack, by timber label.
 
@@ -259,6 +274,7 @@ def alpha_preimage(bp: Blueprint, b) -> tuple[np.ndarray, np.ndarray]:
     when a row is not on the diagram within bp.tol, the tolerance
     participants are found at too, naming the first such row's distance.
     """
+    _require_blueprint(bp)
     tol = bp.tol
     b = _as_stack(b, 2)
     dist = blueprint_distance(bp, b)
@@ -301,8 +317,7 @@ def arc_landings(bp: Blueprint, label: int, density: int) -> tuple:
                 rows = mask[:, other - 1]
                 if other == label or not rows.any():
                     continue
-                ends = exits[rows, other - 1]
-                angles = np.mod(np.arctan2(ends[:, 1], ends[:, 0]), TWO_PI)
+                angles = _exit_angles(exits[rows, other - 1])
                 rows.setflags(write=False)
                 angles.setflags(write=False)
                 partners.append((other, rows, angles))
@@ -386,8 +401,7 @@ def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
     alpha_preimage call: one (label, exit angle) pair per participant,
     sorted by label.
     """
-    if not isinstance(bp, Blueprint):
-        raise BlueprintError(f"bp must be a Blueprint, got {type(bp).__name__}")
+    _require_blueprint(bp)
     if not (whole_number(density) and density >= 2):
         raise BlueprintError(f"density must be an integer >= 2, got {density!r}")
     steps = np.linspace(0.0, 1.0, density)[:, None]
@@ -401,8 +415,7 @@ def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
     points = points[kept]
     mask, exits = alpha_preimage(bp, points)
     rows, cols = mask.nonzero()
-    angles = [math.atan2(y, x) % TWO_PI for x, y in exits[rows, cols].tolist()]
-    pairs = zip((cols + 1).tolist(), angles)
+    pairs = zip((cols + 1).tolist(), _exit_angles(exits[rows, cols]).tolist())
     samples = []
     for idx, point, count in zip(kept, points, mask.sum(axis=1).tolist()):
         preimages = tuple(itertools.islice(pairs, count))
@@ -412,6 +425,7 @@ def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
 
 def stable_degree(bp: Blueprint, dim_m: int) -> tuple[int, int]:
     """Degree pair (loop components, interval components) scaled by dim_m, an integer >= 1."""
+    _require_blueprint(bp)
     if not (whole_number(dim_m) and dim_m >= 1):
         raise BlueprintError(f"manifold dimension must be an integer >= 1, got {dim_m!r}")
     g = bp.n_components
@@ -420,6 +434,7 @@ def stable_degree(bp: Blueprint, dim_m: int) -> tuple[int, int]:
 
 def export_obj(bp: Blueprint) -> str:
     """Wavefront OBJ with one polyline per timber face and per cut piece."""
+    _require_blueprint(bp)
     lines = ["# cleavage diagram export"]
     verts: list[str] = []
     elems: list[str] = []

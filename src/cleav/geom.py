@@ -3,8 +3,9 @@
 Oriented hyperplanes, convex bodies inside the closed unit ball, sphere
 traces, centroids, segment-boundary intersection and segment-segment
 closest points. Dimension 2 (circle cleaving) is handled exactly with arc
-and chord arithmetic; higher ambient dimensions fall back to seeded
-sampling with documented budgets.
+and chord arithmetic. The interior test and the centroid are planar; in
+higher ambient dimensions only sphere traces sample, as masks over one
+fixed cloud of TRACE_BUDGET points per dimension.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import numpy as np
 TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
-MC_SAMPLES = 100_000
 MC_SEED = 0
 TRACE_BUDGET = 2048
-INTERIOR_BUDGET = 20_000
 
 
 class GeometryError(ValueError):
@@ -212,9 +211,9 @@ def unit_disk(dim: int = 2) -> ConvexBody:
 def clip(body: ConvexBody, h: OrientedHyperplane, side: int) -> ConvexBody:
     if h.dim != body.dim:
         raise DimensionMismatch("clip plane dimension differs from body dimension")
-    if side not in (-1, 1):
-        raise GeometryError(f"clip side must be +1 or -1, got {side}")
-    return ConvexBody(body.constraints + ((h, side),), body.dim)
+    if not (whole_number(side) and side in (-1, 1)):
+        raise GeometryError(f"clip side must be +1 or -1, got {side!r}")
+    return ConvexBody(body.constraints + ((h, int(side)),), body.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +455,13 @@ def sphere_trace(body: ConvexBody) -> SphereRegion:
 
 
 # ---------------------------------------------------------------------------
-# Interior tests.
+# Interior test.
 
 
 def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
-    """True iff some point clears every plane and the sphere by more than tol.
+    """True iff some point of the planar body clears every plane and the circle by more than tol.
 
-    dim 2: exact. The tol-shrunk feasible set is the intersection of
+    Exact. The tol-shrunk feasible set is the intersection of
     half-planes {margin >= tol} with the disk of radius 1 - tol; its
     minimum-norm point is the origin, a projection onto one boundary line,
     or an intersection of two boundary lines, so testing those candidates
@@ -470,18 +469,13 @@ def is_nonempty_interior(body: ConvexBody, tol: float = TOL) -> bool:
     so only the other planes are checked; the rounding of a solve between
     nearly parallel lines once rejected the corner of a sliver so.
 
-    dim >= 3: seeded rejection sampling, INTERIOR_BUDGET points in the ball.
+    A body of any other dimension is a GeometryError: only sphere traces
+    sample in higher dimensions.
     """
     if not (finite_real(tol) and tol > 0.0):
         raise GeometryError(f"tol must be a positive finite number, got {tol!r}")
     if body.dim != 2:
-        rng = np.random.default_rng(MC_SEED)
-        pts = rng.normal(size=(INTERIOR_BUDGET, body.dim))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        radii = rng.random(INTERIOR_BUDGET) ** (1.0 / body.dim)
-        pts *= radii[:, None] * (1.0 - tol)
-        return bool((body._margins(pts) > tol).all(axis=0).any())
-
+        raise GeometryError(f"interior test and centroid are planar, got dimension {body.dim}")
     radius = 1.0 - tol
     if radius <= 0.0:
         return False
@@ -558,15 +552,13 @@ def _face_interval(body: ConvexBody, j: int):
 
 
 def centroid(body: ConvexBody) -> np.ndarray:
-    """Center of mass of the body, uniform density.
+    """Center of mass of the planar body, uniform density.
 
-    dim 2 is exact: the boundary decomposes into chord segments and circle
-    arcs, and area plus first moments come from Green's theorem applied to
-    each oriented piece. dim >= 3 defers to centroid_mc.
+    Exact: the boundary decomposes into chord segments and circle arcs, and
+    area plus first moments come from Green's theorem applied to each
+    oriented piece.  A body of any other dimension gets the GeometryError
+    of is_nonempty_interior.
     """
-    if body.dim != 2:
-        point, _ = centroid_mc(body)
-        return point
     if not is_nonempty_interior(body, TOL):
         raise EmptyBodyError("centroid of a body with empty interior")
 
@@ -594,21 +586,6 @@ def centroid(body: ConvexBody) -> np.ndarray:
     if area <= TOL * TOL:
         raise EmptyBodyError("centroid of a body with vanishing area")
     return np.array([sx / area, sy / area])
-
-
-def centroid_mc(body: ConvexBody, samples: int = MC_SAMPLES, seed: int = MC_SEED):
-    """Monte Carlo centroid estimate: (point, per-coordinate standard error)."""
-    rng = np.random.default_rng(seed)
-    d = body.dim
-    pts = rng.normal(size=(samples, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= (rng.random(samples) ** (1.0 / d))[:, None]
-    hits = pts[(body._margins(pts) >= 0.0).all(axis=0)]
-    if len(hits) < 10:
-        raise EmptyBodyError("Monte Carlo centroid: body acceptance rate too low")
-    mean = hits.mean(axis=0)
-    stderr = hits.std(axis=0, ddof=1) / math.sqrt(len(hits))
-    return mean, stderr
 
 
 # ---------------------------------------------------------------------------

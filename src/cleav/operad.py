@@ -272,8 +272,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.k:
-            raise OperadError(f"index {i} out of range 1..{self.k}")
+        if not (whole_number(i) and 1 <= i <= self.k):
+            raise OperadError(f"index must be an integer in 1..{self.k}, got {i!r}")
         return self.images[i - 1]
 
 

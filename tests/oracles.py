@@ -44,6 +44,23 @@ def signed_eval(h: geom.OrientedHyperplane, x) -> float:
     return ref_dot(h.normal, geom._as_vector(x, h.dim)) - h.offset
 
 
+def centroid_mc(body: geom.ConvexBody, samples: int, seed: int):
+    """Monte Carlo centroid estimate: (point, per-coordinate standard error).
+
+    Draws uniform points in the unit ball and averages those the body
+    keeps; fewer than 10 kept draws raise EmptyBodyError.
+    """
+    rng = np.random.default_rng(seed)
+    d = body.dim
+    pts = rng.normal(size=(samples, d))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts *= (rng.random(samples) ** (1.0 / d))[:, None]
+    hits = pts[(body._margins(pts) >= 0.0).all(axis=0)]
+    if len(hits) < 10:
+        raise geom.EmptyBodyError("Monte Carlo centroid: body acceptance rate too low")
+    return hits.mean(axis=0), hits.std(axis=0, ddof=1) / math.sqrt(len(hits))
+
+
 def canonicalising_intersect(a: geom.ArcSet, b: geom.ArcSet) -> geom.ArcSet:
     """Every overlap of an arc of a with an arc of b shifted by -2*pi, 0 or 2*pi, made canonical anew.
 

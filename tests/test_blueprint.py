@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cleav import blueprint as bp_mod
-from cleav import geom, operad, sampling
+from cleav import fixtures, geom, operad, sampling
 from oracles import ref_dot, ref_norm, signed_eval
 from test_geom import (
     assert_raises_first_of_its_kind,
@@ -223,6 +223,23 @@ class TestCollapseTol:
     def test_participants_needs_the_diagram(self):
         with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
             bp_mod.participants(chord_cleavage(), [[0.0, 0.3]])
+
+
+class TestNeedsTheDiagram:
+    @pytest.mark.parametrize("call", [
+        lambda c: bp_mod.participants(c, [[0.0, 0.3]]),
+        lambda c: bp_mod.alpha(c, 1, [[-1.0, 0.0]]),
+        lambda c: bp_mod.alpha_preimage(c, [[0.0, 0.3]]),
+        lambda c: bp_mod.blueprint_distance(c, [[0.0, 0.3]]),
+        lambda c: bp_mod.thicken(c, 4),
+        lambda c: bp_mod.stable_degree(c, 1),
+        lambda c: bp_mod.export_obj(c),
+    ], ids=["participants", "alpha", "alpha_preimage", "blueprint_distance", "thicken",
+            "stable_degree", "export_obj"])
+    def test_a_cleavage_is_a_domain_error(self, call):
+        # All but participants and thicken raised AttributeError on a missing diagram field.
+        with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
+            call(fixtures.chord_cleavage())
 
 
 class TestStacksOnly:

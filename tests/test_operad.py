@@ -404,6 +404,14 @@ class TestPermute:
         with pytest.raises(operad.OperadError, match="permutation images must be integers"):
             operad.Permutation(images)
 
+    def test_index_must_be_a_whole_number_in_range(self):
+        # 1.5 and "1" raised TypeError from the tuple and from <=; True gave the image of 1.
+        sigma = operad.Permutation((2, 1))
+        for index in (1.5, "1", True, 0, 3, None):
+            with pytest.raises(operad.OperadError, match=r"index must be an integer in 1\.\.2"):
+                sigma(index)
+        assert (sigma(1), sigma(np.int64(2))) == (2, 1)
+
     def test_numpy_integer_images(self):
         sigma = operad.Permutation(tuple(np.array([2, 1])))
         assert sigma.images == (2, 1) and all(type(i) is int for i in sigma.images)

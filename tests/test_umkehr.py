@@ -1460,8 +1460,8 @@ def direct_arc_landings(bp, label, density):
         for other in range(1, bp.cleavage.k + 1):
             sel = mask[:, other - 1]
             if other != label and sel.any():
-                ends = exits[sel, other - 1]
-                partners.append((other, sel, np.mod(np.arctan2(ends[:, 1], ends[:, 0]), 2 * PI)))
+                angles = [math.atan2(y, x) % (2 * PI) for x, y in exits[sel, other - 1].tolist()]
+                partners.append((other, sel, np.array(angles)))
         out.append((grid, partners))
     return out
 
