@@ -14,6 +14,7 @@ finite-to-infinite transition.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -245,12 +246,9 @@ def _band(x: float, y: np.ndarray, radius: float) -> np.ndarray:
     return radius * np.stack([np.full_like(y, x), y], axis=1) / np.sqrt(x * x + y * y)[:, None]
 
 
-_STATIC_CACHE: dict = {}
-
-
-def _corridor_static() -> dict:
-    if _STATIC_CACHE:
-        return _STATIC_CACHE
+@functools.cache
+def _corridor_static() -> tuple:
+    """(loop1, loop2, loop3_static): the corridor strands' parts that do not move with the tip."""
     c = corridor_cleavage()
 
     # strand 1: partner band at params [60, 300], toward the chord x = 1/2
@@ -304,10 +302,7 @@ def _corridor_static() -> dict:
     p_out = _STEP * np.arange(936, 960)
     loop3_static[936:960] = _polar(-120.0, _R_LOW + (p_out - 234.0) / 6.0 * (0.038 - _R_LOW))
 
-    _STATIC_CACHE.update(
-        cleavage=c, loop1=loop1, loop2=loop2, loop3_static=loop3_static
-    )
-    return _STATIC_CACHE
+    return loop1, loop2, loop3_static
 
 
 def corridor_trio(
@@ -322,7 +317,7 @@ def corridor_trio(
     """
     if not 61.0 < tip_deg < 100.0:
         raise ValueError(f"tip angle {tip_deg!r} outside the designed range (61, 100)")
-    st = _corridor_static()
+    loop1, loop2, loop3_static = _corridor_static()
     ang = np.full(CORRIDOR_M, np.nan)
     rad = np.full(CORRIDOR_M, np.nan)
     p = _STEP * np.arange(CORRIDOR_M)
@@ -347,7 +342,7 @@ def corridor_trio(
         lo, hi = CORRIDOR_EXCURSION
         rad[lo:hi] = rad[lo:hi] + rng.uniform(-jitter, jitter, hi - lo)
 
-    loop3 = st["loop3_static"].copy()
+    loop3 = loop3_static.copy()
     mobile = ~np.isnan(ang)
     loop3[mobile] = _polar(ang[mobile], rad[mobile])
-    return DiscreteEmbedding(EUCLIDEAN, (st["loop1"], st["loop2"], loop3))
+    return DiscreteEmbedding(EUCLIDEAN, (loop1, loop2, loop3))

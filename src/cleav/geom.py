@@ -21,7 +21,7 @@ import numpy as np
 TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
-MC_SEED = 0
+CLOUD_SEED = 0  # seeds the random sphere_points cloud of dim >= 4
 TRACE_BUDGET = 2048
 
 
@@ -417,7 +417,7 @@ def sphere_points(dim: int) -> np.ndarray:
         phi = golden * i
         pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     else:
-        pts = np.random.default_rng(MC_SEED).normal(size=(TRACE_BUDGET, dim))
+        pts = np.random.default_rng(CLOUD_SEED).normal(size=(TRACE_BUDGET, dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts.setflags(write=False)
     return pts

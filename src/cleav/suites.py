@@ -7,6 +7,7 @@ format the report and pick the exit code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -321,30 +322,22 @@ def check_symmetry(seed: int = 0, instances: int = 50) -> SuiteReport:
 # soundness: collapse statuses track the independent supremum exactly.
 
 
-_CORRIDOR_CACHE: dict = {}
-
-
+@functools.cache
 def _corridor_setup():
-    if not _CORRIDOR_CACHE:
-        c = fx.corridor_cleavage()
-        _CORRIDOR_CACHE["c"] = c
-        _CORRIDOR_CACHE["tb"] = thicken(build_blueprint(c), density=24)
-    return _CORRIDOR_CACHE["c"], _CORRIDOR_CACHE["tb"]
+    c = fx.corridor_cleavage()
+    return c, thicken(build_blueprint(c), density=24)
 
 
 def _manual_sups(emb, tb, cfg) -> dict:
-    """Recompute per-component suprema from the public primitives."""
+    """Recompute per-component suprema from the public primitives, one pair at a time."""
     sups: dict = {}
     for s in tb.samples:
         for (a, th_a), (b, th_b) in itertools.combinations(s.preimages, 2):
-            pa = emb.point(a, th_a)
-            pb = emb.point(b, th_b)
-            g = geodesic(emb.metric, pa, pb)
-            if g.length > cfg.epsilon:
-                val = INF
-            else:
-                delta, _ = clearance(emb, g, cfg, exclude=((a, th_a), (b, th_b)))
-                val = scaling(g.length, cfg.epsilon, delta, cfg.t_homotopy)
+            g = geodesic(emb.metric, emb.points_at(a, [th_a]), emb.points_at(b, [th_b]))
+            delta = 1.0
+            if g.length[0] <= cfg.epsilon:
+                delta, _ = clearance(emb, g, 0, cfg, exclude=((a, th_a), (b, th_b)))
+            val = float(scaling(g.length, cfg.epsilon, delta, cfg.t_homotopy)[0])
             sups[s.component] = max(sups.get(s.component, 0.0), val)
     return sups
 
@@ -510,7 +503,11 @@ def check_homotopy(seed: int = 0, perturbations: int = 10) -> SuiteReport:
 
 
 def check_degree(seed: int = 0, cleavages: int = 1000) -> SuiteReport:
-    """stable_degree splits as (dim * components, the rest), summing right."""
+    """stable_degree splits as (dim * components, the rest), summing right.
+
+    The diagram is a forest of P pieces with its leaves on the circle, so it
+    has as many components as trace arcs minus P (a full circle counts none).
+    """
     rng = np.random.default_rng(seed)
     failures: list = []
     checked = 0
@@ -518,13 +515,16 @@ def check_degree(seed: int = 0, cleavages: int = 1000) -> SuiteReport:
         k = 2 + idx % 4
         c = random_cleavage(rng, k)
         bp = build_blueprint(c)
+        arcs = sum(0 if t.arcs.is_full() else len(t.arcs.arcs) for t in c.traces)
         for dim in (2, 3):
             a, b = stable_degree(bp, dim)
             checked += 1
-            if a != dim * bp.n_components or a + b != dim * (k - 1):
+            if (a != dim * bp.n_components or a + b != dim * (k - 1)
+                    or bp.n_components != arcs - len(bp.pieces)):
                 failures.append({
                     "k": k, "cleavage": c.to_json(), "dim_m": dim,
-                    "gamma": bp.n_components, "got": [a, b],
+                    "gamma": bp.n_components, "from_traces": arcs - len(bp.pieces),
+                    "got": [a, b],
                 })
     return SuiteReport(
         "degree", not failures, checked, len(failures),

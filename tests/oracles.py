@@ -4,8 +4,9 @@ The references in the test modules take every dot product here, so they
 share no arithmetic with geom._rowdot and none with BLAS: each product is
 rounded to a float, then the products are added left to right, which is
 the rounding the package promises for every dot.  The plane, arc,
-cleavage and permutation helpers below are ones the package itself does
-not need, or the code a faster kernel of the package replaced.
+cleavage, permutation and one-pair collapse helpers below are ones the
+package itself does not need, or the code a faster kernel of the package
+replaced.
 """
 
 import math
@@ -14,6 +15,7 @@ import operator
 import numpy as np
 
 from cleav import geom, operad
+from cleav import umkehr as um
 
 
 def ref_dot(x, y):
@@ -59,6 +61,41 @@ def centroid_mc(body: geom.ConvexBody, samples: int, seed: int):
     if len(hits) < 10:
         raise geom.EmptyBodyError("Monte Carlo centroid: body acceptance rate too low")
     return hits.mean(axis=0), hits.std(axis=0, ddof=1) / math.sqrt(len(hits))
+
+
+def ref_wrap(metric: um.FlatMetric, delta):
+    """mod(delta + L/2, L) - L/2 on the torus, delta in the plane: the reference for FlatMetric.wrap."""
+    delta = np.asarray(delta, dtype=float)
+    if metric.kind == "euclidean":
+        return delta
+    return np.mod(delta + 0.5 * metric.L, metric.L) - 0.5 * metric.L
+
+
+def one_pair_geodesic(metric: um.FlatMetric, a, b, tol: float = geom.TOL) -> um.Geodesic:
+    """The geodesic from the point a to the point b, as a 1-row stack.
+
+    The reference for a row of umkehr.geodesic: one pair at a time, with a
+    pure-Python length, raising the NonUniqueGeodesic it raises for a tie.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    disp = ref_wrap(metric, b - a)
+    if metric.ties(disp, tol):
+        raise um.NonUniqueGeodesic(
+            f"displacement {(b - a).tolist()} sits half a period away on some axis")
+    length = ref_norm(disp)
+    tangent = disp / length if length > 0.0 else np.zeros(metric.d)
+    return um.Geodesic(a[None], b[None], np.array([length]), tangent[None], disp[None])
+
+
+def scalar_scaling(dist: float, epsilon: float, inf_delta: float, t: float) -> float:
+    """dist / (epsilon * ((1-t) * inf_delta + t)) for one pair; the reference for umkehr.scaling."""
+    if dist > epsilon:
+        return math.inf
+    denom = epsilon * ((1.0 - t) * inf_delta + t)
+    if denom <= 0.0:
+        return math.inf
+    return dist / denom
 
 
 def canonicalising_intersect(a: geom.ArcSet, b: geom.ArcSet) -> geom.ArcSet:

@@ -6,12 +6,14 @@ budget (seed 0) and prints a single [PASS]/[FAIL] report line.  Run with
 finishes in well under a minute on its own.
 """
 
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from cleav import suites
 from cleav.geom import OrientedHyperplane, clip, sphere_trace, unit_disk
 from cleav.operad import Internal, Leaf, compose, validate
 from cleav.suites import format_report, run_suite
@@ -66,6 +68,23 @@ def test_degree_splits_sum_to_dimension_times_arity():
     report = _run("degree")
     # one thousand trees, each checked for ambient dimensions 2 and 3
     assert report.checked >= 2000
+
+
+def test_degree_catches_pieces_that_never_merge(monkeypatch):
+    # The suite also counts components from the sphere traces, so a
+    # union-find that never merges touching pieces (each piece its own
+    # component) fails it at the benchmark's reduced size.
+    build = suites.build_blueprint
+
+    def never_merge(c):
+        bp = build(c)
+        return dataclasses.replace(bp, piece_components=tuple(range(len(bp.pieces))),
+                                   n_components=len(bp.pieces))
+
+    monkeypatch.setattr(suites, "build_blueprint", never_merge)
+    report = run_suite("degree", seed=0, cleavages=100)
+    assert not report.passed
+    assert report.failures > 0 and report.counterexample["gamma"] != report.counterexample["from_traces"]
 
 
 def test_meeting_loci_are_proper_intervals():

@@ -220,10 +220,6 @@ class TestCollapseTol:
         with pytest.raises(bp_mod.BlueprintError, match=r"label must be an integer in 1\.\.2, got "):
             bp_mod.alpha(bp, label, [[-1.0, 0.0]])
 
-    def test_participants_needs_the_diagram(self):
-        with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
-            bp_mod.participants(chord_cleavage(), [[0.0, 0.3]])
-
 
 class TestNeedsTheDiagram:
     @pytest.mark.parametrize("call", [
@@ -237,6 +233,7 @@ class TestNeedsTheDiagram:
     ], ids=["participants", "alpha", "alpha_preimage", "blueprint_distance", "thicken",
             "stable_degree", "export_obj"])
     def test_a_cleavage_is_a_domain_error(self, call):
+        # A cleavage is no diagram: its tol would be a second, silent default.
         # All but participants and thicken raised AttributeError on a missing diagram field.
         with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
             call(fixtures.chord_cleavage())
@@ -620,9 +617,6 @@ class TestThicken:
         tb = bp_mod.thicken(bp, density=4)
         assert tb.blueprint is bp
         assert len(tb.samples) == 4
-        # A cleavage is no diagram: its tol would be a second, silent default.
-        with pytest.raises(bp_mod.BlueprintError, match="bp must be a Blueprint, got Cleavage"):
-            bp_mod.thicken(chord_cleavage(), density=4)
 
     def test_density_validated(self):
         with pytest.raises(bp_mod.BlueprintError):

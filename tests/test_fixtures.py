@@ -75,7 +75,7 @@ class TestCorridor:
         corner = max(tb.samples, key=lambda s: s.point[1] - 10 * abs(s.point[0] - 0.5))
         pre = dict(corner.preimages)
         assert sorted(pre) == [1, 2]
-        gap = np.linalg.norm(emb.point(1, pre[1]) - emb.point(2, pre[2]))
+        gap = np.linalg.norm(emb.points_at(1, [pre[1]])[0] - emb.points_at(2, [pre[2]])[0])
         assert abs(gap - fx.CORRIDOR_GAP) < 1e-12
 
     def test_strands_stay_apart(self):

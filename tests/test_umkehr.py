@@ -9,7 +9,7 @@ from re import escape as re_escape
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cleav import blueprint as bp_mod
@@ -19,7 +19,7 @@ from cleav import operad
 from cleav import sampling
 from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
-from oracles import ref_dot, ref_norm
+from oracles import one_pair_geodesic, ref_dot, ref_norm, ref_wrap, scalar_scaling
 
 PI = math.pi
 EUCLID = um.FlatMetric("euclidean", 2)
@@ -49,53 +49,50 @@ def concentric(g, r1=0.5, m=96):
     return um.DiscreteEmbedding(EUCLID, (circle(r1, m), circle(r1 - g, m, mirrored=True)))
 
 
-def reference_displacement(metric, a, B):
-    """mod(B - a + L/2, L) - L/2, a copy kept so the references share no kernel with src."""
-    delta = np.asarray(B, dtype=float) - np.asarray(a, dtype=float)
-    if metric.kind == "euclidean":
-        return delta
-    return np.mod(delta + 0.5 * metric.L, metric.L) - 0.5 * metric.L
-
-
-def reference_geodesic(metric, a, b, tol=geom.TOL):
-    """One-pair geodesic with a pure-Python length, the reference for the stacked geodesic."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    disp = reference_displacement(metric, a, b)
-    if metric.ties(disp, tol):
-        raise um.NonUniqueGeodesic(
-            f"displacement {(b - a).tolist()} sits half a period away on some axis")
-    length = ref_norm(disp)
-    tangent = disp / length if length > 0.0 else np.zeros(metric.d)
-    return um.Geodesic(a, b, length, tangent, disp)
-
-
 class TestMetric:
     def test_euclidean_geodesic(self):
-        g = um.geodesic(EUCLID, [0.0, 0.0], [1.0, 0.0])
-        assert g.length == 1.0
-        assert g.tangent.tolist() == [1.0, 0.0]
-        assert (g.a + 0.5 * g.disp).tolist() == [0.5, 0.0]
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[1.0, 0.0]])
+        assert g.length.tolist() == [1.0]
+        assert g.tangent.tolist() == [[1.0, 0.0]]
+        assert (g.a + 0.5 * g.disp).tolist() == [[0.5, 0.0]]
 
     def test_torus_wraps(self):
         torus = um.FlatMetric("torus", 2, 10.0)
-        g = um.geodesic(torus, [0.0, 0.0], [9.0, 0.0])
-        assert g.length == pytest.approx(1.0, abs=1e-12)
-        assert g.tangent.tolist() == pytest.approx([-1.0, 0.0], abs=1e-12)
+        g = um.geodesic(torus, [[0.0, 0.0]], [[9.0, 0.0]])
+        assert g.length[0] == pytest.approx(1.0, abs=1e-12)
+        assert g.tangent[0].tolist() == pytest.approx([-1.0, 0.0], abs=1e-12)
 
     def test_torus_tie_raises(self):
         torus = um.FlatMetric("torus", 2, 2.0)
         with pytest.raises(um.NonUniqueGeodesic):
-            um.geodesic(torus, [0.0, 0.0], [1.0, 0.0])
+            um.geodesic(torus, [[0.0, 0.0]], [[1.0, 0.0]])
 
     def test_zero_geodesic(self):
-        g = um.geodesic(EUCLID, [0.3, 0.4], [0.3, 0.4])
-        assert g.length == 0.0
-        assert g.tangent.tolist() == [0.0, 0.0]
+        g = um.geodesic(EUCLID, [[0.3, 0.4]], [[0.3, 0.4]])
+        assert g.length.tolist() == [0.0]
+        assert g.tangent.tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("a, b", [([0.0, 0.0], [1.0, 0.0]), ([[0.0, 0.0]], [1.0, 0.0]),
+                                      ([[[0.0, 0.0]]], [[[1.0, 0.0]]])],
+                             ids=["points", "stack-and-point", "3-d"])
+    def test_only_stacks_of_pairs(self, a, b):
+        with pytest.raises(um.UmkehrError, match=re_escape("points must be two (n, 2) stacks")):
+            um.geodesic(EUCLID, a, b)
+
+    @pytest.mark.parametrize("d", [np.int64(2), np.int32(3), np.uint8(2)])
+    def test_numpy_integer_dimension(self, d):
+        # np.int64(2) used to be rejected as "ambient dimension must be an integer >= 2".
+        metric = um.FlatMetric("torus", d, 1.0)
+        assert type(metric.d) is int and metric.d == d
+        assert metric == um.FlatMetric("torus", int(d), 1.0)
+        assert json.dumps(metric.to_json()) == json.dumps({"kind": "torus", "d": int(d), "L": 1.0})
+        with pytest.raises(um.UmkehrError, match="metric field 'd' must be an integer"):
+            um.metric_from_json({"kind": "torus", "d": d, "L": 1.0})
 
     def test_validation(self):
-        with pytest.raises(um.UmkehrError):
-            um.FlatMetric("euclidean", 1)
+        for d in (1, np.int64(1), 2.0, True):
+            with pytest.raises(um.UmkehrError, match="ambient dimension"):
+                um.FlatMetric("euclidean", d)
         with pytest.raises(um.UmkehrError):
             um.FlatMetric("spherical", 2)
         with pytest.raises(um.UmkehrError):
@@ -145,15 +142,22 @@ class TestMetric:
         if order[1] - order[0] < 1e-6:
             return
         try:
-            g = um.geodesic(torus, a, b)
+            g = um.geodesic(torus, [a], [b])
         except um.NonUniqueGeodesic:
             # per-axis ties can trip before the full-vector tie does
             axis_best = np.abs(images)[np.argmin(dists)]
             assert np.any(np.abs(axis_best - L / 2) < 1e-6)
             return
-        assert g.length == pytest.approx(float(order[0]), abs=1e-9)
+        assert g.length[0] == pytest.approx(float(order[0]), abs=1e-9)
         best = images[int(np.argmin(dists))]
-        assert g.disp == pytest.approx(best, abs=1e-9)
+        assert g.disp[0] == pytest.approx(best, abs=1e-9)
+
+
+def assert_same_row(g, r, ref, ref_r):
+    """Row r of the stacked geodesic g is bit for bit row ref_r of ref."""
+    assert g.length[r].tobytes() == ref.length[ref_r].tobytes()
+    for field in ("a", "b", "tangent", "disp"):
+        assert getattr(g, field)[r].tobytes() == getattr(ref, field)[ref_r].tobytes()
 
 
 class TestGeodesicStack:
@@ -173,16 +177,14 @@ class TestGeodesicStack:
         rows = []
         for r in range(n):
             try:
-                one = um.geodesic(metric, A[r], B[r])
+                one = um.geodesic(metric, A[r : r + 1], B[r : r + 1])
             except um.NonUniqueGeodesic as err:
                 with pytest.raises(um.NonUniqueGeodesic, match=re_escape(str(err))):
-                    reference_geodesic(metric, A[r], B[r])
+                    one_pair_geodesic(metric, A[r], B[r])
                 first_tie = str(err) if first_tie is None else first_tie
                 continue
-            ref = reference_geodesic(metric, A[r], B[r])
-            assert type(one.length) is float and one.length == ref.length
-            for field in ("a", "b", "tangent", "disp"):
-                assert getattr(one, field).tobytes() == getattr(ref, field).tobytes()
+            assert one.length.shape == (1,)
+            assert_same_row(one, 0, one_pair_geodesic(metric, A[r], B[r]), 0)
             rows.append((r, one))
         if first_tie is not None:
             with pytest.raises(um.NonUniqueGeodesic) as err:
@@ -192,9 +194,7 @@ class TestGeodesicStack:
         stack = um.geodesic(metric, A, B)
         assert stack.length.shape == (n,) and stack.tangent.shape == (n, d)
         for r, one in rows:
-            assert stack.length[r] == one.length
-            for field in ("a", "b", "tangent", "disp"):
-                assert getattr(stack, field)[r].tobytes() == getattr(one, field).tobytes()
+            assert_same_row(stack, r, one, 0)
 
     def test_empty_stack(self):
         for metric in (EUCLID, um.FlatMetric("torus", 2, 1.0)):
@@ -210,9 +210,9 @@ class TestGeodesicStack:
             um.geodesic(torus, A, B)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(um.UmkehrError, match="dimension"):
+        with pytest.raises(um.UmkehrError, match=re_escape("got (3, 2) and (2, 2)")):
             um.geodesic(EUCLID, np.zeros((3, 2)), np.zeros((2, 2)))
-        with pytest.raises(um.UmkehrError, match="dimension"):
+        with pytest.raises(um.UmkehrError, match=re_escape("(n, 2) stacks of one shape, got (3, 3)")):
             um.geodesic(EUCLID, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
@@ -255,7 +255,7 @@ class TestEmbedding:
     def test_vertex_evaluation(self):
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5, 8),))
         for j in range(8):
-            p = emb.point(1, 2 * PI * j / 8)
+            p = emb.points_at(1, [2 * PI * j / 8])[0]
             assert p == pytest.approx(emb.loops[0][j], abs=1e-15)
 
     def test_midpoint_interpolation(self):
@@ -265,7 +265,7 @@ class TestEmbedding:
         )
         emb = um.DiscreteEmbedding(EUCLID, (loop,))
         step = 2 * PI / 8
-        mid = emb.point(1, step / 2)
+        mid = emb.points_at(1, [step / 2])[0]
         assert mid == pytest.approx([0.5, 0.0], abs=1e-12)
 
     def test_torus_seam_interpolation(self):
@@ -276,8 +276,8 @@ class TestEmbedding:
             dtype=float,
         )
         emb = um.DiscreteEmbedding(torus, (loop,))
-        mid = emb.point(1, (2 * PI / 8) / 2)
-        assert um.geodesic(torus, mid, [0.0, 0.0]).length == pytest.approx(0.0, abs=1e-9)
+        mid = emb.points_at(1, [(2 * PI / 8) / 2])
+        assert um.geodesic(torus, mid, [[0.0, 0.0]]).length[0] == pytest.approx(0.0, abs=1e-9)
 
     @given(st.integers(0, 10 ** 6), st.sampled_from(["euclidean", "torus"]), st.sampled_from([2, 3]))
     @settings(max_examples=40, deadline=None)
@@ -310,7 +310,7 @@ class TestEmbedding:
     def test_bad_labels_raise(self, label):
         # Label 0 used to read the last strand through index -1, and label 3 raised IndexError.
         emb = concentric(0.05)
-        for read in (emb.m, emb.params, lambda x: emb.point(x, 0.5), lambda x: emb.points_at(x, [0.5])):
+        for read in (emb.m, emb.params, lambda x: emb.points_at(x, [0.5])):
             with pytest.raises(um.UmkehrError, match=r"strand label must be an integer in 1\.\.2"):
                 read(label)
 
@@ -334,7 +334,7 @@ def scalar_edges(metric, loop):
     """Edge displacements one vertex at a time, as the reference for the batch build."""
     out = []
     for j in range(loop.shape[0]):
-        step = reference_geodesic(metric, loop[j], loop[(j + 1) % loop.shape[0]]).disp
+        step = one_pair_geodesic(metric, loop[j], loop[(j + 1) % loop.shape[0]]).disp[0]
         if float(np.linalg.norm(step)) == 0.0:
             raise um.UmkehrError(f"strand 1 repeats vertex {j}; consecutive points must differ")
         out.append(step)
@@ -535,15 +535,39 @@ class TestStrandDistance:
 
 class TestScaling:
     def test_examples(self):
-        assert um.scaling(0.1, 0.2, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert um.scaling(0.1, 0.2, 0.0, 0.0) == math.inf
-        assert um.scaling(0.1, 0.2, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        got = um.scaling(np.array([0.1, 0.1]), 0.2, np.array([1.0, 0.0]), 0.0)
+        assert got.tolist() == [pytest.approx(0.5, abs=1e-15), math.inf]
+        assert um.scaling(np.array([0.1]), 0.2, np.array([0.0]), 1.0)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_beyond_tube(self):
-        assert um.scaling(0.25, 0.2, 1.0, 0.0) == math.inf
+        assert um.scaling(np.array([0.25]), 0.2, np.array([1.0]), 0.0).tolist() == [math.inf]
 
     def test_boundary(self):
-        assert um.scaling(0.2, 0.2, 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert um.scaling(np.array([0.2]), 0.2, np.array([1.0]), 0.0)[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_empty(self):
+        assert um.scaling(np.zeros(0), 0.2, np.zeros(0), 0.0).shape == (0,)
+
+    @given(st.lists(st.tuples(st.one_of(st.floats(0.0, 2.0), st.just(1.0)),
+                              st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))),
+                    max_size=12),
+           st.floats(1e-3, 1.0), st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
+    @example(rows=[(0.5, 0.0), (0.5, 0.3), (1.0, 1.0), (1.5, 0.0), (0.0, 0.0)], epsilon=0.2, t=0.0)
+    @example(rows=[(0.5, 0.0), (0.5, 0.3), (1.0, 1.0), (1.5, 0.0), (0.0, 0.0)], epsilon=0.2, t=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_reference(self, rows, epsilon, t):
+        # Each row's distance is a multiple of epsilon (1.0 is the tube's
+        # edge, above it lies beyond); one array call, one scalar call per row.
+        dist = np.array([f * epsilon for f, _ in rows], dtype=float)
+        inf_delta = np.array([delta for _, delta in rows], dtype=float)
+        got = um.scaling(dist, epsilon, inf_delta, t)
+        ref = np.array([scalar_scaling(d_, epsilon, delta, t)
+                        for d_, delta in zip(dist.tolist(), inf_delta.tolist())], dtype=float)
+        assert got.shape == dist.shape
+        assert got.tobytes() == ref.tobytes()
+        # A scalar inf_delta broadcasts as the same value in every row.
+        assert um.scaling(dist, epsilon, 1.0, t).tobytes() == np.array(
+            [scalar_scaling(d_, epsilon, 1.0, t) for d_ in dist.tolist()], dtype=float).tobytes()
 
 
 def far_loops():
@@ -556,9 +580,9 @@ def far_loops():
 class TestClearance:
     def test_no_strand_in_tube(self):
         emb = um.DiscreteEmbedding(EUCLID, far_loops())
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, witness = um.clearance(emb, g, cfg)
+        inf_delta, witness = um.clearance(emb, g, 0, cfg)
         assert inf_delta == 1.0
         assert witness is None
 
@@ -566,9 +590,9 @@ class TestClearance:
         invader = circle(0.02, 8, center=(0.05, 0.0))
         invader[0] = [0.05, 0.0]  # exactly on the segment
         emb = um.DiscreteEmbedding(EUCLID, far_loops() + (invader,))
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, witness = um.clearance(emb, g, cfg)
+        inf_delta, witness = um.clearance(emb, g, 0, cfg)
         assert inf_delta == 0.0
         assert witness.label == 3
         assert witness.param == 0.0
@@ -578,9 +602,9 @@ class TestClearance:
         invader = circle(0.001, 8, center=(0.05, 0.058))
         invader[0] = [0.05, 0.05]  # perp 0.05 at t=0.5, radius 0.1
         emb = um.DiscreteEmbedding(EUCLID, far_loops() + (invader,))
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, witness = um.clearance(emb, g, cfg)
+        inf_delta, witness = um.clearance(emb, g, 0, cfg)
         assert inf_delta == pytest.approx(0.5, abs=1e-12)
         assert witness.label == 3
         assert witness.point == pytest.approx([0.05, 0.05], abs=1e-15)
@@ -594,12 +618,12 @@ class TestClearance:
             dtype=float,
         )
         emb = um.DiscreteEmbedding(EUCLID, (loop1, circle(0.1, 8, center=(5.0, 5.0))))
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         default = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, _ = um.clearance(emb, g, default, exclude=((1, 0.0),))
+        inf_delta, _ = um.clearance(emb, g, 0, default, exclude=((1, 0.0),))
         assert inf_delta == 1.0
         tight = um.UmkehrConfig(epsilon=0.2, eta=0.1)
-        inf_delta, witness = um.clearance(emb, g, tight, exclude=((1, 0.0),))
+        inf_delta, witness = um.clearance(emb, g, 0, tight, exclude=((1, 0.0),))
         assert inf_delta == pytest.approx(0.001 / 0.1, abs=1e-12)
         assert witness.label == 1
 
@@ -610,41 +634,49 @@ class TestClearance:
         loop1 = np.array([[0.0, 0.0], [-0.3, 0.3], [0.05, 0.01], [0.5, 0.5], [0.5, 1.0],
                           [0.0, 1.0], [-0.5, 1.0], [-0.5, 0.3]])
         emb = um.DiscreteEmbedding(EUCLID, (loop1, circle(0.1, 8, center=(5.0, 5.0))))
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         exclude = ((1, 0.0),)
         for cfg, delta in ((um.UmkehrConfig(epsilon=0.2), 1.0),
                            (um.UmkehrConfig(epsilon=0.2, eta=2 * 2 * PI / 8), 1.0),
                            (um.UmkehrConfig(epsilon=0.2, eta=1.5 * 2 * PI / 8), 0.1)):
-            got = um.clearance(emb, g, cfg, exclude)
+            got = um.clearance(emb, g, 0, cfg, exclude)
             assert got[0] == pytest.approx(delta, abs=1e-12)
-            assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
+            assert_same_clearance(got, reference_clearance(emb, g, 0, cfg, exclude))
         assert (got[1].label, got[1].param) == (1, emb.params(1)[2])
 
     def test_exclusion_is_per_strand(self):
         invader = circle(0.001, 8, center=(0.05, 0.058))
         invader[0] = [0.05, 0.05]
         emb = um.DiscreteEmbedding(EUCLID, far_loops() + (invader,))
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.1, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2, eta=PI)  # huge radius
         # excluding parameter 0 on strand 1 must not shield strand 3
-        inf_delta, witness = um.clearance(emb, g, cfg, exclude=((1, 0.0),))
+        inf_delta, witness = um.clearance(emb, g, 0, cfg, exclude=((1, 0.0),))
         assert inf_delta == pytest.approx(0.5, abs=1e-12)
         assert witness.label == 3
 
     def test_zero_length_rejected(self):
         emb = um.DiscreteEmbedding(EUCLID, far_loops())
-        g = um.geodesic(EUCLID, [0.0, 0.0], [0.0, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.0, 0.0]])
         with pytest.raises(um.UmkehrError):
-            um.clearance(emb, g, um.UmkehrConfig(epsilon=0.2))
+            um.clearance(emb, g, 0, um.UmkehrConfig(epsilon=0.2))
+
+    @pytest.mark.parametrize("r", [2, -1, 1.0, True, None])
+    def test_row_outside_the_stack_is_a_domain_error(self, r):
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.0, 0.1]])
+        with pytest.raises(um.UmkehrError, match=re_escape(f"row must be an integer in 0..1, got {r!r}")):
+            um.clearance(emb, g, r, um.UmkehrConfig(epsilon=0.2))
 
 
-def reference_clearance(gamma, g, cfg, exclude=()):
-    """Strand-by-strand tube scan, the reference for the one-pass clearance."""
+def reference_clearance(gamma, g, r, cfg, exclude=()):
+    """Strand-by-strand tube scan around row r of g, the reference for the one-pass clearance."""
+    a, disp, length = g.a[r], g.disp[r], float(g.length[r])
     etas = cfg.eta_radians(gamma)
     best = 1.0
     witness = None
     zero_witness = None
-    ell2 = g.length * g.length
+    ell2 = length * length
     for label in range(1, gamma.k + 1):
         loop = gamma.loops[label - 1]
         params = gamma.params(label)
@@ -657,11 +689,11 @@ def reference_clearance(gamma, g, cfg, exclude=()):
             keep &= gap > etas[label - 1]
         if not np.any(keep):
             continue
-        w = reference_displacement(gamma.metric, g.a, loop[keep])
-        t = ref_dot(w, g.disp) / ell2
-        perp = w - t[:, None] * g.disp
+        w = ref_wrap(gamma.metric, loop[keep] - a)
+        t = ref_dot(w, disp) / ell2
+        perp = w - t[:, None] * disp
         pd = ref_norm(perp)
-        seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp)
+        seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * disp)
         kept_params = params[keep]
         on_seg = seg <= cfg.tol
         if np.any(on_seg) and zero_witness is None:
@@ -689,9 +721,10 @@ def reference_clearance(gamma, g, cfg, exclude=()):
     return best, witness
 
 
-def reference_one_pass_clearance(gamma, g, cfg, exclude=()):
-    """The one-pass scan over the kept rows of all strands at once, with
-    pure-Python dots, the reference for clearance in every dimension."""
+def reference_one_pass_clearance(gamma, g, r, cfg, exclude=()):
+    """The one-pass scan around row r of g over the kept rows of all strands
+    at once, with pure-Python dots, the reference for clearance in every dimension."""
+    a, disp, length = g.a[r], g.disp[r], float(g.length[r])
     verts = np.concatenate(gamma.loops)
     labels = np.concatenate([np.full(loop.shape[0], i + 1) for i, loop in enumerate(gamma.loops)])
     params = np.concatenate([gamma.params(i + 1) for i in range(gamma.k)])
@@ -705,20 +738,20 @@ def reference_one_pass_clearance(gamma, g, cfg, exclude=()):
     rows = keep.nonzero()[0]
     if rows.size == 0:
         return 1.0, None
-    w = reference_displacement(gamma.metric, g.a, verts[rows])
-    t = ref_dot(w, g.disp) / (g.length * g.length)
+    w = ref_wrap(gamma.metric, verts[rows] - a)
+    t = ref_dot(w, disp) / (length * length)
 
     def witness(row, delta):
         v = int(rows[row])
         return um.ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
-    seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * g.disp)
+    seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * disp)
     on_seg = seg <= cfg.tol
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
     inside = ((t > 0.0) & (t < 1.0)).nonzero()[0]
     t_in = t[inside]
-    pd = ref_norm(w[inside] - t_in[:, None] * g.disp)
+    pd = ref_norm(w[inside] - t_in[:, None] * disp)
     ratio = pd / (cfg.epsilon * (0.5 - np.abs(t_in - 0.5)))
     hit = (ratio < 1.0).nonzero()[0]
     if hit.size == 0:
@@ -758,24 +791,31 @@ class TestClearanceOracle:
             return
         cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)), eta=eta, tol=tol)
         # A geodesic between two strand points, as umkehr draws them, or
-        # between two free points; its ends are excluded or not at random.
+        # between two free points, in row r of a stack of short free pairs;
+        # its ends are excluded or not at random.  The references scan the
+        # one-pair oracle geodesic.
         ends = [(int(rng.integers(1, k + 1)), float(rng.uniform(-7.0, 7.0))) for _ in range(2)]
         if rng.random() < 0.8:
-            a, b = (emb.point(label, s) for label, s in ends)
+            a, b = (emb.points_at(label, [s])[0] for label, s in ends)
         else:
             a, b = rng.uniform(-0.5, 1.5, size=(2, d))
+        n = int(rng.integers(1, 5))
+        r = int(rng.integers(0, n))
+        A = rng.uniform(-0.5, 1.5, size=(n, d))
+        B = A + rng.uniform(-0.1, 0.1, size=(n, d))
+        A[r], B[r] = a, b
         try:
-            g = um.geodesic(metric, a, b, tol)
+            ref = one_pair_geodesic(metric, a, b, tol)
         except um.NonUniqueGeodesic:
             return
-        if not g.length > 0.0:
+        if not ref.length[0] > 0.0:
             return
         exclude = tuple(ends[: int(rng.integers(0, 3))])
         exclude += tuple((int(rng.integers(0, k + 2)), float(rng.uniform(0.0, 7.0)))
                          for _ in range(int(rng.integers(0, 3))))
-        got = um.clearance(emb, g, cfg, exclude)
-        assert_same_clearance(got, reference_one_pass_clearance(emb, g, cfg, exclude))
-        assert_same_clearance(got, reference_clearance(emb, g, cfg, exclude))
+        got = um.clearance(emb, um.geodesic(metric, A, B, tol), r, cfg, exclude)
+        assert_same_clearance(got, reference_one_pass_clearance(emb, ref, 0, cfg, exclude))
+        assert_same_clearance(got, reference_clearance(emb, ref, 0, cfg, exclude))
 
     def test_strands_keeping_one_vertex(self):
         # eta just under pi leaves an excluded strand with an even vertex
@@ -787,12 +827,12 @@ class TestClearanceOracle:
             k = int(rng.integers(2, 7))
             emb = um.DiscreteEmbedding(EUCLID, tuple(
                 random_strand(rng, int(rng.integers(8, 30)), 2, 0.2) for _ in range(k)))
-            a, b = (emb.point(int(rng.integers(1, k + 1)), float(rng.uniform(0.0, 7.0)))
+            a, b = (emb.points_at(int(rng.integers(1, k + 1)), [float(rng.uniform(0.0, 7.0))])
                     for _ in range(2))
             g = um.geodesic(EUCLID, a, b)
             exclude = tuple((label, 0.0) for label in range(1, int(rng.integers(2, k + 1))))
-            assert_same_clearance(um.clearance(emb, g, cfg, exclude),
-                                  reference_clearance(emb, g, cfg, exclude))
+            assert_same_clearance(um.clearance(emb, g, 0, cfg, exclude),
+                                  reference_clearance(emb, g, 0, cfg, exclude))
 
     @pytest.mark.parametrize("kind", ["euclidean", "torus"])
     def test_eight_dimensions(self, kind):
@@ -806,16 +846,16 @@ class TestClearanceOracle:
             rng = np.random.default_rng(seed)
             loops = [random_strand(rng, int(rng.integers(8, 40)), 8, 0.05) for _ in range(3)]
             emb = um.DiscreteEmbedding(metric, tuple(loops))
-            a = emb.point(1, 0.0)
+            a = emb.points_at(1, [0.0])
             g = um.geodesic(metric, a, 2 * loops[2][-1] - a + rng.uniform(-1e-3, 1e-3, size=8))
             cfg = um.UmkehrConfig(epsilon=1.0, eta=float(rng.integers(1, 4)) * 2 * PI / emb.m(1))
-            got = um.clearance(emb, g, cfg, ((1, 0.0),))
-            assert_same_clearance(got, reference_one_pass_clearance(emb, g, cfg, ((1, 0.0),)))
+            got = um.clearance(emb, g, 0, cfg, ((1, 0.0),))
+            assert_same_clearance(got, reference_one_pass_clearance(emb, g, 0, cfg, ((1, 0.0),)))
             hits += got[1] is not None and got[1].label == 3
         assert hits >= 30
 
     def test_ties_go_to_the_first_vertex_in_label_order(self):
-        g = um.geodesic(EUCLID, [0.0, 0.0], [1.0, 0.0])
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[1.0, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.5)
         far = circle(0.1, 8, center=(5.0, 5.0))
         # Strands 2 and 3 both hold the deepest point, strand 2 twice
@@ -826,34 +866,34 @@ class TestClearanceOracle:
         other = circle(0.1, 8, center=(0.5, -0.5))
         other[1] = [0.5, 0.05]
         emb = um.DiscreteEmbedding(EUCLID, (far, twin, other))
-        delta, witness = um.clearance(emb, g, cfg)
+        delta, witness = um.clearance(emb, g, 0, cfg)
         assert delta == pytest.approx(0.2, abs=1e-12)
         assert (witness.label, witness.param) == (2, emb.params(2)[3])
-        delta, witness = um.clearance(emb, g, replace(cfg, tol=0.06))
+        delta, witness = um.clearance(emb, g, 0, replace(cfg, tol=0.06))
         assert (delta, witness.label, witness.param) == (0.0, 2, emb.params(2)[3])
         for tol in (cfg.tol, 0.06):
-            assert_same_clearance(um.clearance(emb, g, replace(cfg, tol=tol)),
-                                  reference_clearance(emb, g, replace(cfg, tol=tol)))
+            assert_same_clearance(um.clearance(emb, g, 0, replace(cfg, tol=tol)),
+                                  reference_clearance(emb, g, 0, replace(cfg, tol=tol)))
 
     @pytest.mark.parametrize("tip", [61.6, 63.2, 72.4])
     def test_corridor_samples_match_per_strand_scan(self, tip):
         # In the plane, and wrapped onto the unit torus as the benchmark
-        # writes it.
+        # writes it; every pair is a row of one stack, as umkehr stacks them.
         plane = fx.corridor_trio(tip)
         torus = um.DiscreteEmbedding(um.FlatMetric("torus", 2, 1.0),
                                      tuple(np.mod(loop, 1.0) for loop in plane.loops))
         c = fx.corridor_cleavage()
         tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=24)
         cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON, density=24)
+        pairs = [pair for sample in tb.samples for pair in itertools.combinations(sample.preimages, 2)]
         for emb in (plane, torus):
-            for sample in tb.samples:
-                for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
-                    g = um.geodesic(emb.metric, emb.point(i, th_i), emb.point(j, th_j))
-                    if not 0.0 < g.length <= cfg.epsilon:
-                        continue
-                    exclude = ((i, th_i), (j, th_j))
-                    assert_same_clearance(um.clearance(emb, g, cfg, exclude),
-                                          reference_clearance(emb, g, cfg, exclude))
+            A, B = (np.array([emb.points_at(label, [th])[0] for label, th in ends])
+                    for ends in zip(*pairs))
+            g = um.geodesic(emb.metric, A, B)
+            for r, exclude in enumerate(pairs):
+                if 0.0 < g.length[r] <= cfg.epsilon:
+                    assert_same_clearance(um.clearance(emb, g, r, cfg, exclude),
+                                          reference_clearance(emb, g, r, cfg, exclude))
 
 
 class TestConfig:
@@ -1072,9 +1112,9 @@ class TestUmkehr:
 def reference_umkehr(gamma, c, tb, cfg):
     """The per-pair evaluator: one geodesic and one clearance per (sample, pair).
 
-    The reference for umkehr's stacked geodesics; its geodesics and
-    clearances are the reference ones above, so it shares no kernel with
-    the evaluator beyond the precheck, restrict and scaling.
+    The reference for umkehr's stacked geodesics; its geodesics,
+    clearances and scales are the one-pair references, so it shares no
+    kernel with the evaluator beyond the precheck and restrict.
     """
     if gamma.k != c.k:
         raise um.UmkehrError(f"strand count {gamma.k} != arity {c.k}")
@@ -1093,22 +1133,23 @@ def reference_umkehr(gamma, c, tb, cfg):
         entries, glued = [], False
         for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
             p_i = gamma.points_at(i, np.array([th_i]))[0]
-            g = reference_geodesic(metric, p_i, gamma.points_at(j, np.array([th_j]))[0], cfg.tol)
-            if cfg.mapping and g.length <= cfg.tol:
+            g = one_pair_geodesic(metric, p_i, gamma.points_at(j, np.array([th_j]))[0], cfg.tol)
+            length = float(g.length[0])
+            if cfg.mapping and length <= cfg.tol:
                 zero, base = (0.0,) * metric.d, tuple(float(x) for x in p_i)
                 entries += [um.Entry(idx, (i, j), 0.0, zero, base, base),
                             um.Entry(idx, (j, i), 0.0, zero, base, base)]
                 glued = True
                 continue
-            if g.length > cfg.epsilon:
+            if length > cfg.epsilon:
                 s_val = math.inf
             elif cfg.t_homotopy == 1.0:
-                s_val = um.scaling(g.length, cfg.epsilon, 1.0, 1.0)
+                s_val = scalar_scaling(length, cfg.epsilon, 1.0, 1.0)
             else:
-                inf_delta, _ = reference_clearance(gamma, g, cfg, ((i, th_i), (j, th_j)))
-                s_val = um.scaling(g.length, cfg.epsilon, inf_delta, cfg.t_homotopy)
-            tang = tuple(float(x) for x in g.tangent)
-            src, dst = tuple(float(x) for x in p_i), tuple(float(x) for x in p_i + g.disp)
+                inf_delta, _ = reference_clearance(gamma, g, 0, cfg, ((i, th_i), (j, th_j)))
+                s_val = scalar_scaling(length, cfg.epsilon, inf_delta, cfg.t_homotopy)
+            tang = tuple(float(x) for x in g.tangent[0])
+            src, dst = tuple(float(x) for x in p_i), tuple(float(x) for x in p_i + g.disp[0])
             entries += [um.Entry(idx, (i, j), s_val, tang, src, dst),
                         um.Entry(idx, (j, i), s_val, tuple(-x for x in tang), dst, src)]
         sample_entries.append(entries)
@@ -1244,7 +1285,7 @@ class TestUmkehrOracle:
                        f"displacement {first.tolist()} sits half a period away on some axis")
         assert first.tolist() != later.tolist()
         with pytest.raises(um.NonUniqueGeodesic):
-            um.geodesic(torus, emb.points_at(1, [0.0])[0], emb.points_at(2, [4 * step])[0])
+            um.geodesic(torus, emb.points_at(1, [0.0]), emb.points_at(2, [4 * step]))
 
 
 class TestRestrict:
@@ -1418,7 +1459,7 @@ def reference_self_intersection_locus(gamma, c, tol, density):
                 ex = ci + u[:, None] * d
                 partner = np.mod(np.arctan2(ex[:, 1], ex[:, 0]), 2 * PI)
                 theirs = gamma.points_at(other, partner)
-                diff = gamma.metric.displacement_many(np.zeros(gamma.metric.d), theirs - own[sel])
+                diff = ref_wrap(gamma.metric, theirs - own[sel])
                 marked[sel] |= np.linalg.norm(diff, axis=1) <= tol
             idxs = np.flatnonzero(marked)
             runs = np.split(idxs, np.flatnonzero(np.diff(idxs) > 1) + 1) if idxs.size else []
