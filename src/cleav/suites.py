@@ -336,7 +336,7 @@ def _manual_sups(emb, tb, cfg) -> dict:
             g = geodesic(emb.metric, emb.points_at(a, [th_a]), emb.points_at(b, [th_b]))
             delta = 1.0
             if g.length[0] <= cfg.epsilon:
-                delta, _ = clearance(emb, g, 0, cfg, exclude=((a, th_a), (b, th_b)))
+                delta = clearance(emb, g, [0], cfg, [[a, b]], [[th_a, th_b]])
             val = float(scaling(g.length, cfg.epsilon, delta, cfg.t_homotopy)[0])
             sups[s.component] = max(sups.get(s.component, 0.0), val)
     return sups

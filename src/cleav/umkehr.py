@@ -206,20 +206,21 @@ class DiscreteEmbedding:
 
     @cached_property
     def _table(self):
-        """(points, labels, params, spans) of every vertex in label order, built on first use.
+        """(columns, labels, params, steps) of every vertex in label order, built on first use.
 
-        spans maps each label to the (start, stop) rows its strand owns.
-        Only clearance reads the table, so embeddings that never meet a
-        tube query do not hold a second copy of their vertices.
+        columns is the (d, V) array of vertex coordinates, one row per
+        axis, and steps each vertex's default exclusion radius, ETA_STEPS
+        vertex steps of its own strand.  Only clearance reads the table, so
+        embeddings that never meet a tube query do not hold a second copy
+        of their vertices.
         """
         labels = range(1, self.k + 1)
         sizes = [self.m(label) for label in labels]
-        stops = list(itertools.accumulate(sizes))
         return (
-            np.concatenate(self.loops),
+            np.ascontiguousarray(np.concatenate(self.loops).T),
             np.repeat(np.array(labels), sizes),
             np.concatenate([self.params(label) for label in labels]),
-            {label: (stop - size, stop) for label, size, stop in zip(labels, sizes, stops)},
+            np.repeat([ETA_STEPS * TWO_PI / m for m in sizes], sizes),
         )
 
     @cached_property
@@ -430,16 +431,6 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = IN
 # Tube clearance and the scaling factor.
 
 
-@dataclass(frozen=True)
-class ClearanceWitness:
-    """The strand vertex realizing the clearance infimum."""
-
-    label: int
-    param: float
-    delta: float
-    point: np.ndarray
-
-
 def _require_tol(tol) -> None:
     if not (finite_real(tol) and tol > 0.0):
         raise UmkehrError(f"tol must be a positive finite number, got {tol!r}")
@@ -500,75 +491,96 @@ class UmkehrConfig:
         }
 
 
-def clearance(
-    gamma: DiscreteEmbedding,
-    g: Geodesic,
-    r: int,
-    cfg: UmkehrConfig,
-    exclude=(),
-):
-    """Least scaled depth of any strand vertex inside the tube around row r of g.
+_CLEARANCE_ROWS = 1 << 12  # (query, vertex) entries per chunk of the clearance block
 
-    g is a stack of geodesics as geodesic returns it, and its row r is
-    read in place.  One pass over the embedding's flat vertex table, all
-    strands in label order.  Each excluded (label, param) point drops the
-    vertices of its own strand within parameter radius eta of it.  A kept
-    vertex within tol of the geodesic segment forces clearance 0,
-    witnessed by the first such vertex in label order.  Otherwise vertices
-    strictly inside the open tube contribute their distance-to-radius
-    ratio, and the least ratio below 1 is returned with the first vertex
-    attaining it, or (1.0, None) when no vertex enters the tube.
 
-    The kept rows are gathered once.  Every dot, the projections and the
-    squared distances alike, is a product per column added left to right
-    (geom._rowdot), so a vertex's row rounds the same whichever rows are
-    kept beside it.  Where 0 < t < 1 the distance to the segment is the
-    perpendicular distance, so one pass serves both tests.
+def _not_in_range(values, lo: int, hi: int) -> list:
+    """The entries of values that are not integers in lo..hi, in order.
+
+    An array is judged by its dtype, so every entry of a bool or float
+    array fails.  Nested lists are judged entry by entry, before numpy
+    could read True as 1 or 1.0 as an integer beside the others.
     """
-    if not (whole_number(r) and 0 <= r < g.length.shape[0]):
-        raise UmkehrError(f"row must be an integer in 0..{g.length.shape[0] - 1}, got {r!r}")
-    a, disp, length = g.a[r], g.disp[r], float(g.length[r])
-    if not length > 0.0:
-        raise UmkehrError("clearance needs a geodesic of positive length")
-    verts, labels, params, spans = gamma._table
-    keep = None
-    for exc_label, exc_param in exclude:
-        span = spans.get(exc_label)  # labels compare as numbers: 1.0 is strand 1
-        if span is None:
-            continue
-        lo, hi = span
-        eta = cfg.eta if cfg.eta is not None else ETA_STEPS * TWO_PI / (hi - lo)
-        gap = np.abs(params[lo:hi] - (exc_param % TWO_PI))
-        if keep is None:
-            keep = np.ones(labels.shape[0], dtype=bool)
-        keep[lo:hi] &= np.minimum(gap, TWO_PI - gap) > eta
-    rows = None if keep is None else keep.nonzero()[0]
-    if rows is not None and rows.size == 0:
-        return 1.0, None
-    pts = verts if rows is None else np.take(verts, rows, axis=0)  # a fancy index is slower
-    w = gamma.metric.wrap(pts - a)
-    t = _rowdot(w, disp) / (length * length)
-    clamped = np.minimum(np.maximum(t, 0.0), 1.0)
-    # Formed as (d, n): broadcasting clamped over a trailing axis of d runs
-    # numpy's inner loop d entries at a time, 2.6x slower for the corridor.
-    diff = (w.T - disp[:, None] * clamped).T
-    seg = np.sqrt(_rowdot(diff, diff))
+    if isinstance(values, np.ndarray):
+        flat = values.ravel()
+        return (flat if flat.dtype.kind not in "iu" else flat[(flat < lo) | (flat > hi)]).tolist()
+    flat = np.asarray(values, dtype=object).ravel().tolist()
+    return [v for v in flat if not (whole_number(v) and lo <= v <= hi)]
 
-    def witness(row: int, delta: float) -> ClearanceWitness:
-        v = row if rows is None else int(rows[row])
-        return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
-    on_seg = seg <= cfg.tol
-    if on_seg.any():
-        return 0.0, witness(int(np.argmax(on_seg)), 0.0)
-    inside = (t > 0.0) & (t < 1.0)
-    ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
-                      out=np.full(t.shape, INF), where=inside)
-    arg = int(np.argmin(ratio))
-    best = float(ratio[arg])
-    if not best < 1.0:
-        return 1.0, None
-    return best, witness(arg, best)
+def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
+              ex_labels, ex_params) -> np.ndarray:
+    """Least scaled depth of any strand vertex inside the tube around each queried row of g.
+
+    g is a stack of geodesics as geodesic returns it; rows holds the n
+    integer rows to query, each of positive length.  ex_labels and
+    ex_params are (n, e) arrays: query q drops, for each of its e
+    excluded (label, param) points, the vertices of strand label within
+    parameter radius eta of param.  Returns the (n,) array of clearances
+    δ.  A kept vertex within tol of the geodesic segment gives δ = 0.
+    Otherwise vertices strictly inside the open tube contribute their
+    distance-to-radius ratio, and δ is the least ratio below 1, or 1.0
+    when no kept vertex enters the tube.
+
+    The queries run in chunks of about _CLEARANCE_ROWS (query, vertex)
+    entries, each one block over the embedding's flat vertex table laid
+    out axis-major, (d, queries, vertices), so a table larger than the
+    budget runs one query per chunk through the same code.  Every dot, the
+    projections and the squared distances alike, is geom._rowdot's sum of
+    per-axis products added left to right, and the keep mask only selects
+    entries, so a query's δ is bit for bit the same in any stack, any
+    chunk and beside any other query.  Where 0 < t < 1 the distance to the
+    segment is the perpendicular distance, so one pass serves both tests.
+    """
+    n = g.length.shape[0]
+    if bad := _not_in_range(rows, 0, n - 1):
+        raise UmkehrError(f"row must be an integer in 0..{n - 1}, got {bad[0]!r}")
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1:
+        raise UmkehrError(f"rows must be a 1-D array of row indices, got shape {rows.shape}")
+    if bad := _not_in_range(ex_labels, 1, gamma.k):
+        raise UmkehrError(f"exclusion label must be an integer in 1..{gamma.k}, got {bad[0]!r}")
+    ex_labels = np.asarray(ex_labels, dtype=np.intp)
+    try:
+        ex_params = np.asarray(ex_params, dtype=float)
+    except (TypeError, ValueError):
+        raise UmkehrError("exclusion params must be real numbers") from None
+    if ex_labels.ndim != 2 or ex_labels.shape[0] != rows.shape[0] or ex_params.shape != ex_labels.shape:
+        raise UmkehrError(f"exclusions must be two ({rows.shape[0]}, e) arrays, one row per "
+                          f"queried row, got {ex_labels.shape} and {ex_params.shape}")
+    length = g.length[rows]
+    if (short := np.flatnonzero(~(length > 0.0))).size:
+        r = int(rows[short[0]])
+        raise UmkehrError(f"clearance needs geodesics of positive length, "
+                          f"row {r} has length {float(g.length[r])!r}")
+
+    cols, labels, params, steps = gamma._table
+    eta = steps if cfg.eta is None else cfg.eta
+    a, disp = g.a[rows].T, g.disp[rows].T  # (d, n)
+    ell2 = length * length
+    centre = np.mod(ex_params, TWO_PI)
+    out = np.empty(rows.shape[0])
+    step = max(1, _CLEARANCE_ROWS // labels.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        q = slice(lo, lo + step)
+        keep = np.ones((min(step, rows.shape[0] - lo), labels.shape[0]), dtype=bool)
+        for slot in range(ex_labels.shape[1]):
+            gap = np.abs(params - centre[q, slot, None])
+            keep &= (labels != ex_labels[q, slot, None]) | (np.minimum(gap, TWO_PI - gap) > eta)
+        # Axis-major: each axis is one contiguous (queries, vertices) plane.
+        # A trailing axis of d would run numpy's inner loops d entries at a time.
+        w = gamma.metric.wrap(cols[:, None, :] - a[:, q, None])
+        D = disp[:, q, None]
+        t = _rowdot(w.transpose(1, 2, 0), D.transpose(1, 2, 0)) / ell2[q, None]
+        clamped = np.minimum(np.maximum(t, 0.0), 1.0)
+        diff = (w - D * clamped).transpose(1, 2, 0)
+        seg = np.sqrt(_rowdot(diff, diff))
+        on_seg = ((seg <= cfg.tol) & keep).any(axis=1)
+        inside = (t > 0.0) & (t < 1.0) & keep
+        ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
+                          out=np.full(t.shape, INF), where=inside)
+        out[q] = np.where(on_seg, 0.0, np.minimum(ratio.min(axis=1), 1.0))
+    return out
 
 
 def scaling(dist, epsilon: float, inf_delta, t: float) -> np.ndarray:
@@ -721,6 +733,11 @@ def umkehr(
     pairs but stay finite.  In mapping mode, pairs closer than tol are glued:
     zero vector, scale 0, sample recorded in the uf_mask.  c must be the
     cleavage tb was thickened from, or one with the same tree.
+
+    The evaluation is stacked: one geodesic call for every pair, one
+    clearance block for every pair inside the tube that is neither glued
+    nor at t = 1 (each excluding its own two end points), and one scaling
+    call for all of them.
     """
     _require_strands(gamma, c)
     if c is not tb.blueprint.cleavage and c.to_json() != tb.blueprint.cleavage.to_json():
@@ -765,9 +782,10 @@ def umkehr(
     # the clearance of its tube, INF past the tube.
     glued = (geo.length <= cfg.tol) & cfg.mapping
     inf_delta = np.ones(geo.length.shape)
-    if cfg.t_homotopy != 1.0:
-        for r in np.flatnonzero(~glued & (geo.length <= cfg.epsilon)).tolist():
-            inf_delta[r] = clearance(gamma, geo, r, cfg, exclude=[flat[f] for f in pairs[r][1:]])[0]
+    query = np.flatnonzero(~glued & (geo.length <= cfg.epsilon))
+    if cfg.t_homotopy != 1.0 and query.size:
+        ex = ends[query, 1:]
+        inf_delta[query] = clearance(gamma, geo, query, cfg, flat_labels[ex], flat_angles[ex])
     scale = np.where(glued, 0.0, scaling(geo.length, cfg.epsilon, inf_delta, cfg.t_homotopy))
 
     # Pool the per-sample suprema by component; components are numbered 0, 1, ...

@@ -6,11 +6,12 @@ rounded to a float, then the products are added left to right, which is
 the rounding the package promises for every dot.  The plane, arc,
 cleavage, permutation and one-pair collapse helpers below are ones the
 package itself does not need, or the code a faster kernel of the package
-replaced.
+replaced; one_query_clearance keeps that code's geom._rowdot dots.
 """
 
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +97,70 @@ def scalar_scaling(dist: float, epsilon: float, inf_delta: float, t: float) -> f
     if denom <= 0.0:
         return math.inf
     return dist / denom
+
+
+@dataclass(frozen=True)
+class ClearanceWitness:
+    """The strand vertex realizing the clearance infimum."""
+
+    label: int
+    param: float
+    delta: float
+    point: np.ndarray
+
+
+def one_query_clearance(gamma: um.DiscreteEmbedding, g: um.Geodesic, r: int, cfg: um.UmkehrConfig,
+                        exclude=()):
+    """(delta, witness) of the tube around row r of g, one query at a time.
+
+    The per-query kernel the stacked umkehr.clearance replaced, kept as
+    the reference for its bits, with the witness it returned: one pass
+    over the flat vertex table, all strands in label order.  Each excluded
+    (label, param) point drops the vertices of its own strand within
+    parameter radius eta of it; the kept rows are gathered once.  A kept
+    vertex within tol of the segment gives (0.0, the first such vertex in
+    label order); otherwise the least distance-to-radius ratio below 1 of
+    the vertices strictly inside the open tube, with the first vertex
+    attaining it, or (1.0, None).
+    """
+    a, disp, length = g.a[r], g.disp[r], float(g.length[r])
+    verts = np.concatenate(gamma.loops)
+    labels = np.concatenate([np.full(loop.shape[0], i + 1) for i, loop in enumerate(gamma.loops)])
+    params = np.concatenate([gamma.params(i + 1) for i in range(gamma.k)])
+    stops = np.cumsum([loop.shape[0] for loop in gamma.loops]).tolist()
+    keep = None
+    for exc_label, exc_param in exclude:
+        lo, hi = ([0] + stops)[exc_label - 1], stops[exc_label - 1]
+        eta = cfg.eta if cfg.eta is not None else um.ETA_STEPS * geom.TWO_PI / (hi - lo)
+        gap = np.abs(params[lo:hi] - (exc_param % geom.TWO_PI))
+        if keep is None:
+            keep = np.ones(labels.shape[0], dtype=bool)
+        keep[lo:hi] &= np.minimum(gap, geom.TWO_PI - gap) > eta
+    rows = None if keep is None else keep.nonzero()[0]
+    if rows is not None and rows.size == 0:
+        return 1.0, None
+    pts = verts if rows is None else np.take(verts, rows, axis=0)
+    w = gamma.metric.wrap(pts - a)
+    t = geom._rowdot(w, disp) / (length * length)
+    clamped = np.minimum(np.maximum(t, 0.0), 1.0)
+    diff = (w.T - disp[:, None] * clamped).T
+    seg = np.sqrt(geom._rowdot(diff, diff))
+
+    def witness(row: int, delta: float) -> ClearanceWitness:
+        v = row if rows is None else int(rows[row])
+        return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
+
+    on_seg = seg <= cfg.tol
+    if on_seg.any():
+        return 0.0, witness(int(np.argmax(on_seg)), 0.0)
+    inside = (t > 0.0) & (t < 1.0)
+    ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
+                      out=np.full(t.shape, math.inf), where=inside)
+    arg = int(np.argmin(ratio))
+    best = float(ratio[arg])
+    if not best < 1.0:
+        return 1.0, None
+    return best, witness(arg, best)
 
 
 def canonicalising_intersect(a: geom.ArcSet, b: geom.ArcSet) -> geom.ArcSet:

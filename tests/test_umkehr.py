@@ -19,7 +19,16 @@ from cleav import operad
 from cleav import sampling
 from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
-from oracles import one_pair_geodesic, ref_dot, ref_norm, ref_wrap, scalar_scaling
+from oracles import (
+    ClearanceWitness,
+    one_pair_geodesic,
+    one_query_clearance,
+    ref_dot,
+    ref_norm,
+    ref_wrap,
+    scalar_scaling,
+)
+from test_geom import assert_rows_stand_alone
 
 PI = math.pi
 EUCLID = um.FlatMetric("euclidean", 2)
@@ -578,11 +587,13 @@ def far_loops():
 
 
 class TestClearance:
+    """Each delta from the block, bit for bit the per-query oracle's, which also names the witness."""
+
     def test_no_strand_in_tube(self):
         emb = um.DiscreteEmbedding(EUCLID, far_loops())
         g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, witness = um.clearance(emb, g, 0, cfg)
+        inf_delta, witness = query(emb, g, 0, cfg)
         assert inf_delta == 1.0
         assert witness is None
 
@@ -592,7 +603,7 @@ class TestClearance:
         emb = um.DiscreteEmbedding(EUCLID, far_loops() + (invader,))
         g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, witness = um.clearance(emb, g, 0, cfg)
+        inf_delta, witness = query(emb, g, 0, cfg)
         assert inf_delta == 0.0
         assert witness.label == 3
         assert witness.param == 0.0
@@ -604,7 +615,7 @@ class TestClearance:
         emb = um.DiscreteEmbedding(EUCLID, far_loops() + (invader,))
         g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, witness = um.clearance(emb, g, 0, cfg)
+        inf_delta, witness = query(emb, g, 0, cfg)
         assert inf_delta == pytest.approx(0.5, abs=1e-12)
         assert witness.label == 3
         assert witness.point == pytest.approx([0.05, 0.05], abs=1e-15)
@@ -620,10 +631,10 @@ class TestClearance:
         emb = um.DiscreteEmbedding(EUCLID, (loop1, circle(0.1, 8, center=(5.0, 5.0))))
         g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         default = um.UmkehrConfig(epsilon=0.2)
-        inf_delta, _ = um.clearance(emb, g, 0, default, exclude=((1, 0.0),))
+        inf_delta, _ = query(emb, g, 0, default, exclude=((1, 0.0),))
         assert inf_delta == 1.0
         tight = um.UmkehrConfig(epsilon=0.2, eta=0.1)
-        inf_delta, witness = um.clearance(emb, g, 0, tight, exclude=((1, 0.0),))
+        inf_delta, witness = query(emb, g, 0, tight, exclude=((1, 0.0),))
         assert inf_delta == pytest.approx(0.001 / 0.1, abs=1e-12)
         assert witness.label == 1
 
@@ -639,7 +650,7 @@ class TestClearance:
         for cfg, delta in ((um.UmkehrConfig(epsilon=0.2), 1.0),
                            (um.UmkehrConfig(epsilon=0.2, eta=2 * 2 * PI / 8), 1.0),
                            (um.UmkehrConfig(epsilon=0.2, eta=1.5 * 2 * PI / 8), 0.1)):
-            got = um.clearance(emb, g, 0, cfg, exclude)
+            got = query(emb, g, 0, cfg, exclude)
             assert got[0] == pytest.approx(delta, abs=1e-12)
             assert_same_clearance(got, reference_clearance(emb, g, 0, cfg, exclude))
         assert (got[1].label, got[1].param) == (1, emb.params(1)[2])
@@ -651,22 +662,96 @@ class TestClearance:
         g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
         cfg = um.UmkehrConfig(epsilon=0.2, eta=PI)  # huge radius
         # excluding parameter 0 on strand 1 must not shield strand 3
-        inf_delta, witness = um.clearance(emb, g, 0, cfg, exclude=((1, 0.0),))
+        inf_delta, witness = query(emb, g, 0, cfg, exclude=((1, 0.0),))
         assert inf_delta == pytest.approx(0.5, abs=1e-12)
         assert witness.label == 3
 
     def test_zero_length_rejected(self):
+        # The first queried row of non-positive length is named.
         emb = um.DiscreteEmbedding(EUCLID, far_loops())
-        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.0, 0.0]])
-        with pytest.raises(um.UmkehrError):
-            um.clearance(emb, g, 0, um.UmkehrConfig(epsilon=0.2))
+        g = um.geodesic(EUCLID, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [[0.1, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(um.UmkehrError, match="row 2 has length 0.0"):
+            um.clearance(emb, g, [0, 2, 1], um.UmkehrConfig(epsilon=0.2), *no_exclusions(3))
 
     @pytest.mark.parametrize("r", [2, -1, 1.0, True, None])
     def test_row_outside_the_stack_is_a_domain_error(self, r):
         emb = um.DiscreteEmbedding(EUCLID, far_loops())
         g = um.geodesic(EUCLID, [[0.0, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.0, 0.1]])
         with pytest.raises(um.UmkehrError, match=re_escape(f"row must be an integer in 0..1, got {r!r}")):
-            um.clearance(emb, g, r, um.UmkehrConfig(epsilon=0.2))
+            um.clearance(emb, g, [0, r], um.UmkehrConfig(epsilon=0.2), *no_exclusions(2))
+        # Among integer rows, the first outside the stack is named.
+        with pytest.raises(um.UmkehrError, match=re_escape("row must be an integer in 0..1, got 3")):
+            um.clearance(emb, g, [0, 3, -1], um.UmkehrConfig(epsilon=0.2), *no_exclusions(3))
+
+    def test_rows_must_be_one_axis(self):
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
+        with pytest.raises(um.UmkehrError, match=re_escape("1-D array of row indices, got shape (1, 1)")):
+            um.clearance(emb, g, [[0]], um.UmkehrConfig(epsilon=0.2), *no_exclusions(1))
+        with pytest.raises(um.UmkehrError, match=re_escape("got shape ()")):
+            um.clearance(emb, g, 0, um.UmkehrConfig(epsilon=0.2), *no_exclusions(1))
+
+    @pytest.mark.parametrize("label", [7, 0, -1, 1.5, 1.0, True, np.True_, None, "1", [1]], ids=repr)
+    def test_exclusion_label_outside_1_to_k_is_a_domain_error(self, label):
+        # spans.get once skipped 7 and 1.5 without a word, and read True as strand 1.
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.0, 0.1]])
+        cfg = um.UmkehrConfig(epsilon=0.2)
+        message = re_escape(f"exclusion label must be an integer in 1..2, got {label!r}")
+        with pytest.raises(um.UmkehrError, match=message):
+            um.clearance(emb, g, [0, 1], cfg, [[1, 2], [2, label]], np.zeros((2, 2)))
+        # An array is judged by its dtype: each entry of a bool or float array fails.
+        for array in (np.array([[1, 2]], dtype=float), np.array([[True, True]])):
+            with pytest.raises(um.UmkehrError, match=re_escape(f"got {array[0, 0].item()!r}")):
+                um.clearance(emb, g, [0], cfg, array, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("labels_shape, params_shape", [
+        ((2, 2), (2, 2)), ((0, 2), (0, 2)), ((1, 2), (1, 1)), ((1, 0), (1, 1)),
+        ((2,), (2,)), ((1, 1, 2), (1, 1, 2)),
+    ], ids=str)
+    def test_exclusions_need_the_shape_of_rows(self, labels_shape, params_shape):
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
+        cfg = um.UmkehrConfig(epsilon=0.2)
+        assert um.clearance(emb, g, [0], cfg, np.ones((1, 2), dtype=int), np.zeros((1, 2))).tolist() == [1.0]
+        with pytest.raises(um.UmkehrError, match=re_escape("exclusions must be two (1, e) arrays")):
+            um.clearance(emb, g, [0], cfg, np.ones(labels_shape, dtype=int), np.zeros(params_shape))
+
+    def test_exclusion_params_must_be_real(self):
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
+        with pytest.raises(um.UmkehrError, match="exclusion params must be real numbers"):
+            um.clearance(emb, g, [0], um.UmkehrConfig(epsilon=0.2), [[1]], [["pi"]])
+
+    def test_no_rows(self):
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
+        got = um.clearance(emb, g, np.zeros(0, dtype=int), um.UmkehrConfig(epsilon=0.2), *no_exclusions(0))
+        assert got.shape == (0,) and got.dtype == float
+
+
+def no_exclusions(n):
+    """(n, 0) exclusion arrays: n queries, each excluding nothing."""
+    return np.zeros((n, 0), dtype=int), np.zeros((n, 0))
+
+
+def exclusion_arrays(excludes):
+    """umkehr.clearance's (n, e) label and param arrays from n lists of e (label, param) points."""
+    n = len(excludes)
+    e = len(excludes[0]) if n else 0
+    return (np.array([[label for label, _ in ex] for ex in excludes], dtype=int).reshape(n, e),
+            np.array([[param for _, param in ex] for ex in excludes], dtype=float).reshape(n, e))
+
+
+def query(gamma, g, r, cfg, exclude=()):
+    """(delta, witness) of row r: delta from the block, the witness from the per-query oracle.
+
+    The block's delta must be the oracle's, bit for bit.
+    """
+    got = um.clearance(gamma, g, [r], cfg, *exclusion_arrays([tuple(exclude)]))
+    ref = one_query_clearance(gamma, g, r, cfg, exclude)
+    assert got.shape == (1,) and float(got[0]).hex() == float(ref[0]).hex()
+    return float(got[0]), ref[1]
 
 
 def reference_clearance(gamma, g, r, cfg, exclude=()):
@@ -698,7 +783,7 @@ def reference_clearance(gamma, g, r, cfg, exclude=()):
         on_seg = seg <= cfg.tol
         if np.any(on_seg) and zero_witness is None:
             first = int(np.argmax(on_seg))
-            zero_witness = um.ClearanceWitness(
+            zero_witness = ClearanceWitness(
                 label, float(kept_params[first]), 0.0, loop[keep][first]
             )
         inside = (t > 0.0) & (t < 1.0) & ~on_seg
@@ -715,7 +800,7 @@ def reference_clearance(gamma, g, r, cfg, exclude=()):
             best = float(ratios[arg])
             sub_params = kept_params[inside][hit]
             sub_points = loop[keep][inside][hit]
-            witness = um.ClearanceWitness(label, float(sub_params[arg]), best, sub_points[arg])
+            witness = ClearanceWitness(label, float(sub_params[arg]), best, sub_points[arg])
     if zero_witness is not None:
         return 0.0, zero_witness
     return best, witness
@@ -743,7 +828,7 @@ def reference_one_pass_clearance(gamma, g, r, cfg, exclude=()):
 
     def witness(row, delta):
         v = int(rows[row])
-        return um.ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
+        return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
     seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * disp)
     on_seg = seg <= cfg.tol
@@ -811,9 +896,9 @@ class TestClearanceOracle:
         if not ref.length[0] > 0.0:
             return
         exclude = tuple(ends[: int(rng.integers(0, 3))])
-        exclude += tuple((int(rng.integers(0, k + 2)), float(rng.uniform(0.0, 7.0)))
+        exclude += tuple((int(rng.integers(1, k + 1)), float(rng.uniform(0.0, 7.0)))
                          for _ in range(int(rng.integers(0, 3))))
-        got = um.clearance(emb, um.geodesic(metric, A, B, tol), r, cfg, exclude)
+        got = query(emb, um.geodesic(metric, A, B, tol), r, cfg, exclude)
         assert_same_clearance(got, reference_one_pass_clearance(emb, ref, 0, cfg, exclude))
         assert_same_clearance(got, reference_clearance(emb, ref, 0, cfg, exclude))
 
@@ -831,7 +916,7 @@ class TestClearanceOracle:
                     for _ in range(2))
             g = um.geodesic(EUCLID, a, b)
             exclude = tuple((label, 0.0) for label in range(1, int(rng.integers(2, k + 1))))
-            assert_same_clearance(um.clearance(emb, g, 0, cfg, exclude),
+            assert_same_clearance(query(emb, g, 0, cfg, exclude),
                                   reference_clearance(emb, g, 0, cfg, exclude))
 
     @pytest.mark.parametrize("kind", ["euclidean", "torus"])
@@ -849,7 +934,7 @@ class TestClearanceOracle:
             a = emb.points_at(1, [0.0])
             g = um.geodesic(metric, a, 2 * loops[2][-1] - a + rng.uniform(-1e-3, 1e-3, size=8))
             cfg = um.UmkehrConfig(epsilon=1.0, eta=float(rng.integers(1, 4)) * 2 * PI / emb.m(1))
-            got = um.clearance(emb, g, 0, cfg, ((1, 0.0),))
+            got = query(emb, g, 0, cfg, ((1, 0.0),))
             assert_same_clearance(got, reference_one_pass_clearance(emb, g, 0, cfg, ((1, 0.0),)))
             hits += got[1] is not None and got[1].label == 3
         assert hits >= 30
@@ -866,13 +951,13 @@ class TestClearanceOracle:
         other = circle(0.1, 8, center=(0.5, -0.5))
         other[1] = [0.5, 0.05]
         emb = um.DiscreteEmbedding(EUCLID, (far, twin, other))
-        delta, witness = um.clearance(emb, g, 0, cfg)
+        delta, witness = query(emb, g, 0, cfg)
         assert delta == pytest.approx(0.2, abs=1e-12)
         assert (witness.label, witness.param) == (2, emb.params(2)[3])
-        delta, witness = um.clearance(emb, g, 0, replace(cfg, tol=0.06))
+        delta, witness = query(emb, g, 0, replace(cfg, tol=0.06))
         assert (delta, witness.label, witness.param) == (0.0, 2, emb.params(2)[3])
         for tol in (cfg.tol, 0.06):
-            assert_same_clearance(um.clearance(emb, g, 0, replace(cfg, tol=tol)),
+            assert_same_clearance(query(emb, g, 0, replace(cfg, tol=tol)),
                                   reference_clearance(emb, g, 0, replace(cfg, tol=tol)))
 
     @pytest.mark.parametrize("tip", [61.6, 63.2, 72.4])
@@ -892,8 +977,106 @@ class TestClearanceOracle:
             g = um.geodesic(emb.metric, A, B)
             for r, exclude in enumerate(pairs):
                 if 0.0 < g.length[r] <= cfg.epsilon:
-                    assert_same_clearance(um.clearance(emb, g, r, cfg, exclude),
+                    assert_same_clearance(query(emb, g, r, cfg, exclude),
                                           reference_clearance(emb, g, r, cfg, exclude))
+
+
+class TestClearanceBlock:
+    """The stacked clearance against the per-query oracle, float bits compared as hex."""
+
+    @given(
+        st.integers(0, 10 ** 6),
+        st.sampled_from(["euclidean", "torus"]),
+        st.sampled_from([2, 3, 8]),
+        st.integers(2, 4),
+        st.integers(0, 2),
+        st.sampled_from(["steps", "drawn", "whole strand"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_query_oracle(self, seed, kind, d, k, e, eta):
+        rng = np.random.default_rng(seed)
+        metric = um.FlatMetric(kind, d, 1.0 if kind == "torus" else None)
+        loops = [random_strand(rng, int(rng.integers(8, 61)), d, float(rng.uniform(0.01, 0.3)))
+                 for _ in range(k)]
+        try:
+            emb = um.DiscreteEmbedding(metric, tuple(loops))
+        except um.NonUniqueGeodesic:
+            return
+        # eta = pi drops the whole strand of each exclusion.
+        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)),
+                              eta={"steps": None, "drawn": float(rng.uniform(0.0, 3.0)),
+                                   "whole strand": PI}[eta],
+                              tol=float(rng.choice([1e-9, 1e-3, 0.05])))
+        # Rows of four kinds: between two strand points, as umkehr draws
+        # them; between free points; through a vertex of a strand that is
+        # not excluded (delta 0.0); and, with eta = pi, excluding strands
+        # 1 and 2 of two (delta 1.0).
+        n = int(rng.integers(1, 41))
+        kinds = rng.choice(["strand", "free", "on", "full"], size=n).tolist()
+        A, B = rng.uniform(-0.5, 1.5, size=(2, n, d))
+        B = A + 0.3 * (B - A)
+        ex_labels = rng.integers(1, k + 1, size=(n, e))
+        ex_params = rng.uniform(-7.0, 7.0, size=(n, e))
+        for q, row in enumerate(kinds):
+            if row == "strand":
+                ends = [(int(rng.integers(1, k + 1)), float(rng.uniform(-7.0, 7.0))) for _ in range(2)]
+                A[q], B[q] = (emb.points_at(label, [s])[0] for label, s in ends)
+                ex_labels[q], ex_params[q] = [label for label, _ in ends][:e], [s for _, s in ends][:e]
+            elif row == "on":
+                label = int(rng.integers(1, k + 1))
+                vertex = loops[label - 1][int(rng.integers(0, emb.m(label)))]
+                half = rng.uniform(-0.05, 0.05, size=d)
+                A[q], B[q] = vertex - half, vertex + half
+                ex_labels[q] = label % k + 1
+            elif row == "full" and e == 2 and k == 2 and cfg.eta == PI:
+                ex_labels[q] = [1, 2]
+        try:
+            g = um.geodesic(metric, A, B, cfg.tol)
+        except um.NonUniqueGeodesic:
+            return
+        live = np.flatnonzero(g.length > 0.0)
+        if live.size == 0:
+            return
+        # Query q reads row q, or a random live row where row q has length
+        # 0, so rows may repeat.
+        rows = np.where(g.length > 0.0, np.arange(n), rng.choice(live, size=n))
+        got = um.clearance(emb, g, rows, cfg, ex_labels, ex_params)
+        assert got.shape == (n,) and got.dtype == float
+        for q, r in enumerate(rows.tolist()):
+            exclude = tuple(zip(ex_labels[q].tolist(), ex_params[q].tolist()))
+            ref, _ = one_query_clearance(emb, g, r, cfg, exclude)
+            assert float(got[q]).hex() == float(ref).hex()
+            if r == q and kinds[q] == "on":
+                assert got[q] == 0.0
+            if r == q and kinds[q] == "full" and e == 2 and k == 2 and cfg.eta == PI:
+                assert got[q] == 1.0
+        # Each query alone, through a stack of query numbers.
+        def block(sel):
+            return um.clearance(emb, g, rows[sel[:, 0]], cfg, ex_labels[sel[:, 0]], ex_params[sel[:, 0]])
+
+        assert_rows_stand_alone(block, np.arange(n)[:, None])
+        with pytest.MonkeyPatch.context() as mp:
+            for budget in (1, 1 << 20):
+                mp.setattr(um, "_CLEARANCE_ROWS", budget)
+                assert um.clearance(emb, g, rows, cfg, ex_labels, ex_params).tobytes() == got.tobytes()
+
+    def test_a_large_table_runs_one_query_per_chunk(self, monkeypatch):
+        # The corridor trio's 4320 vertices exceed the chunk budget; each
+        # query then runs alone, with the bits of the whole-stack block.
+        emb = fx.corridor_trio(63.2)
+        c = fx.corridor_cleavage()
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=24)
+        cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON)
+        pairs = [pair for sample in tb.samples for pair in itertools.combinations(sample.preimages, 2)]
+        A, B = (np.array([emb.points_at(label, [th])[0] for label, th in ends]) for ends in zip(*pairs))
+        g = um.geodesic(emb.metric, A, B)
+        rows = np.flatnonzero((g.length > 0.0) & (g.length <= cfg.epsilon))
+        ex_labels, ex_params = exclusion_arrays([pairs[r] for r in rows.tolist()])
+        assert um._CLEARANCE_ROWS // sum(emb.m(label) for label in (1, 2, 3)) == 0
+        got = um.clearance(emb, g, rows, cfg, ex_labels, ex_params)
+        assert (got < 1.0).any()
+        monkeypatch.setattr(um, "_CLEARANCE_ROWS", 1 << 30)
+        assert um.clearance(emb, g, rows, cfg, ex_labels, ex_params).tobytes() == got.tobytes()
 
 
 class TestConfig:
