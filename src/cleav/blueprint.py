@@ -9,10 +9,10 @@ the collapse backwards.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -329,7 +329,7 @@ def arc_landings(bp: Blueprint, label: int, density: int) -> tuple:
 
 @dataclass(frozen=True)
 class BlueprintSample:
-    """One thickening sample: a diagram point with its collapse preimages.
+    """One sample of a ThickenedBlueprint: a diagram point with its collapse preimages.
 
     preimages holds one (label, angle) pair per participating timber,
     sorted by label, the angle in [0, 2*pi) being where the ray from that
@@ -348,10 +348,30 @@ class BlueprintSample:
 
 @dataclass(frozen=True)
 class ThickenedBlueprint:
-    """Finite stand-in for the thickened diagram: samples with their preimages."""
+    """The thickened diagram's samples and their preimage table, in read-only arrays.
 
-    samples: tuple[BlueprintSample, ...]
+    points is the (S, 2) stack of samples, components their (S,) component
+    ids and mask their (S, k) participants, as alpha_preimage returns them.
+    angles[r, label - 1] is the angle in [0, 2*pi) where the ray from that
+    timber's centroid through sample r exits the circle, 0.0 where the
+    mask is off.
+    """
+
     blueprint: Blueprint
+    points: np.ndarray
+    components: np.ndarray
+    mask: np.ndarray
+    angles: np.ndarray
+
+    @property
+    def samples(self) -> tuple[BlueprintSample, ...]:
+        """One BlueprintSample per row of the table, built anew on every access."""
+        labels = range(1, self.mask.shape[1] + 1)
+        return tuple(
+            BlueprintSample(point, component, tuple(zip(compress(labels, row), compress(angles, row))))
+            for point, component, row, angles in zip(
+                self.points, self.components.tolist(), self.mask.tolist(), self.angles.tolist())
+        )
 
 
 _DEDUP_PAIRS = 1 << 12  # candidate pairs per block of the dedup distance matrix
@@ -396,10 +416,8 @@ def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
     come piece by piece, then the crossings the blueprint recorded; a
     candidate within tol of an earlier kept one (shared endpoints,
     crossings) is dropped, first kept wins, so the samples keep candidate
-    order.  Each sample carries its component id and its collapse
-    preimages, looked up here for all kept samples in one stacked
-    alpha_preimage call: one (label, exit angle) pair per participant,
-    sorted by label.
+    order.  One stacked alpha_preimage call over the kept samples fills
+    the table's mask and exit angles.
     """
     _require_blueprint(bp)
     if not (whole_number(density) and density >= 2):
@@ -408,19 +426,18 @@ def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
     points = np.concatenate(
         [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces] + [bp.crossings]
     )
-    owners = [idx for idx in range(len(bp.pieces)) for _ in range(density)]
-    owners += bp.crossing_pieces
+    owners = np.concatenate([np.repeat(np.arange(len(bp.pieces)), density),
+                             np.array(bp.crossing_pieces, dtype=int)])
 
     kept = _first_kept(points, bp.tol)
     points = points[kept]
     mask, exits = alpha_preimage(bp, points)
-    rows, cols = mask.nonzero()
-    pairs = zip((cols + 1).tolist(), _exit_angles(exits[rows, cols]).tolist())
-    samples = []
-    for idx, point, count in zip(kept, points, mask.sum(axis=1).tolist()):
-        preimages = tuple(itertools.islice(pairs, count))
-        samples.append(BlueprintSample(point, bp.piece_components[owners[idx]], preimages))
-    return ThickenedBlueprint(tuple(samples), bp)
+    angles = np.zeros(mask.shape)
+    angles[mask] = _exit_angles(exits[mask])
+    components = np.array(bp.piece_components, dtype=int)[owners[kept]]
+    for table in (points, components, mask, angles):
+        table.setflags(write=False)
+    return ThickenedBlueprint(bp, points, components, mask, angles)
 
 
 def stable_degree(bp: Blueprint, dim_m: int) -> tuple[int, int]:

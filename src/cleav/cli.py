@@ -164,12 +164,9 @@ def _cmd_inspect(args) -> int:
     a, b = stable_degree(bp, args.dim_m)
     lines.append(f"stable degree for dim {args.dim_m}: ({a}, {b}), sum {a + b}")
     tb = thicken(bp, density=args.density)
-    hist: dict = {}
-    for s in tb.samples:
-        size = len(s.preimages)
-        hist[size] = hist.get(size, 0) + 1
-    parts = ", ".join(f"{size}: {n}" for size, n in sorted(hist.items()))
-    lines.append(f"preimage sizes over {len(tb.samples)} samples: {parts}")
+    sizes = tb.mask.sum(axis=1).tolist()
+    parts = ", ".join(f"{size}: {sizes.count(size)}" for size in sorted(set(sizes)))
+    lines.append(f"preimage sizes over {len(tb.points)} samples: {parts}")
     _emit("\n".join(lines), args)
     return 0
 

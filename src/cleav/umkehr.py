@@ -593,7 +593,8 @@ def scaling(dist, epsilon: float, inf_delta, t: float) -> np.ndarray:
     denom = epsilon * ((1.0 - t) * np.asarray(inf_delta, dtype=float) + t)
     past = (dist > epsilon) | (denom <= 0.0)
     out = np.full(np.broadcast_shapes(dist.shape, denom.shape), INF)
-    return np.divide(dist, denom, out=out, where=~past)
+    with np.errstate(over="ignore"):  # a quotient past the largest float rounds to INF
+        return np.divide(dist, denom, out=out, where=~past)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +719,14 @@ class ThomValue:
         }
 
 
+def _pair_ends(mask: np.ndarray) -> np.ndarray:
+    """Rows (sample, flat index of each end), one per pair of one sample's preimages in mask."""
+    flat = np.cumsum(mask).reshape(mask.shape) - 1
+    first, second = np.triu_indices(mask.shape[1], 1)
+    sample_of, pair = (mask[:, first] & mask[:, second]).nonzero()
+    return np.stack([sample_of, flat[sample_of, first[pair]], flat[sample_of, second[pair]]], axis=1)
+
+
 def umkehr(
     gamma: DiscreteEmbedding,
     c,
@@ -734,7 +743,8 @@ def umkehr(
     zero vector, scale 0, sample recorded in the uf_mask.  c must be the
     cleavage tb was thickened from, or one with the same tree.
 
-    The evaluation is stacked: one geodesic call for every pair, one
+    The preimages are read from tb's table, mask and angles.  The
+    evaluation is stacked: one geodesic call for every pair, one
     clearance block for every pair inside the tube that is neither glued
     nor at t = 1 (each excluding its own two end points), and one scaling
     call for all of them.
@@ -758,24 +768,14 @@ def umkehr(
 
     restriction = tuple(restrict(gamma, c, cfg.tol))
 
-    # Every preimage's strand point, from one points_at call per label.
-    flat = [pre for sample in tb.samples for pre in sample.preimages]
-    flat_labels = np.array([label for label, _ in flat], dtype=int)
-    flat_angles = np.array([angle for _, angle in flat], dtype=float)
-    flat_points = np.zeros((len(flat), metric.d))
-    for label in sorted({label for label, _ in flat}):
-        sel = flat_labels == label
-        flat_points[sel] = gamma.points_at(label, flat_angles[sel])
-
-    # Every (sample, pair) geodesic in one stacked call, pairs in sample
-    # order and, within a sample, in preimage order.
-    pairs = []  # (sample, flat index of each end)
-    start = 0
-    for idx, sample in enumerate(tb.samples):
-        n = len(sample.preimages)
-        pairs.extend((idx, start + a, start + b) for a, b in itertools.combinations(range(n), 2))
-        start += n
-    ends = np.array(pairs, dtype=int).reshape(-1, 3)
+    # Every preimage's strand point, flat in mask.nonzero() order (sample,
+    # then label), from one points_at call per label.  Then every (sample,
+    # pair) geodesic in one stacked call, pairs in the same order.
+    flat_labels, flat_angles = tb.mask.nonzero()[1] + 1, tb.angles[tb.mask]
+    flat_points = np.stack([gamma.points_at(label, tb.angles[:, label - 1])
+                            for label in range(1, gamma.k + 1)], axis=1)[tb.mask]
+    ends = _pair_ends(tb.mask)
+    sample_of = ends[:, 0]
     geo = geodesic(metric, flat_points[ends[:, 1]], flat_points[ends[:, 2]], cfg.tol)
 
     # One scale per pair: 0.0 where glued, otherwise the length scaled by
@@ -789,8 +789,7 @@ def umkehr(
     scale = np.where(glued, 0.0, scaling(geo.length, cfg.epsilon, inf_delta, cfg.t_homotopy))
 
     # Pool the per-sample suprema by component; components are numbered 0, 1, ...
-    sample_of = ends[:, 0]
-    comp = np.array([s.component for s in tb.samples], dtype=int)
+    comp = tb.components
     sup = np.zeros(comp.shape)
     np.maximum.at(sup, sample_of, scale)
     collapsed = np.bincount(comp, sup > 1.0 + cfg.tol)[comp] > 0
@@ -800,16 +799,16 @@ def umkehr(
     rows = np.flatnonzero(~collapsed[sample_of])
     hold = glued[rows, None]
     tangent, src = geo.tangent[rows], geo.a[rows]
-    cols = (sample_of[rows], labels[rows], scale[rows], np.where(hold, 0.0, tangent),
+    row_comp = comp[sample_of]
+    cols = (sample_of[rows], row_comp[rows], labels[rows], scale[rows], np.where(hold, 0.0, tangent),
             np.where(hold, 0.0, -tangent), src, np.where(hold, src, src + geo.disp[rows]))
     kept = {cid: [] for cid in sorted(set(comp.tolist()))}
-    for idx, (i, j), s_val, tang, neg, a, b in zip(*(col.tolist() for col in cols)):
+    for idx, cid, (i, j), s_val, tang, neg, a, b in zip(*(col.tolist() for col in cols)):
         a, b = tuple(a), tuple(b)
-        kept[tb.samples[idx].component] += (Entry(idx, (i, j), s_val, tuple(tang), a, b),
-                                            Entry(idx, (j, i), s_val, tuple(neg), b, a))
+        kept[cid] += (Entry(idx, (i, j), s_val, tuple(tang), a, b),
+                      Entry(idx, (j, i), s_val, tuple(neg), b, a))
 
     edge = np.isfinite(scale) & (np.abs(scale - 1.0) <= cfg.tol)
-    row_comp = comp[sample_of]
     components = tuple(
         ComponentValue(
             cid,

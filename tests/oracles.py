@@ -6,15 +6,19 @@ rounded to a float, then the products are added left to right, which is
 the rounding the package promises for every dot.  The plane, arc,
 cleavage, permutation and one-pair collapse helpers below are ones the
 package itself does not need, or the code a faster kernel of the package
-replaced; one_query_clearance keeps that code's geom._rowdot dots.
+replaced; one_query_clearance keeps that code's geom._rowdot dots, and
+object_thicken and pair_ends keep the per-sample object loops that the
+preimage table of blueprint.ThickenedBlueprint replaced.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from cleav import blueprint as bp_mod
 from cleav import geom, operad
 from cleav import umkehr as um
 
@@ -97,6 +101,46 @@ def scalar_scaling(dist: float, epsilon: float, inf_delta: float, t: float) -> f
     if denom <= 0.0:
         return math.inf
     return dist / denom
+
+
+def object_thicken(bp: bp_mod.Blueprint, density: int) -> tuple:
+    """thicken's samples built one BlueprintSample at a time, from Python tuples.
+
+    The object loop that thicken's preimage table replaced: owners as a
+    list, component ids looked up per sample, and the (label, exit angle)
+    pairs dealt out to the samples in mask.nonzero() order.
+    """
+    steps = np.linspace(0.0, 1.0, density)[:, None]
+    points = np.concatenate(
+        [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces] + [bp.crossings])
+    owners = [idx for idx in range(len(bp.pieces)) for _ in range(density)]
+    owners += bp.crossing_pieces
+    kept = bp_mod._first_kept(points, bp.tol)
+    points = points[kept]
+    mask, exits = bp_mod.alpha_preimage(bp, points)
+    rows, cols = mask.nonzero()
+    pairs = zip((cols + 1).tolist(), bp_mod._exit_angles(exits[rows, cols]).tolist())
+    samples = []
+    for idx, point, count in zip(kept, points, mask.sum(axis=1).tolist()):
+        preimages = tuple(itertools.islice(pairs, count))
+        samples.append(bp_mod.BlueprintSample(point, bp.piece_components[owners[idx]], preimages))
+    return tuple(samples)
+
+
+def pair_ends(samples) -> np.ndarray:
+    """One row (sample, flat index of each end) per pair of a sample's preimages.
+
+    The per-sample loop that umkehr's pairs over the preimage table
+    replaced: the preimages flat in sample order, and each sample's pairs
+    in itertools.combinations order.
+    """
+    pairs = []
+    start = 0
+    for idx, sample in enumerate(samples):
+        n = len(sample.preimages)
+        pairs.extend((idx, start + a, start + b) for a, b in itertools.combinations(range(n), 2))
+        start += n
+    return np.array(pairs, dtype=int).reshape(-1, 3)
 
 
 @dataclass(frozen=True)

@@ -689,6 +689,27 @@ class TestThicken:
                 hit = bp_mod.alpha(tb.blueprint, label, pre[0, label - 1][None])
                 assert hit.point[0] == pytest.approx(s.point, abs=1e-8)
 
+    def test_table_is_read_only(self):
+        tb = bp_mod.thicken(bp_mod.build_blueprint(tee_cleavage()), density=3)
+        for table in (tb.points, tb.components, tb.mask, tb.angles):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[-1]
+
+    def test_samples_are_a_view_built_per_access(self):
+        tb = bp_mod.thicken(bp_mod.build_blueprint(tee_cleavage()), density=3)
+        first, again = tb.samples, tb.samples
+        assert first is not again
+        assert [(s.point.tobytes(), s.component, s.preimages) for s in first] == [
+            (s.point.tobytes(), s.component, s.preimages) for s in again]
+        assert [s.participants for s in first] == [labels(row) for row in tb.mask]
+
+    def test_unit_thickens_to_an_empty_table(self):
+        tb = bp_mod.thicken(bp_mod.build_blueprint(operad.unit()))
+        assert tb.mask.shape == tb.angles.shape == (0, 1)
+        assert tb.points.shape == (0, 2) and tb.components.shape == (0,)
+        assert tb.samples == ()
+
     def test_chord_sample_preimages(self):
         # A chord end lies on the circle, so both timbers' rays exit at the sample itself.
         tb = bp_mod.thicken(bp_mod.build_blueprint(chord_cleavage()), density=3)

@@ -103,6 +103,12 @@ class TestInspect:
         assert "stable degree for dim 2: (2, 0), sum 2" in out
         assert "2: 8" in out  # every thickened sample has two preimages
 
+    def test_leaf_has_no_samples(self, capsys, tmp_path):
+        doc = write_json(tmp_path, "leaf.json", {"n": 1, "tree": {"leaf": 1}})
+        rc, out, _ = run(capsys, "inspect", doc)
+        assert rc == 0
+        assert out.endswith("\npreimage sizes over 0 samples: \n")
+
     def test_corridor_summary(self, capsys, tmp_path):
         doc = write_json(tmp_path, "tri.json", fx.corridor_cleavage().to_json())
         rc, out, _ = run(capsys, "inspect", doc, "--dim-m", 2)

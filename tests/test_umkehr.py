@@ -21,8 +21,10 @@ from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
 from oracles import (
     ClearanceWitness,
+    object_thicken,
     one_pair_geodesic,
     one_query_clearance,
+    pair_ends,
     ref_dot,
     ref_norm,
     ref_wrap,
@@ -563,7 +565,10 @@ class TestScaling:
            st.floats(1e-3, 1.0), st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
     @example(rows=[(0.5, 0.0), (0.5, 0.3), (1.0, 1.0), (1.5, 0.0), (0.0, 0.0)], epsilon=0.2, t=0.0)
     @example(rows=[(0.5, 0.0), (0.5, 0.3), (1.0, 1.0), (1.5, 0.0), (0.0, 0.0)], epsilon=0.2, t=1.0)
+    # A denominator near 1e-310 overflows the quotient: INF, with no warning.
+    @example(rows=[(0.5, 1e-310)], epsilon=1.0, t=0.0)
     @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_the_scalar_reference(self, rows, epsilon, t):
         # Each row's distance is a multiple of epsilon (1.0 is the tube's
         # edge, above it lies beyond); one array call, one scalar call per row.
@@ -1356,6 +1361,18 @@ def reference_umkehr(gamma, c, tb, cfg):
     return um.ThomValue(tuple(components), restriction, config)
 
 
+def with_samples(tb, samples):
+    """tb with its table rebuilt from one (point, component, preimages) row per sample."""
+    mask = np.zeros((len(samples), tb.mask.shape[1]), dtype=bool)
+    angles = np.zeros(mask.shape)
+    for row, (_, _, preimages) in enumerate(samples):
+        for label, angle in preimages:
+            mask[row, label - 1], angles[row, label - 1] = True, angle
+    points = np.array([point for point, _, _ in samples]).reshape(-1, 2)
+    components = np.array([component for _, component, _ in samples], dtype=int)
+    return replace(tb, points=points, components=components, mask=mask, angles=angles)
+
+
 def outcome(evaluate, *args):
     """The output document's JSON bytes, or the error's type and message."""
     try:
@@ -1435,9 +1452,8 @@ class TestUmkehrOracle:
         # (0.2) and collapses (0.3) of component 0 must not leak into it.
         c = fx.chord_cleavage()
         tb = bp_mod.thicken(bp_mod.build_blueprint(c))
-        tb = replace(tb, samples=tuple(
-            bp_mod.BlueprintSample(s.point, idx % 2, s.preimages[:1] if idx % 2 else s.preimages)
-            for idx, s in enumerate(tb.samples)))
+        tb = with_samples(tb, [(s.point, idx % 2, s.preimages[:1] if idx % 2 else s.preimages)
+                               for idx, s in enumerate(tb.samples)])
         cfg = um.UmkehrConfig(epsilon=0.2, mapping=mapping)
         emb = fx.mirrored_pair(gap)
         got = outcome(um.umkehr, emb, c, tb, cfg)
@@ -1456,9 +1472,7 @@ class TestUmkehrOracle:
         step = 2 * PI / 8
         preimages = [((1, 0.0), (2, 0.0)), ((1, step), (2, 0.0)),
                      ((1, 2 * step), (2, 2 * step)), ((1, 0.0), (2, 4 * step))]
-        tb = replace(tb, samples=tuple(
-            bp_mod.BlueprintSample(s.point, s.component, pre)
-            for s, pre in zip(tb.samples, preimages)))
+        tb = with_samples(tb, [(s.point, s.component, pre) for s, pre in zip(tb.samples, preimages)])
         cfg = um.UmkehrConfig(epsilon=0.4)
         got = outcome(um.umkehr, emb, c, tb, cfg)
         assert got == outcome(reference_umkehr, emb, c, tb, cfg)
@@ -1469,6 +1483,41 @@ class TestUmkehrOracle:
         assert first.tolist() != later.tolist()
         with pytest.raises(um.NonUniqueGeodesic):
             um.geodesic(torus, emb.points_at(1, [0.0]), emb.points_at(2, [4 * step]))
+
+
+def sample_rows(samples):
+    """Each sample's point bytes, and its component and preimages with their types, angles as hex."""
+    return [(s.point.tobytes(), type(s.component), s.component,
+             [(type(label), label, type(angle), angle.hex()) for label, angle in s.preimages])
+            for s in samples]
+
+
+class TestPreimageTable:
+    """thicken's table and umkehr's pairs over it, against the object loops they replaced."""
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(2, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_object_loops(self, seed, k, density):
+        bp = bp_mod.build_blueprint(sampling.random_cleavage(seed, k))
+        try:
+            ref = object_thicken(bp, density)
+        except bp_mod.BlueprintError as exc:
+            with pytest.raises(type(exc), match=re_escape(str(exc))):
+                bp_mod.thicken(bp, density)
+            return
+        tb = bp_mod.thicken(bp, density)
+        assert sample_rows(tb.samples) == sample_rows(ref)
+        ends, ref_ends = um._pair_ends(tb.mask), pair_ends(ref)
+        assert ends.dtype == ref_ends.dtype
+        assert ends.shape == ref_ends.shape and ends.tolist() == ref_ends.tolist()
+
+    def test_unit_evaluates_to_no_components(self):
+        c = operad.unit()
+        tb = bp_mod.thicken(bp_mod.build_blueprint(c))
+        emb = um.DiscreteEmbedding(EUCLID, (circle(0.5, 16),))
+        for cfg in (um.UmkehrConfig(epsilon=0.2), um.UmkehrConfig(epsilon=0.2, mapping=True)):
+            assert um.umkehr(emb, c, tb, cfg).components == ()
+        assert um._pair_ends(tb.mask).shape == (0, 3)
 
 
 class TestRestrict:
