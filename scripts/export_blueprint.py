@@ -28,12 +28,12 @@ def run(seed: int, k: int, out_dir: Path) -> None:
         "cleavage": c.to_json(),
         "pieces": [
             {
-                "path": p.path,
+                "path": cut.path,
                 "component": comp,
-                "start": [round(float(x), 12) for x in p.a],
-                "end": [round(float(x), 12) for x in p.b],
+                "start": [round(float(x), 12) for x in a],
+                "end": [round(float(x), 12) for x in b],
             }
-            for p, comp in zip(bp.pieces, bp.piece_components)
+            for cut, (a, b), comp in zip(c.cuts, bp.ends, bp.piece_components)
         ],
         "components": bp.n_components,
         "stable_degree": {
@@ -44,7 +44,7 @@ def run(seed: int, k: int, out_dir: Path) -> None:
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                          encoding="ascii")
 
-    print(f"arity {c.k}, {len(bp.pieces)} pieces, {bp.n_components} components")
+    print(f"arity {c.k}, {len(bp.ends)} pieces, {bp.n_components} components")
     print(f"wrote {obj_path}")
     print(f"wrote {json_path}")
 

@@ -20,7 +20,6 @@ from .geom import (
     TOL,
     TWO_PI,
     BoundaryHit,
-    OrientedHyperplane,
     _as_stack,
     _face_interval,
     _rowdot,
@@ -55,66 +54,44 @@ def _require_blueprint(bp) -> None:
 
 
 @dataclass(frozen=True)
-class Face:
-    """One boundary chord of a timber."""
-
-    constraint_index: int
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class CutPiece:
-    """Maximal segment cut by one tree node inside its inherited region."""
+    """One row of Blueprint.ends: the cut piece from a to b."""
 
-    path: str
-    plane: OrientedHyperplane
     a: np.ndarray
     b: np.ndarray
-
-    @property
-    def length(self) -> float:
-        d = self.b - self.a
-        return math.sqrt(_rowdot(d, d))
 
 
 @dataclass(frozen=True)
 class Blueprint:
     """The full cut diagram of a cleavage.
 
-    crossings holds one row per pair of pieces within tol of each other,
-    pairs (i, j), i < j, in row-major order: the midpoint of their closest
-    points, with piece i in the same row of crossing_pieces.  Timber faces
-    and centroids are computed on first use and kept; so are the sampled
-    collapse landings of arc_landings, by label and grid size.
+    ends is the read-only (P, 2, 2) table of the cut pieces, row j holding
+    the ends (a, b) of the maximal segment that cleavage.cuts[j] draws
+    inside the region its node inherits; the cut holds the row's path and
+    plane.  crossings holds one row per pair of pieces within tol of each
+    other, pairs (i, j), i < j, in row-major order: the midpoint of their
+    closest points, with piece i in the same row of crossing_pieces.
+    Timber centroids are computed on first use and kept; so are the
+    sampled collapse landings of arc_landings, by label and grid size.
     """
 
     cleavage: Cleavage
-    pieces: tuple[CutPiece, ...]
+    ends: np.ndarray
     piece_components: tuple[int, ...]
     n_components: int
     crossings: np.ndarray
     crossing_pieces: tuple[int, ...]
     tol: float
 
-    @cached_property
-    def faces(self) -> tuple[tuple[Face, ...], ...]:
-        """Per timber, one Face per constraint whose chord inside it is longer than tol."""
-        faces = []
-        for body in self.cleavage.timbers:
-            rows = []
-            for j in range(len(body.constraints)):
-                interval = _face_interval(body, j)
-                if interval is None or interval[3] - interval[2] <= self.tol:
-                    continue
-                p0, d, lo, hi = interval
-                rows.append(Face(j, p0 + lo * d, p0 + hi * d))
-            faces.append(tuple(rows))
-        return tuple(faces)
+    @property
+    def pieces(self) -> tuple[CutPiece, ...]:
+        """One CutPiece per row of ends, built anew on every access."""
+        return tuple(CutPiece(a, b) for a, b in self.ends)
 
     @cached_property
     def centroids(self) -> tuple[np.ndarray, ...]:
-        return tuple(centroid(body) for body in self.cleavage.timbers)
+        """Per timber, its centroid from the trace the cleavage carries."""
+        return tuple(centroid(trace) for trace in self.cleavage.traces)
 
     @cached_property
     def _landings(self) -> dict:
@@ -127,22 +104,24 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
     _require_circle(c)
     if not (finite_real(tol) and tol > 0.0):
         raise BlueprintError(f"tol must be a positive finite number, got {tol!r}")
-    pieces = []
+    rows = []
     for cut in c.cuts:
         with_cut = clip(cut.body, cut.plane, 1)
         interval = _face_interval(with_cut, len(with_cut.constraints) - 1)
         if interval is None:
             raise BlueprintError(f"cut at {cut.path} has no chord inside its region")
         p0, d, lo, hi = interval
-        pieces.append(CutPiece(cut.path, cut.plane, p0 + lo * d, p0 + hi * d))
+        rows.append((p0 + lo * d, p0 + hi * d))
 
-    ends = np.array([(piece.a, piece.b - piece.a) for piece in pieces]).reshape(-1, 2, 2)
-    first, second = np.triu_indices(len(pieces), 1)
-    _, _, pa, pb = segment_closest(ends[first, 0], ends[first, 1], ends[second, 0], ends[second, 1])
+    ends = np.array(rows).reshape(-1, 2, 2)
+    ends.setflags(write=False)
+    a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+    first, second = np.triu_indices(len(ends), 1)
+    _, _, pa, pb = segment_closest(a[first], d[first], a[second], d[second])
     gap = pa - pb
     touch = np.sqrt(_rowdot(gap, gap)) <= tol
 
-    parent = list(range(len(pieces)))
+    parent = list(range(len(ends)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -155,14 +134,14 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
 
     comp_ids: dict[int, int] = {}
     components = []
-    for i in range(len(pieces)):
+    for i in range(len(ends)):
         root = find(i)
         if root not in comp_ids:
             comp_ids[root] = len(comp_ids)
         components.append(comp_ids[root])
 
     return Blueprint(
-        c, tuple(pieces), tuple(components), len(comp_ids),
+        c, ends, tuple(components), len(comp_ids),
         (pa[touch] + pb[touch]) / 2.0, tuple(first[touch].tolist()), tol,
     )
 
@@ -175,9 +154,9 @@ def blueprint_distance(bp: Blueprint, b) -> np.ndarray:
     """
     _require_blueprint(bp)
     p = _as_stack(b, 2)[:, None, :]
-    if not bp.pieces:
+    if not len(bp.ends):
         return np.full(len(p), math.inf)
-    a, d = np.array([[piece.a, piece.b - piece.a] for piece in bp.pieces]).transpose(1, 0, 2)
+    a, d = bp.ends[:, 0], bp.ends[:, 1] - bp.ends[:, 0]
     dd = _rowdot(d, d)
     with np.errstate(all="ignore"):  # a piece shorter than 1e-9 counts as its first end
         t = np.where(dd > 1e-18, np.minimum(1.0, np.maximum(0.0, _rowdot(p - a, d) / dd)), 0.0)
@@ -302,8 +281,7 @@ def arc_landings(bp: Blueprint, label: int, density: int) -> tuple:
     label that one stacked alpha_preimage of the landings finds: a bool
     mask over the grid and, for those rows, the angles in [0, 2*pi) of
     their preimages on timber other.  Computed once per (label, density)
-    and kept on bp, as its faces and centroids are; the arrays are
-    read-only.
+    and kept on bp, as its centroids are; the arrays are read-only.
     """
     key = (label, density)
     if key not in bp._landings:
@@ -423,10 +401,9 @@ def thicken(bp: Blueprint, density: int = 8) -> ThickenedBlueprint:
     if not (whole_number(density) and density >= 2):
         raise BlueprintError(f"density must be an integer >= 2, got {density!r}")
     steps = np.linspace(0.0, 1.0, density)[:, None]
-    points = np.concatenate(
-        [piece.a + steps * (piece.b - piece.a) for piece in bp.pieces] + [bp.crossings]
-    )
-    owners = np.concatenate([np.repeat(np.arange(len(bp.pieces)), density),
+    a, b = bp.ends[:, None, 0], bp.ends[:, None, 1]
+    points = np.concatenate([(a + steps * (b - a)).reshape(-1, 2), bp.crossings])
+    owners = np.concatenate([np.repeat(np.arange(len(bp.ends)), density),
                              np.array(bp.crossing_pieces, dtype=int)])
 
     kept = _first_kept(points, bp.tol)
@@ -450,7 +427,11 @@ def stable_degree(bp: Blueprint, dim_m: int) -> tuple[int, int]:
 
 
 def export_obj(bp: Blueprint) -> str:
-    """Wavefront OBJ with one polyline per timber face and per cut piece."""
+    """Wavefront OBJ with one polyline per timber face and per cut piece.
+
+    A timber's faces are its constraints whose chord inside it is longer
+    than bp.tol.
+    """
     _require_blueprint(bp)
     lines = ["# cleavage diagram export"]
     verts: list[str] = []
@@ -463,9 +444,13 @@ def export_obj(bp: Blueprint) -> str:
         elems.append(f"# {tag}")
         elems.append(f"l {base + 1} {base + 2}")
 
-    for label, timber_faces in enumerate(bp.faces, start=1):
-        for f in timber_faces:
-            add_segment(f.a, f.b, f"timber {label} face {f.constraint_index}")
-    for piece, comp in zip(bp.pieces, bp.piece_components):
-        add_segment(piece.a, piece.b, f"cut {piece.path} component {comp}")
+    for label, trace in enumerate(bp.cleavage.traces, start=1):
+        for j in range(len(trace.body.constraints)):
+            interval = _face_interval(trace.body, j)
+            if interval is None or interval[3] - interval[2] <= bp.tol:
+                continue
+            p0, d, lo, hi = interval
+            add_segment(p0 + lo * d, p0 + hi * d, f"timber {label} face {j}")
+    for cut, (a, b), comp in zip(bp.cleavage.cuts, bp.ends, bp.piece_components):
+        add_segment(a, b, f"cut {cut.path} component {comp}")
     return "\n".join(lines + verts + elems) + "\n"

@@ -22,6 +22,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
+import numpy as np
+
 from .blueprint import (
     BlueprintError,
     build_blueprint,
@@ -29,7 +31,7 @@ from .blueprint import (
     stable_degree,
     thicken,
 )
-from .geom import TOL, GeometryError
+from .geom import TOL, GeometryError, _rowdot
 from .operad import OperadError, Permutation, cleavage_from_json, compose, permute
 from .sampling import SamplingError, random_cleavage, resolve_seed
 from .suites import SUITES, format_report, run_suite
@@ -155,11 +157,13 @@ def _cmd_inspect(args) -> int:
             f"[{s:.4f}, {e:.4f}]" for s, e in c.trace(i).arcs.arcs
         ) or "(none)"
         lines.append(f"timber {i}: trace arcs {arcs}")
-    lines.append(f"pieces {len(bp.pieces)}, components {bp.n_components}")
-    for j, piece in enumerate(bp.pieces):
+    lines.append(f"pieces {len(bp.ends)}, components {bp.n_components}")
+    d = bp.ends[:, 1] - bp.ends[:, 0]
+    lengths = np.sqrt(_rowdot(d, d))
+    for j, cut in enumerate(c.cuts):
         lines.append(
-            f"piece {j} at {piece.path or 'root'}: component"
-            f" {bp.piece_components[j]}, length {piece.length:.4f}"
+            f"piece {j} at {cut.path or 'root'}: component"
+            f" {bp.piece_components[j]}, length {lengths[j]:.4f}"
         )
     a, b = stable_degree(bp, args.dim_m)
     lines.append(f"stable degree for dim {args.dim_m}: ({a}, {b}), sum {a + b}")

@@ -253,7 +253,7 @@ def _corridor_static() -> tuple:
 
     # strand 1: partner band at params [60, 300], toward the chord x = 1/2
     p1 = _STEP * np.arange(240, 1201)
-    y1 = _chord_y(centroid(c.timber(1)), 0.5, p1)
+    y1 = _chord_y(centroid(c.trace(1)), 0.5, p1)
     y1[0], y1[-1] = ROOT3_2, -ROOT3_2
     y1[p1.searchsorted(180.0)] = 0.0
     loop1 = np.empty((CORRIDOR_M, 2))
@@ -291,7 +291,7 @@ def _corridor_static() -> tuple:
     # strand 3 static part: partner band and the radial stubs at +-120
     band_idx = np.concatenate([np.arange(0, 481), np.arange(960, 1440)])
     u = _STEP * band_idx
-    y3 = _chord_y(centroid(c.timber(3)), -0.5, np.where(u > 180.0, u - 360.0, u))
+    y3 = _chord_y(centroid(c.trace(3)), -0.5, np.where(u > 180.0, u - 360.0, u))
     y3[480] = ROOT3_2
     y3[481] = -ROOT3_2
     y3[0] = 0.0

@@ -551,14 +551,17 @@ def _face_interval(body: ConvexBody, j: int):
     return p0, d, lo, hi
 
 
-def centroid(body: ConvexBody) -> np.ndarray:
-    """Center of mass of the planar body, uniform density.
+def centroid(region: SphereRegion) -> np.ndarray:
+    """Center of mass of the planar body region.body, uniform density.
 
-    Exact: the boundary decomposes into chord segments and circle arcs, and
-    area plus first moments come from Green's theorem applied to each
-    oriented piece.  A body of any other dimension gets the GeometryError
-    of is_nonempty_interior.
+    region is the body's sphere trace, as operad.validate carries it
+    (c.trace(label)) or sphere_trace(body) computes it; its arcs are the
+    circle part of the boundary.  Exact: the boundary decomposes into
+    chord segments and those arcs, and area plus first moments come from
+    Green's theorem applied to each oriented piece.  A body of any other
+    dimension gets the GeometryError of is_nonempty_interior.
     """
+    body = region.body
     if not is_nonempty_interior(body, TOL):
         raise EmptyBodyError("centroid of a body with empty interior")
 
@@ -576,8 +579,7 @@ def centroid(body: ConvexBody) -> np.ndarray:
         area += (q[1] - p[1]) * (p[0] + q[0]) / 2.0
         sx += (q[1] - p[1]) * (p[0] * p[0] + p[0] * q[0] + q[0] * q[0]) / 6.0
         sy += -(q[0] - p[0]) * (p[1] * p[1] + p[1] * q[1] + q[1] * q[1]) / 6.0
-    trace = sphere_trace(body)
-    for a, b in trace.arcs.arcs:
+    for a, b in region.arcs.arcs:
         area += ((b + math.sin(b) * math.cos(b)) - (a + math.sin(a) * math.cos(a))) / 2.0
         sx += ((math.sin(b) - math.sin(b) ** 3 / 3.0)
                - (math.sin(a) - math.sin(a) ** 3 / 3.0)) / 2.0

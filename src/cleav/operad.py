@@ -123,22 +123,24 @@ class NodeCut:
 class Cleavage:
     """A validated operation: tree plus the regions it produces.
 
-    timbers and traces are indexed by leaf label, not by planar position;
-    cuts lists the internal nodes in pre-order.
+    traces are indexed by leaf label, not by planar position, and each
+    carries its timber as its body; cuts lists the internal nodes in
+    pre-order.
     """
 
     n: int
     tree: Node
     k: int
-    timbers: tuple[ConvexBody, ...]
     traces: tuple[SphereRegion, ...]
     cuts: tuple[NodeCut, ...]
     incoming: ConvexBody
 
     def timber(self, label: int) -> ConvexBody:
-        return self.timbers[label - 1]
+        return self.trace(label).body
 
     def trace(self, label: int) -> SphereRegion:
+        if not (whole_number(label) and 1 <= label <= self.k):
+            raise OperadError(f"label must be an integer in 1..{self.k}, got {label!r}")
         return self.traces[label - 1]
 
     def to_json(self) -> dict:
@@ -207,8 +209,7 @@ def validate(
         raise LabelError(f"leaf labels {labels} are not a permutation of 1..{k}")
     by_label = dict(leaves)
     traces = tuple(by_label[i] for i in range(1, k + 1))
-    timbers = tuple(trace.body for trace in traces)
-    return Cleavage(int(n), tree, k, timbers, traces, tuple(cuts), root_body)
+    return Cleavage(int(n), tree, k, traces, tuple(cuts), root_body)
 
 
 def cleavage_from_json(doc: object, tol: float = TOL) -> Cleavage:

@@ -127,7 +127,7 @@ def check_convexity(seed: int = 0, cleavages: int = 12, pairs: int = 1000) -> Su
         c = random_cleavage(rng, k)
         for i in range(1, k + 1):
             body = c.timber(i)
-            cpt = centroid(body)
+            cpt = centroid(c.trace(i))
             timbers += 1
             ang = rng.uniform(0.0, TWO_PI, 2 * pairs)
             u = rng.random(2 * pairs)
@@ -209,11 +209,9 @@ def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000) -> 
         k = 2 + idx % 4
         c = random_cleavage(rng, k)
         bp = build_blueprint(c)
-        A = np.array([p.a for p in bp.pieces])
-        B = np.array([p.b for p in bp.pieces])
-        pick = rng.integers(0, len(bp.pieces), samples)
+        ends = bp.ends[rng.integers(0, len(bp.ends), samples)]
         t = rng.random(samples)
-        pts = A[pick] + t[:, None] * (B[pick] - A[pick])
+        pts = ends[:, 0] + t[:, None] * (ends[:, 1] - ends[:, 0])
         extra = thicken(bp, density=2).points
         b = np.concatenate([pts, extra])
         planes = sum(np.abs(_rowdot(cut.plane.normal, b) - cut.plane.offset) <= TOL
@@ -520,10 +518,10 @@ def check_degree(seed: int = 0, cleavages: int = 1000) -> SuiteReport:
             a, b = stable_degree(bp, dim)
             checked += 1
             if (a != dim * bp.n_components or a + b != dim * (k - 1)
-                    or bp.n_components != arcs - len(bp.pieces)):
+                    or bp.n_components != arcs - len(bp.ends)):
                 failures.append({
                     "k": k, "cleavage": c.to_json(), "dim_m": dim,
-                    "gamma": bp.n_components, "from_traces": arcs - len(bp.pieces),
+                    "gamma": bp.n_components, "from_traces": arcs - len(bp.ends),
                     "got": [a, b],
                 })
     return SuiteReport(

@@ -6,9 +6,11 @@ rounded to a float, then the products are added left to right, which is
 the rounding the package promises for every dot.  The plane, arc,
 cleavage, permutation and one-pair collapse helpers below are ones the
 package itself does not need, or the code a faster kernel of the package
-replaced; one_query_clearance keeps that code's geom._rowdot dots, and
+replaced; one_query_clearance keeps that code's geom._rowdot dots,
 object_thicken and pair_ends keep the per-sample object loops that the
-preimage table of blueprint.ThickenedBlueprint replaced.
+preimage table of blueprint.ThickenedBlueprint replaced, and
+reference_faces keeps the timber face rule that blueprint.export_obj
+writes out.
 """
 
 import itertools
@@ -125,6 +127,26 @@ def object_thicken(bp: bp_mod.Blueprint, density: int) -> tuple:
         preimages = tuple(itertools.islice(pairs, count))
         samples.append(bp_mod.BlueprintSample(point, bp.piece_components[owners[idx]], preimages))
     return tuple(samples)
+
+
+def reference_faces(c: operad.Cleavage, tol: float) -> tuple:
+    """Per timber of c, one (constraint index, a, b) per face, the reference for export_obj.
+
+    A face is a constraint whose chord inside the timber, from a to b, is
+    longer than tol.
+    """
+    faces = []
+    for label in range(1, c.k + 1):
+        body = c.timber(label)
+        rows = []
+        for j in range(len(body.constraints)):
+            interval = geom._face_interval(body, j)
+            if interval is None or interval[3] - interval[2] <= tol:
+                continue
+            p0, d, lo, hi = interval
+            rows.append((j, p0 + lo * d, p0 + hi * d))
+        faces.append(tuple(rows))
+    return tuple(faces)
 
 
 def pair_ends(samples) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cleav import blueprint as bp_mod
 from cleav import fixtures, geom, operad, sampling
-from oracles import ref_dot, ref_norm, signed_eval
+from oracles import ref_dot, ref_norm, reference_faces, signed_eval
 from test_geom import (
     assert_raises_first_of_its_kind,
     assert_rows_stand_alone,
@@ -84,6 +84,32 @@ def random_cleavage(seed, max_internal=3):
     return chord_cleavage()
 
 
+def obj_segments(text):
+    """(tag, first vertex, second vertex) per polyline of an export_obj text, vertices as written."""
+    lines = text.splitlines()
+    verts = [line[2:] for line in lines if line.startswith("v ")]
+    out = []
+    for tag, line in zip(lines, lines[1:]):
+        if line.startswith("l "):
+            first, second = (int(x) - 1 for x in line.split()[1:])
+            out.append((tag[2:], verts[first], verts[second]))
+    return out
+
+
+def obj_vertex(p):
+    return f"{p[0]:.17g} {p[1]:.17g} 0"
+
+
+def obj_face_indices(c, tol=geom.TOL):
+    """Per timber, the constraint indices of its face lines in export_obj."""
+    faces = [[] for _ in range(c.k)]
+    for tag, _, _ in obj_segments(bp_mod.export_obj(bp_mod.build_blueprint(c, tol))):
+        words = tag.split()
+        if words[0] == "timber":
+            faces[int(words[1]) - 1].append(int(words[3]))
+    return faces
+
+
 class TestBuild:
     def test_single_chord(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
@@ -103,7 +129,7 @@ class TestBuild:
         bp = bp_mod.build_blueprint(tee_cleavage())
         assert len(bp.pieces) == 2
         # Full chord plus a half chord stopping at the root cut.
-        lengths = sorted(p.length for p in bp.pieces)
+        lengths = sorted(np.linalg.norm(bp.ends[:, 1] - bp.ends[:, 0], axis=1))
         assert lengths == pytest.approx([1.0, 2.0], abs=1e-12)
         assert bp.n_components == 1
 
@@ -114,13 +140,13 @@ class TestBuild:
         assert sorted(bp.piece_components) == [0, 1]
 
     def test_faces(self):
-        bp = bp_mod.build_blueprint(parallel_cleavage())
-        assert len(bp.faces[0]) == 1
-        assert len(bp.faces[1]) == 2
-        assert len(bp.faces[2]) == 1
-        constraints = bp.cleavage.timber(2).constraints
-        slab_planes = sorted(constraints[f.constraint_index][0].offset for f in bp.faces[1])
+        c = parallel_cleavage()
+        faces = reference_faces(c, geom.TOL)
+        assert [len(timber_faces) for timber_faces in faces] == [1, 2, 1]
+        constraints = c.timber(2).constraints
+        slab_planes = sorted(constraints[j][0].offset for j, _, _ in faces[1])
         assert slab_planes == pytest.approx([-0.5, 0.5])
+        assert obj_face_indices(c) == [[j for j, _, _ in timber_faces] for timber_faces in faces]
 
     def test_redundant_plane_has_no_face(self):
         # Timber 1 lies in x >= -0.5 and x >= 0; the first plane misses it.
@@ -129,8 +155,8 @@ class TestBuild:
             operad.Internal(chord(1, 0, 0.0), operad.Leaf(1), operad.Leaf(2)),
             operad.Leaf(3),
         ))
-        bp = bp_mod.build_blueprint(c)
-        assert [f.constraint_index for f in bp.faces[0]] == [1]
+        assert [j for j, _, _ in reference_faces(c, geom.TOL)[0]] == [1]
+        assert obj_face_indices(c)[0] == [1]
 
     def test_both_planes_have_faces(self):
         # Timber 1 is the quadrant x >= 0, y >= 0.
@@ -139,15 +165,15 @@ class TestBuild:
             operad.Internal(chord(0, 1, 0.0), operad.Leaf(1), operad.Leaf(2)),
             operad.Leaf(3),
         ))
-        bp = bp_mod.build_blueprint(c)
-        assert [f.constraint_index for f in bp.faces[0]] == [0, 1]
+        assert [j for j, _, _ in reference_faces(c, geom.TOL)[0]] == [0, 1]
+        assert obj_face_indices(c)[0] == [0, 1]
 
     def test_degree_needs_no_centroid_or_face(self):
         c = sampling.random_cleavage(5, 5)
         with mock.patch.object(bp_mod, "centroid", side_effect=AssertionError("centroid")):
             bp = bp_mod.build_blueprint(c)
             assert bp_mod.stable_degree(bp, 2)[0] == 2 * bp.n_components
-        assert "centroids" not in vars(bp) and "faces" not in vars(bp)
+        assert "centroids" not in vars(bp)
 
     def test_crossings_are_touching_pairs(self):
         bp = bp_mod.build_blueprint(tee_cleavage())
@@ -313,7 +339,7 @@ def reference_alpha(c, i, s, tol=geom.TOL, centroid_point=None):
         raise bp_mod.AlphaDomainError(
             f"angle {theta:.9f} lies inside the sphere trace of timber {i}"
         )
-    cpt = geom.centroid(c.timber(i)) if centroid_point is None else centroid_point
+    cpt = geom.centroid(c.trace(i)) if centroid_point is None else centroid_point
     return reference_segment_boundary_hit(c.timber(i), s, cpt, tol)
 
 
@@ -375,7 +401,7 @@ class TestCollapseOracles:
         c = operad.validate(operad.Leaf(1)) if k == 1 else sampling.random_cleavage(seed, k)
         bp = bp_mod.build_blueprint(c, tol)
         for i in range(1, c.k + 1):
-            cpt = geom.centroid(c.timber(i))
+            cpt = geom.centroid(c.trace(i))
             angles = []
             for s0, s1 in c.trace(i).arcs.complement().arcs:
                 angles += [s0, s1] + (s0 + (s1 - s0) * rng.random(30)).tolist()
@@ -507,7 +533,7 @@ class TestAlpha:
 
     def test_corner_hit(self):
         c = tee_cleavage()
-        cen = geom.centroid(c.timber(2))
+        cen = geom.centroid(c.trace(2))
         s = -cen / np.linalg.norm(cen)
         hit = bp_mod.alpha(bp_mod.build_blueprint(c), 2, s[None])
         assert hit.corner.tolist() == [True]
@@ -519,7 +545,7 @@ class TestAlpha:
         c = chord_cleavage()
         s = np.array([math.cos(2.2), math.sin(2.2)])
         hit = bp_mod.alpha(bp_mod.build_blueprint(c), 1, s[None])
-        point, *_ = reference_alpha(c, 1, s, geom.TOL, geom.centroid(c.timber(1)))
+        point, *_ = reference_alpha(c, 1, s, geom.TOL, geom.centroid(c.trace(1)))
         assert hit.point[0].tobytes() == point.tobytes()
 
 
@@ -760,7 +786,52 @@ class TestStableDegree:
             assert a + b == dim_m * (c.k - 1)
 
 
+class TestEnds:
+    def test_unit_has_an_empty_table(self):
+        bp = bp_mod.build_blueprint(operad.unit())
+        assert bp.ends.shape == (0, 2, 2) and not bp.ends.flags.writeable
+        assert bp.pieces == ()
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.sampled_from([geom.TOL, 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_lie_on_their_cuts(self, seed, k, tol):
+        c = sampling.random_cleavage(seed, k)
+        bp = bp_mod.build_blueprint(c, tol)
+        assert bp.ends.shape == (len(c.cuts), 2, 2)
+        assert not bp.ends.flags.writeable
+        with pytest.raises(ValueError):
+            bp.ends[0, 0, 0] = 0.0
+        for cut, row in zip(c.cuts, bp.ends):
+            assert all(abs(signed_eval(cut.plane, end)) <= tol for end in row)
+            assert cut.body.contains(row, tol).all()
+        pieces = bp.pieces
+        assert len(pieces) == len(bp.ends)
+        for piece, (a, b) in zip(pieces, bp.ends):
+            assert piece.a.tobytes() == a.tobytes() and piece.b.tobytes() == b.tobytes()
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_centroids_take_the_carried_traces(self, seed, k):
+        c = sampling.random_cleavage(seed, k)
+        fresh = [geom.centroid(geom.sphere_trace(c.timber(label))) for label in range(1, k + 1)]
+        with mock.patch.object(geom, "sphere_trace", side_effect=AssertionError("sphere_trace")):
+            centroids = bp_mod.build_blueprint(c).centroids
+        assert [x.tobytes() for x in centroids] == [x.tobytes() for x in fresh]
+
+
 class TestExport:
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.sampled_from([geom.TOL, 1e-3, 0.05]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_faces(self, seed, k, tol):
+        c = sampling.random_cleavage(seed, k)
+        bp = bp_mod.build_blueprint(c, tol)
+        want = [(f"timber {label} face {j}", obj_vertex(a), obj_vertex(b))
+                for label, faces in enumerate(reference_faces(c, tol), start=1)
+                for j, a, b in faces]
+        want += [(f"cut {cut.path} component {comp}", obj_vertex(a), obj_vertex(b))
+                 for cut, (a, b), comp in zip(c.cuts, bp.ends, bp.piece_components)]
+        assert obj_segments(bp_mod.export_obj(bp)) == want
+
     def test_obj_export(self):
         bp = bp_mod.build_blueprint(chord_cleavage())
         text = bp_mod.export_obj(bp)

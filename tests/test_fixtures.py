@@ -44,8 +44,8 @@ def corridor():
 
 def pair12_component(tb):
     bp = tb.blueprint
-    for piece, comp in zip(bp.pieces, bp.piece_components):
-        if piece.plane.offset > 0.0:
+    for cut, comp in zip(bp.cleavage.cuts, bp.piece_components):
+        if cut.plane.offset > 0.0:
             return comp
     raise AssertionError("no piece on the positive cut")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleav import geom, operad, sampling
+from cleav import fixtures, geom, operad, sampling
 from oracles import chop_equal, perm_after, perm_inverse, perm_sign, sym_diff_measure
 
 PI = math.pi
@@ -161,6 +161,22 @@ class TestValidate:
         assert c.k == 2
         assert c.trace(1).is_nonempty()
         assert c.trace(2).is_nonempty()
+
+
+class TestLabelLookup:
+    @pytest.mark.parametrize("label", [0, -1, 4, 1.0, True], ids=repr)
+    def test_bad_label_is_a_domain_error(self, label):
+        # 0 and -1 used to return timber 3's trace and body, and 4 raised a bare IndexError.
+        c = fixtures.corridor_cleavage()
+        for lookup in (c.trace, c.timber):
+            with pytest.raises(operad.OperadError, match=re.escape(f"1..3, got {label!r}")):
+                lookup(label)
+
+    def test_timber_is_the_trace_body(self):
+        c = fixtures.corridor_cleavage()
+        for label in (1, 2, np.int64(3)):
+            assert c.trace(label) is c.traces[int(label) - 1]
+            assert c.timber(label) is c.trace(label).body
 
 
 class TestJson:
