@@ -162,7 +162,7 @@ def _cmd_inspect(args) -> int:
     lengths = np.sqrt(_rowdot(d, d))
     for j, cut in enumerate(c.cuts):
         lines.append(
-            f"piece {j} at {cut.path or 'root'}: component"
+            f"piece {j} at {cut.path}: component"
             f" {bp.piece_components[j]}, length {lengths[j]:.4f}"
         )
     a, b = stable_degree(bp, args.dim_m)
@@ -209,7 +209,6 @@ def _cmd_umkehr(args) -> int:
         t_homotopy=args.t,
         density=args.density,
         eta=args.eta,
-        tol=args.tol,
         mapping=args.mapping,
     )
     if args.mapping:

@@ -135,9 +135,11 @@ class OrientedHyperplane:
     """Affine hyperplane {x : <normal, x> = offset} with a chosen side.
 
     The normal is stored normalized; the offset is rescaled to match, so it
-    equals the signed distance of the plane from the origin. A plane used to
-    cleave the unit sphere must satisfy |offset| < 1; that is enforced at
-    validation time, not here, so general clipping remains available.
+    equals the signed distance of the plane from the origin. A normal that
+    is empty, or whose length is not finite and above TOL, is refused. A
+    plane used to cleave the unit sphere must satisfy |offset| < 1; that is
+    enforced at validation time, not here, so general clipping remains
+    available.
     """
 
     normal: np.ndarray
@@ -145,9 +147,11 @@ class OrientedHyperplane:
 
     def __init__(self, normal, offset: float):
         v = _as_vector(normal)
-        norm = math.sqrt(_rowdot(v, v))
-        if norm <= TOL:
-            raise GeometryError("hyperplane normal must be nonzero")
+        with np.errstate(over="ignore"):  # a squared length past the largest float reads inf
+            norm = math.sqrt(_rowdot(v, v)) if v.size else 0.0
+        if not (math.isfinite(norm) and norm > TOL):
+            raise GeometryError(f"hyperplane normal must be nonempty with a finite norm above {TOL}, "
+                                f"got {v.tolist()}")
         unit = v / norm
         unit.setflags(write=False)
         object.__setattr__(self, "normal", unit)

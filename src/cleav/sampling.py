@@ -111,44 +111,38 @@ def random_tree(seed_or_rng, k: int, n: int = 1) -> Node:
     return build(shape)
 
 
-def random_cleavage(
-    seed_or_rng, k: int, n: int = 1, max_tries: int = MAX_TRIES
-) -> Cleavage:
-    """Validated random operation of the given arity, by rejection."""
-    rng = _as_rng(seed_or_rng)
-    for _ in range(max_tries):
-        tree = random_tree(rng, k, n)
+def _first_admissible(rng: np.random.Generator, k: int, n: int, accept, failure) -> Cleavage:
+    """The first candidate tree that validates and passes accept, by rejection.
+
+    Every candidate is drawn by random_tree from rng.  MAX_TRIES is read
+    on each call; once that many candidates are rejected, SamplingError
+    is raised with the message failure(MAX_TRIES).
+    """
+    for _ in range(MAX_TRIES):
         try:
-            return validate(tree, n)
+            c = validate(random_tree(rng, k, n), n)
         except (OperadError, GeometryError):
             continue
-    raise SamplingError(
-        f"no admissible decoration for k={k}, n={n} after {max_tries} rejections"
-    )
+        if accept(c):
+            return c
+    raise SamplingError(failure(MAX_TRIES))
 
 
-def fat_cleavage(
-    seed_or_rng,
-    k: int,
-    min_arc: float = 0.15,
-    max_tries: int = MAX_TRIES,
-) -> Cleavage:
+def random_cleavage(seed_or_rng, k: int, n: int = 1) -> Cleavage:
+    """Validated random operation of the given arity, from at most MAX_TRIES candidates."""
+    return _first_admissible(
+        _as_rng(seed_or_rng), k, n, lambda c: True,
+        lambda tries: f"no admissible decoration for k={k}, n={n} after {tries} rejections")
+
+
+def fat_cleavage(seed_or_rng, k: int, min_arc: float = 0.15) -> Cleavage:
     """Random circle operation whose timbers all keep a trace arc above min_arc.
 
     Thin slivers make sampled-angle tests flaky; this filter rejects
-    them.  One budget of max_tries candidate trees covers both checks:
+    them.  One budget of MAX_TRIES candidate trees covers both checks:
     each draw is validated as in random_cleavage, and the first tree that
     is admissible and fat is returned.
     """
-    rng = _as_rng(seed_or_rng)
-    for _ in range(max_tries):
-        tree = random_tree(rng, k)
-        try:
-            c = validate(tree, 1)
-        except (OperadError, GeometryError):
-            continue
-        if all(tr.arcs.measure() >= min_arc for tr in c.traces):
-            return c
-    raise SamplingError(
-        f"no fat decoration for k={k}, min_arc={min_arc} after {max_tries} draws"
-    )
+    return _first_admissible(
+        _as_rng(seed_or_rng), k, 1, lambda c: all(tr.arcs.measure() >= min_arc for tr in c.traces),
+        lambda tries: f"no fat decoration for k={k}, min_arc={min_arc} after {tries} draws")

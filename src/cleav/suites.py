@@ -327,16 +327,18 @@ def _corridor_setup():
 
 
 def _manual_sups(emb, tb, cfg) -> dict:
-    """Recompute per-component suprema from the public primitives, one pair at a time."""
+    """Recompute per-component suprema from tb's table and the public primitives, one pair at a time."""
+    tol = tb.blueprint.tol
     sups: dict = {}
-    for s in tb.samples:
-        for (a, th_a), (b, th_b) in itertools.combinations(s.preimages, 2):
-            g = geodesic(emb.metric, emb.points_at(a, [th_a]), emb.points_at(b, [th_b]))
+    for row, angles, component in zip(tb.mask.tolist(), tb.angles.tolist(), tb.components.tolist()):
+        preimages = [(label, th) for label, (on, th) in enumerate(zip(row, angles), 1) if on]
+        for (a, th_a), (b, th_b) in itertools.combinations(preimages, 2):
+            g = geodesic(emb.metric, emb.points_at(a, [th_a]), emb.points_at(b, [th_b]), tol)
             delta = 1.0
             if g.length[0] <= cfg.epsilon:
-                delta = clearance(emb, g, [0], cfg, [[a, b]], [[th_a, th_b]])
+                delta = clearance(emb, g, [0], cfg, [[a, b]], [[th_a, th_b]], tol)
             val = float(scaling(g.length, cfg.epsilon, delta, cfg.t_homotopy)[0])
-            sups[s.component] = max(sups.get(s.component, 0.0), val)
+            sups[component] = max(sups.get(component, 0.0), val)
     return sups
 
 
@@ -361,7 +363,7 @@ def check_soundness(seed: int = 0) -> SuiteReport:
         sups = _manual_sups(emb, tb, cfg)
         for cv in out.components:
             checked += 1
-            expect = sups[cv.component] > 1.0 + cfg.tol
+            expect = sups[cv.component] > 1.0 + tb.blueprint.tol
             actual = cv.status == "infinity"
             if expect != actual:
                 failures.append({

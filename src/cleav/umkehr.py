@@ -206,21 +206,17 @@ class DiscreteEmbedding:
 
     @cached_property
     def _table(self):
-        """(columns, labels, params, steps) of every vertex in label order, built on first use.
+        """(columns, labels, params) of every vertex in label order, built on first use.
 
         columns is the (d, V) array of vertex coordinates, one row per
-        axis, and steps each vertex's default exclusion radius, ETA_STEPS
-        vertex steps of its own strand.  Only clearance reads the table, so
-        embeddings that never meet a tube query do not hold a second copy
-        of their vertices.
+        axis.  Only clearance reads the table, so embeddings that never
+        meet a tube query do not hold a second copy of their vertices.
         """
         labels = range(1, self.k + 1)
-        sizes = [self.m(label) for label in labels]
         return (
             np.ascontiguousarray(np.concatenate(self.loops).T),
-            np.repeat(np.array(labels), sizes),
+            np.repeat(np.array(labels), [self.m(label) for label in labels]),
             np.concatenate([self.params(label) for label in labels]),
-            np.repeat([ETA_STEPS * TWO_PI / m for m in sizes], sizes),
         )
 
     @cached_property
@@ -447,8 +443,10 @@ class UmkehrConfig:
 
     eta is the parameter exclusion radius (radians) around each geodesic
     endpoint on its own strand; None means ETA_STEPS vertex steps per
-    strand.  density is validated and echoed in to_json but not read: the
-    caller thickens the diagram at its own density.  to_json also echoes
+    strand, as eta_radians spells out.  density is validated and echoed in
+    to_json but not read: the caller thickens the diagram at its own
+    density.  There is no tolerance here: umkehr evaluates at the
+    tolerance its thickened diagram was built with.  to_json also echoes
     the fixed policy: eta_steps is ETA_STEPS, and sup_scope 'component'
     says a collapse is decided per diagram component.
     """
@@ -457,7 +455,6 @@ class UmkehrConfig:
     t_homotopy: float = 0.0
     density: int = 8
     eta: float | None = None
-    tol: float = TOL
     mapping: bool = False
 
     def __post_init__(self):
@@ -468,12 +465,12 @@ class UmkehrConfig:
         _require_density(self.density)
         if self.eta is not None and not (finite_real(self.eta) and self.eta >= 0.0):
             raise UmkehrError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        _require_tol(self.tol)
         if not isinstance(self.mapping, (bool, np.bool_)):
             raise UmkehrError(f"mapping must be a bool, got {self.mapping!r}")
         object.__setattr__(self, "mapping", bool(self.mapping))
 
     def eta_radians(self, gamma: DiscreteEmbedding) -> list:
+        """The exclusion radius of each strand of gamma, in label order."""
         if self.eta is not None:
             return [self.eta] * gamma.k
         return [ETA_STEPS * TWO_PI / gamma.m(i) for i in range(1, gamma.k + 1)]
@@ -485,7 +482,6 @@ class UmkehrConfig:
             "density": self.density,
             "eta": self.eta,
             "eta_steps": ETA_STEPS,
-            "tol": self.tol,
             "sup_scope": "component",
             "mapping": self.mapping,
         }
@@ -509,18 +505,19 @@ def _not_in_range(values, lo: int, hi: int) -> list:
 
 
 def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
-              ex_labels, ex_params) -> np.ndarray:
+              ex_labels, ex_params, tol: float = TOL) -> np.ndarray:
     """Least scaled depth of any strand vertex inside the tube around each queried row of g.
 
     g is a stack of geodesics as geodesic returns it; rows holds the n
     integer rows to query, each of positive length.  ex_labels and
     ex_params are (n, e) arrays: query q drops, for each of its e
     excluded (label, param) points, the vertices of strand label within
-    parameter radius eta of param.  Returns the (n,) array of clearances
-    δ.  A kept vertex within tol of the geodesic segment gives δ = 0.
-    Otherwise vertices strictly inside the open tube contribute their
-    distance-to-radius ratio, and δ is the least ratio below 1, or 1.0
-    when no kept vertex enters the tube.
+    that strand's radius in cfg.eta_radians of param.  Returns the (n,)
+    array of clearances δ.  A kept vertex within tol (a positive finite
+    number; umkehr passes its diagram's) of the geodesic segment gives
+    δ = 0.  Otherwise vertices strictly inside the open tube contribute
+    their distance-to-radius ratio, and δ is the least ratio below 1, or
+    1.0 when no kept vertex enters the tube.
 
     The queries run in chunks of about _CLEARANCE_ROWS (query, vertex)
     entries, each one block over the embedding's flat vertex table laid
@@ -532,6 +529,7 @@ def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
     chunk and beside any other query.  Where 0 < t < 1 the distance to the
     segment is the perpendicular distance, so one pass serves both tests.
     """
+    _require_tol(tol)
     n = g.length.shape[0]
     if bad := _not_in_range(rows, 0, n - 1):
         raise UmkehrError(f"row must be an integer in 0..{n - 1}, got {bad[0]!r}")
@@ -554,8 +552,8 @@ def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
         raise UmkehrError(f"clearance needs geodesics of positive length, "
                           f"row {r} has length {float(g.length[r])!r}")
 
-    cols, labels, params, steps = gamma._table
-    eta = steps if cfg.eta is None else cfg.eta
+    cols, labels, params = gamma._table
+    eta = np.asarray(cfg.eta_radians(gamma))[labels - 1]
     a, disp = g.a[rows].T, g.disp[rows].T  # (d, n)
     ell2 = length * length
     centre = np.mod(ex_params, TWO_PI)
@@ -575,7 +573,7 @@ def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
         clamped = np.minimum(np.maximum(t, 0.0), 1.0)
         diff = (w - D * clamped).transpose(1, 2, 0)
         seg = np.sqrt(_rowdot(diff, diff))
-        on_seg = ((seg <= cfg.tol) & keep).any(axis=1)
+        on_seg = ((seg <= tol) & keep).any(axis=1)
         inside = (t > 0.0) & (t < 1.0) & keep
         ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
                           out=np.full(t.shape, INF), where=inside)
@@ -740,8 +738,10 @@ def umkehr(
     a component whose largest scale exceeds 1 + tol collapses to the
     infinity point.  Scales within tol of 1 are flagged as boundary
     pairs but stay finite.  In mapping mode, pairs closer than tol are glued:
-    zero vector, scale 0, sample recorded in the uf_mask.  c must be the
-    cleavage tb was thickened from, or one with the same tree.
+    zero vector, scale 0, sample recorded in the uf_mask.  tol is the
+    diagram's, tb.blueprint.tol, so the samples, their preimages and the
+    evaluation share one tolerance.  c must be the cleavage tb was
+    thickened from, or one with the same tree.
 
     The preimages are read from tb's table, mask and angles.  The
     evaluation is stacked: one geodesic call for every pair, one
@@ -752,7 +752,7 @@ def umkehr(
     _require_strands(gamma, c)
     if c is not tb.blueprint.cleavage and c.to_json() != tb.blueprint.cleavage.to_json():
         raise UmkehrError("the cleavage differs from the one the thickened diagram was built from")
-    metric = gamma.metric
+    metric, tol = gamma.metric, tb.blueprint.tol
     if metric.kind == "torus" and not cfg.epsilon < metric.L / 4.0:
         raise UmkehrError(
             f"torus evaluation needs epsilon < L/4 = {metric.L / 4.0}, got {cfg.epsilon}"
@@ -760,13 +760,13 @@ def umkehr(
     if not cfg.mapping:
         for i in range(1, gamma.k + 1):
             for j in range(i + 1, gamma.k + 1):
-                d = strand_distance(gamma, i, j, cfg.tol)
-                if d <= cfg.tol:
+                d = strand_distance(gamma, i, j, tol)
+                if d <= tol:
                     raise SelfIntersecting(
                         f"strands {i} and {j} come within {d:.3e} of each other"
                     )
 
-    restriction = tuple(restrict(gamma, c, cfg.tol))
+    restriction = tuple(restrict(gamma, c, tol))
 
     # Every preimage's strand point, flat in mask.nonzero() order (sample,
     # then label), from one points_at call per label.  Then every (sample,
@@ -776,23 +776,23 @@ def umkehr(
                             for label in range(1, gamma.k + 1)], axis=1)[tb.mask]
     ends = _pair_ends(tb.mask)
     sample_of = ends[:, 0]
-    geo = geodesic(metric, flat_points[ends[:, 1]], flat_points[ends[:, 2]], cfg.tol)
+    geo = geodesic(metric, flat_points[ends[:, 1]], flat_points[ends[:, 2]], tol)
 
     # One scale per pair: 0.0 where glued, otherwise the length scaled by
     # the clearance of its tube, INF past the tube.
-    glued = (geo.length <= cfg.tol) & cfg.mapping
+    glued = (geo.length <= tol) & cfg.mapping
     inf_delta = np.ones(geo.length.shape)
     query = np.flatnonzero(~glued & (geo.length <= cfg.epsilon))
     if cfg.t_homotopy != 1.0 and query.size:
         ex = ends[query, 1:]
-        inf_delta[query] = clearance(gamma, geo, query, cfg, flat_labels[ex], flat_angles[ex])
+        inf_delta[query] = clearance(gamma, geo, query, cfg, flat_labels[ex], flat_angles[ex], tol)
     scale = np.where(glued, 0.0, scaling(geo.length, cfg.epsilon, inf_delta, cfg.t_homotopy))
 
     # Pool the per-sample suprema by component; components are numbered 0, 1, ...
     comp = tb.components
     sup = np.zeros(comp.shape)
     np.maximum.at(sup, sample_of, scale)
-    collapsed = np.bincount(comp, sup > 1.0 + cfg.tol)[comp] > 0
+    collapsed = np.bincount(comp, sup > 1.0 + tol)[comp] > 0
 
     # Entries only for samples left finite; a glued pair keeps +0.0 tangents both ways.
     labels = flat_labels[ends[:, 1:]]
@@ -808,7 +808,7 @@ def umkehr(
         kept[cid] += (Entry(idx, (i, j), s_val, tuple(tang), a, b),
                       Entry(idx, (j, i), s_val, tuple(neg), b, a))
 
-    edge = np.isfinite(scale) & (np.abs(scale - 1.0) <= cfg.tol)
+    edge = np.isfinite(scale) & (np.abs(scale - 1.0) <= tol)
     components = tuple(
         ComponentValue(
             cid,
@@ -821,8 +821,7 @@ def umkehr(
         for cid, entries in kept.items()
     )
 
-    config = cfg.to_json()
-    config["eta_radians"] = cfg.eta_radians(gamma)
+    config = {**cfg.to_json(), "tol": tol, "eta_radians": cfg.eta_radians(gamma)}
     return ThomValue(components, restriction, config)
 
 

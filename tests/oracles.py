@@ -176,7 +176,7 @@ class ClearanceWitness:
 
 
 def one_query_clearance(gamma: um.DiscreteEmbedding, g: um.Geodesic, r: int, cfg: um.UmkehrConfig,
-                        exclude=()):
+                        exclude=(), tol: float = geom.TOL):
     """(delta, witness) of the tube around row r of g, one query at a time.
 
     The per-query kernel the stacked umkehr.clearance replaced, kept as
@@ -216,7 +216,7 @@ def one_query_clearance(gamma: um.DiscreteEmbedding, g: um.Geodesic, r: int, cfg
         v = row if rows is None else int(rows[row])
         return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
-    on_seg = seg <= cfg.tol
+    on_seg = seg <= tol
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
     inside = (t > 0.0) & (t < 1.0)

@@ -9,13 +9,17 @@ finishes in well under a minute on its own.
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cleav import suites
-from cleav.geom import OrientedHyperplane, clip, sphere_trace, unit_disk
-from cleav.operad import Internal, Leaf, compose, validate
+from cleav import fixtures, sampling, suites
+from cleav import umkehr as um
+from cleav.blueprint import build_blueprint, thicken
+from cleav.geom import TOL, OrientedHyperplane, clip, sphere_trace, unit_disk
+from cleav.operad import Internal, Leaf, Permutation, compose, permute, validate
 from cleav.suites import format_report, run_suite
 from oracles import sym_diff_measure
 
@@ -199,6 +203,74 @@ def test_grafting_matches_direct_recursive_clipping():
           f"{label_checks} label comparisons, {len(mismatches)} mismatches")
     assert cases == 36
     assert not mismatches, mismatches[:5]
+
+
+# Relabelling equivariance: the symmetric group on the k labels acts on a
+# cleavage by permute and on a strand family by moving strand l to slot
+# sigma(l).  Acting on both moves every output by sigma and changes nothing
+# else.
+
+def _ring_loops(rng: np.random.Generator, k: int) -> list:
+    """One smooth loop per label on a ring, neighbours 0.5 apart and each within 0.2 of its centre."""
+    ring = 0.25 / math.sin(math.pi / k)
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    angles = phase + 2.0 * math.pi * np.arange(k) / k
+    return [fixtures.fourier_loop(int(s), m=int(rng.integers(16, 49)), base=0.12, wobble=0.03,
+                                  drift=0.015) + ring * np.array([math.cos(a), math.sin(a)])
+            for s, a in zip(rng.integers(0, 2 ** 31, k), angles.tolist())]
+
+
+def _close(x, y) -> bool:
+    """Equal entry by entry within TOL; infinite entries must be equal."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and bool(np.all((x == y) | (np.abs(x - y) <= TOL)))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.data(),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_relabelling_the_strands_and_the_cleavage_relabels_the_output(seed, data, t, mapping):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 7))
+    images = data.draw(st.permutations(range(1, k + 1)), label="sigma")
+    sigma = np.array(images)
+    c = sampling.random_cleavage(rng, k)
+    moved = permute(c, Permutation(tuple(images)))
+    density = int(rng.integers(2, 7))
+    tb, tb2 = (thicken(build_blueprint(x), density=density) for x in (c, moved))
+    # Same samples and components; column sigma(l) of the moved table is column l.
+    assert tb2.points.tobytes() == tb.points.tobytes()
+    assert tb2.components.tobytes() == tb.components.tobytes()
+    assert tb2.mask[:, sigma - 1].tobytes() == tb.mask.tobytes()
+    assert tb2.angles[:, sigma - 1].tobytes() == tb.angles.tobytes()
+
+    loops = _ring_loops(rng, k)
+    gamma = um.DiscreteEmbedding(fixtures.EUCLIDEAN, tuple(loops))
+    # Strand sigma(l) of gamma2 is strand l of gamma.
+    gamma2 = um.DiscreteEmbedding(fixtures.EUCLIDEAN,
+                                  tuple(loops[images.index(label)] for label in range(1, k + 1)))
+    cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.5, 3.5)), t_homotopy=t, mapping=mapping)
+    value, value2 = um.umkehr(gamma, c, tb, cfg), um.umkehr(gamma2, moved, tb2, cfg)
+
+    def move(pair):
+        return tuple(int(sigma[label - 1]) for label in pair)
+
+    assert len(value.components) == len(value2.components)
+    for cv, cv2 in zip(value.components, value2.components):
+        assert (cv.component, cv.status, cv.collapsed_samples, cv.uf_mask) == (
+            cv2.component, cv2.status, cv2.collapsed_samples, cv2.uf_mask)
+        assert {tuple(sorted(move(p))) for p in cv.boundary} == set(cv2.boundary)
+        mates = {(e.sample, e.pair): e for e in cv2.entries}
+        assert len(mates) == len(cv2.entries) == len(cv.entries)
+        for e in cv.entries:
+            mate = mates[e.sample, move(e.pair)]
+            assert _close(e.scale, mate.scale), (e, mate)
+            assert _close(e.tangent, mate.tangent), (e, mate)
+            assert _close(e.src, mate.src) and _close(e.dst, mate.dst), (e, mate)
+    for label in range(1, k + 1):
+        arcs = [a.to_json() for a in value.restriction if a.label == label]
+        mates = [{**a.to_json(), "label": label} for a in value2.restriction if a.label == sigma[label - 1]]
+        assert mates == arcs
 
 
 if __name__ == "__main__":

@@ -144,6 +144,19 @@ class TestInspect:
         assert (rc, out) == (1, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("normal", [[], [1e308, 1e308]], ids=["empty", "overflowing"])
+    def test_bad_normal_is_a_one_line_domain_error(self, capsys, tmp_path, normal):
+        # The empty normal used to end in an IndexError traceback; the
+        # overflowing one was stored as the zero normal after two overflow
+        # RuntimeWarnings, and inspect printed a piece of length 0.0000.
+        tree = {**ROT_CHORD["tree"], "plane": {"normal": normal, "offset": 0.0}}
+        doc = write_json(tmp_path, "bad.json", {**ROT_CHORD, "tree": tree})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "inspect", doc)
+        assert (rc, out, caught) == (1, "", [])
+        assert err.startswith("error: hyperplane normal must be nonempty") and err.count("\n") == 1
+
 
 class TestComposePermute:
     def test_compose_grafts_rotated_chord(self, capsys, tmp_path):

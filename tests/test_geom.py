@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,25 @@ class TestHyperplane:
     def test_zero_normal_rejected(self):
         with pytest.raises(geom.GeometryError):
             geom.OrientedHyperplane([0.0, 0.0], 0.1)
+
+    @pytest.mark.parametrize("normal", [[], [1e308, 1e308], [1e200, 0.0, 0.0], [1e-10, 0.0]],
+                             ids=["empty", "overflowing", "overflowing-3d", "short"])
+    def test_normal_needs_a_finite_norm_above_tol(self, normal):
+        # The empty normal raised an IndexError, and one whose squared length
+        # overflows became the zero normal with offset 0 after RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(geom.GeometryError, match="nonempty with a finite norm above 1e-09"):
+                geom.OrientedHyperplane(normal, 0.1)
+
+    def test_valid_planes_keep_their_bits(self):
+        # The norm is still the square root of _rowdot(v, v).
+        rng = np.random.default_rng(3)
+        for v in [*rng.normal(size=(20, 3)), [1e150, 1e150], [3e-9, 0.0]]:
+            v = np.asarray(v, dtype=float)
+            norm = math.sqrt(float(geom._rowdot(v, v)))
+            h = geom.OrientedHyperplane(v, 0.25)
+            assert h.normal.tobytes() == (v / norm).tobytes() and h.offset == 0.25 / norm
 
     def test_signed_eval_sign(self):
         h = geom.OrientedHyperplane([1.0, 0.0], 0.25)

@@ -88,18 +88,20 @@ class TestFatCleavage:
         c = fat_cleavage(0, 4, min_arc=0.2)
         assert all(tr.arcs.measure() >= 0.2 for tr in c.traces)
 
-    def test_impossible_floor_raises(self):
-        with pytest.raises(SamplingError, match="40"):
-            fat_cleavage(0, 2, min_arc=7.0, max_tries=40)
+    def test_impossible_floor_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_TRIES", 40)
+        with pytest.raises(SamplingError, match="no fat decoration for k=2, min_arc=7.0 after 40 draws"):
+            fat_cleavage(0, 2, min_arc=7.0)
 
     def test_budget_counts_every_draw(self, monkeypatch):
         # Most k = 5 trees fail validation.  Nesting random_cleavage's budget
-        # inside its own allowed max_tries**2 draws; this call made 293.
+        # inside its own allowed MAX_TRIES**2 draws; this call made 293.
         calls = []
         draw = sampling.random_tree
         monkeypatch.setattr(sampling, "random_tree", lambda *a, **kw: calls.append(1) or draw(*a, **kw))
+        monkeypatch.setattr(sampling, "MAX_TRIES", 40)
         with pytest.raises(SamplingError, match="40"):
-            fat_cleavage(0, 5, min_arc=7.0, max_tries=40)
+            fat_cleavage(0, 5, min_arc=7.0)
         assert len(calls) == 40
 
     def test_accepts_shared_rng(self):

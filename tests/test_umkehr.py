@@ -748,18 +748,18 @@ def exclusion_arrays(excludes):
             np.array([[param for _, param in ex] for ex in excludes], dtype=float).reshape(n, e))
 
 
-def query(gamma, g, r, cfg, exclude=()):
+def query(gamma, g, r, cfg, exclude=(), tol=geom.TOL):
     """(delta, witness) of row r: delta from the block, the witness from the per-query oracle.
 
     The block's delta must be the oracle's, bit for bit.
     """
-    got = um.clearance(gamma, g, [r], cfg, *exclusion_arrays([tuple(exclude)]))
-    ref = one_query_clearance(gamma, g, r, cfg, exclude)
+    got = um.clearance(gamma, g, [r], cfg, *exclusion_arrays([tuple(exclude)]), tol)
+    ref = one_query_clearance(gamma, g, r, cfg, exclude, tol)
     assert got.shape == (1,) and float(got[0]).hex() == float(ref[0]).hex()
     return float(got[0]), ref[1]
 
 
-def reference_clearance(gamma, g, r, cfg, exclude=()):
+def reference_clearance(gamma, g, r, cfg, exclude=(), tol=geom.TOL):
     """Strand-by-strand tube scan around row r of g, the reference for the one-pass clearance."""
     a, disp, length = g.a[r], g.disp[r], float(g.length[r])
     etas = cfg.eta_radians(gamma)
@@ -785,7 +785,7 @@ def reference_clearance(gamma, g, r, cfg, exclude=()):
         pd = ref_norm(perp)
         seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * disp)
         kept_params = params[keep]
-        on_seg = seg <= cfg.tol
+        on_seg = seg <= tol
         if np.any(on_seg) and zero_witness is None:
             first = int(np.argmax(on_seg))
             zero_witness = ClearanceWitness(
@@ -811,7 +811,7 @@ def reference_clearance(gamma, g, r, cfg, exclude=()):
     return best, witness
 
 
-def reference_one_pass_clearance(gamma, g, r, cfg, exclude=()):
+def reference_one_pass_clearance(gamma, g, r, cfg, exclude=(), tol=geom.TOL):
     """The one-pass scan around row r of g over the kept rows of all strands
     at once, with pure-Python dots, the reference for clearance in every dimension."""
     a, disp, length = g.a[r], g.disp[r], float(g.length[r])
@@ -836,7 +836,7 @@ def reference_one_pass_clearance(gamma, g, r, cfg, exclude=()):
         return ClearanceWitness(int(labels[v]), float(params[v]), delta, verts[v].copy())
 
     seg = ref_norm(w - np.clip(t, 0.0, 1.0)[:, None] * disp)
-    on_seg = seg <= cfg.tol
+    on_seg = seg <= tol
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
     inside = ((t > 0.0) & (t < 1.0)).nonzero()[0]
@@ -879,7 +879,7 @@ class TestClearanceOracle:
             emb = um.DiscreteEmbedding(metric, tuple(loops))
         except um.NonUniqueGeodesic:
             return
-        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)), eta=eta, tol=tol)
+        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)), eta=eta)
         # A geodesic between two strand points, as umkehr draws them, or
         # between two free points, in row r of a stack of short free pairs;
         # its ends are excluded or not at random.  The references scan the
@@ -903,9 +903,9 @@ class TestClearanceOracle:
         exclude = tuple(ends[: int(rng.integers(0, 3))])
         exclude += tuple((int(rng.integers(1, k + 1)), float(rng.uniform(0.0, 7.0)))
                          for _ in range(int(rng.integers(0, 3))))
-        got = query(emb, um.geodesic(metric, A, B, tol), r, cfg, exclude)
-        assert_same_clearance(got, reference_one_pass_clearance(emb, ref, 0, cfg, exclude))
-        assert_same_clearance(got, reference_clearance(emb, ref, 0, cfg, exclude))
+        got = query(emb, um.geodesic(metric, A, B, tol), r, cfg, exclude, tol)
+        assert_same_clearance(got, reference_one_pass_clearance(emb, ref, 0, cfg, exclude, tol))
+        assert_same_clearance(got, reference_clearance(emb, ref, 0, cfg, exclude, tol))
 
     def test_strands_keeping_one_vertex(self):
         # eta just under pi leaves an excluded strand with an even vertex
@@ -959,11 +959,11 @@ class TestClearanceOracle:
         delta, witness = query(emb, g, 0, cfg)
         assert delta == pytest.approx(0.2, abs=1e-12)
         assert (witness.label, witness.param) == (2, emb.params(2)[3])
-        delta, witness = query(emb, g, 0, replace(cfg, tol=0.06))
+        delta, witness = query(emb, g, 0, cfg, tol=0.06)
         assert (delta, witness.label, witness.param) == (0.0, 2, emb.params(2)[3])
-        for tol in (cfg.tol, 0.06):
-            assert_same_clearance(query(emb, g, 0, replace(cfg, tol=tol)),
-                                  reference_clearance(emb, g, 0, replace(cfg, tol=tol)))
+        for tol in (geom.TOL, 0.06):
+            assert_same_clearance(query(emb, g, 0, cfg, tol=tol),
+                                  reference_clearance(emb, g, 0, cfg, tol=tol))
 
     @pytest.mark.parametrize("tip", [61.6, 63.2, 72.4])
     def test_corridor_samples_match_per_strand_scan(self, tip):
@@ -1010,8 +1010,8 @@ class TestClearanceBlock:
         # eta = pi drops the whole strand of each exclusion.
         cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.05, 2.0)),
                               eta={"steps": None, "drawn": float(rng.uniform(0.0, 3.0)),
-                                   "whole strand": PI}[eta],
-                              tol=float(rng.choice([1e-9, 1e-3, 0.05])))
+                                   "whole strand": PI}[eta])
+        tol = float(rng.choice([1e-9, 1e-3, 0.05]))
         # Rows of four kinds: between two strand points, as umkehr draws
         # them; between free points; through a vertex of a strand that is
         # not excluded (delta 0.0); and, with eta = pi, excluding strands
@@ -1036,7 +1036,7 @@ class TestClearanceBlock:
             elif row == "full" and e == 2 and k == 2 and cfg.eta == PI:
                 ex_labels[q] = [1, 2]
         try:
-            g = um.geodesic(metric, A, B, cfg.tol)
+            g = um.geodesic(metric, A, B, tol)
         except um.NonUniqueGeodesic:
             return
         live = np.flatnonzero(g.length > 0.0)
@@ -1045,11 +1045,11 @@ class TestClearanceBlock:
         # Query q reads row q, or a random live row where row q has length
         # 0, so rows may repeat.
         rows = np.where(g.length > 0.0, np.arange(n), rng.choice(live, size=n))
-        got = um.clearance(emb, g, rows, cfg, ex_labels, ex_params)
+        got = um.clearance(emb, g, rows, cfg, ex_labels, ex_params, tol)
         assert got.shape == (n,) and got.dtype == float
         for q, r in enumerate(rows.tolist()):
             exclude = tuple(zip(ex_labels[q].tolist(), ex_params[q].tolist()))
-            ref, _ = one_query_clearance(emb, g, r, cfg, exclude)
+            ref, _ = one_query_clearance(emb, g, r, cfg, exclude, tol)
             assert float(got[q]).hex() == float(ref).hex()
             if r == q and kinds[q] == "on":
                 assert got[q] == 0.0
@@ -1057,13 +1057,13 @@ class TestClearanceBlock:
                 assert got[q] == 1.0
         # Each query alone, through a stack of query numbers.
         def block(sel):
-            return um.clearance(emb, g, rows[sel[:, 0]], cfg, ex_labels[sel[:, 0]], ex_params[sel[:, 0]])
+            return um.clearance(emb, g, rows[sel[:, 0]], cfg, ex_labels[sel[:, 0]], ex_params[sel[:, 0]], tol)
 
         assert_rows_stand_alone(block, np.arange(n)[:, None])
         with pytest.MonkeyPatch.context() as mp:
             for budget in (1, 1 << 20):
                 mp.setattr(um, "_CLEARANCE_ROWS", budget)
-                assert um.clearance(emb, g, rows, cfg, ex_labels, ex_params).tobytes() == got.tobytes()
+                assert um.clearance(emb, g, rows, cfg, ex_labels, ex_params, tol).tobytes() == got.tobytes()
 
     def test_a_large_table_runs_one_query_per_chunk(self, monkeypatch):
         # The corridor trio's 4320 vertices exceed the chunk budget; each
@@ -1100,7 +1100,6 @@ class TestConfig:
         {"t_homotopy": math.nan}, {"t_homotopy": True},
         {"density": 2.5}, {"density": True}, {"density": "8"},
         {"eta": math.inf}, {"eta": math.nan},
-        {"tol": math.inf}, {"tol": math.nan}, {"tol": -1e-9},
         {"mapping": 1}, {"mapping": 2}, {"mapping": "yes"},
     ], ids=lambda knob: ",".join(f"{k}={v!r}" for k, v in knob.items()))
     def test_bad_knobs_raise_domain_errors(self, knob):
@@ -1108,8 +1107,10 @@ class TestConfig:
             um.UmkehrConfig(**{"epsilon": 0.2, **knob})
 
     def test_infinite_tol_is_not_reported_as_self_intersection(self):
-        with pytest.raises(um.UmkehrError, match="tol") as err:
-            um.UmkehrConfig(epsilon=0.2, tol=math.inf)
+        # The evaluation tolerance is the diagram's, so an infinite one is
+        # refused where the diagram is built, before any strand is compared.
+        with pytest.raises(bp_mod.BlueprintError, match="tol") as err:
+            bp_mod.build_blueprint(chord_cleavage(), tol=math.inf)
         assert not isinstance(err.value, um.SelfIntersecting)
 
     def test_numpy_scalars_accepted(self):
@@ -1250,17 +1251,18 @@ class TestUmkehr:
         assert tv.config["mapping"] is True
 
     def test_mapping_matches_t1_when_disjoint(self):
+        # The evaluation runs at the tolerance its diagram was built with.
         emb = um.DiscreteEmbedding(
             EUCLID, (circle(0.5), circle(0.5 - 1e-6, mirrored=True))
         )
-        glued = um.umkehr(emb, self.c, self.tb, um.UmkehrConfig(
-            epsilon=0.2, tol=1e-5, mapping=True, t_homotopy=1.0))
+        mapping = um.UmkehrConfig(epsilon=0.2, mapping=True, t_homotopy=1.0)
+        coarse, fine = (bp_mod.thicken(bp_mod.build_blueprint(self.c, tol=tol), density=8)
+                        for tol in (1e-5, 1e-7))
+        glued = um.umkehr(emb, self.c, coarse, mapping)
         assert glued.components[0].uf_mask == tuple(range(8))
-        halved = um.umkehr(emb, self.c, self.tb, um.UmkehrConfig(
-            epsilon=0.2, tol=1e-7, mapping=True, t_homotopy=1.0))
-        plain = um.umkehr(
-            emb, self.c, self.tb, um.UmkehrConfig(epsilon=0.2, t_homotopy=1.0, tol=1e-7)
-        )
+        assert glued.config["tol"] == 1e-5
+        halved = um.umkehr(emb, self.c, fine, mapping)
+        plain = um.umkehr(emb, self.c, fine, replace(mapping, mapping=False))
         assert halved.components[0].uf_mask == ()
         assert [e.to_json() for e in halved.components[0].entries] == [
             e.to_json() for e in plain.components[0].entries
@@ -1279,31 +1281,16 @@ class TestUmkehr:
         again = um.umkehr(concentric(0.05), self.c, self.tb, self.cfg)
         assert json.dumps(doc) == json.dumps(again.to_json())
 
-    def test_tighter_config_tol_keeps_the_thickened_preimages(self):
-        # samples carry the preimages found at the thickening tol, so an
-        # evaluation tol below the samples' own rounding cannot push one
-        # off the diagram
-        c = fx.corridor_cleavage()
-        tb = bp_mod.thicken(bp_mod.build_blueprint(c), density=24)
-        loops = tuple(
-            fx.fourier_loop(seed, base=0.18, wobble=0.04, drift=0.02) + [x, 0.0]
-            for seed, x in ((1, -0.6), (2, 0.0), (3, 0.6))
-        )
-        emb = um.DiscreteEmbedding(EUCLID, loops)
-        default = um.umkehr(emb, c, tb, um.UmkehrConfig(epsilon=0.2, density=24))
-        tight = um.umkehr(emb, c, tb, um.UmkehrConfig(epsilon=0.2, density=24, tol=1e-16))
-        assert [cv.status for cv in tight.components] == [
-            cv.status for cv in default.components
-        ]
-
 
 def reference_umkehr(gamma, c, tb, cfg):
     """The per-pair evaluator: one geodesic and one clearance per (sample, pair).
 
     The reference for umkehr's stacked geodesics; its geodesics,
     clearances and scales are the one-pair references, so it shares no
-    kernel with the evaluator beyond the precheck and restrict.
+    kernel with the evaluator beyond the precheck and restrict.  Like
+    umkehr, it evaluates at the diagram's tolerance.
     """
+    tol = tb.blueprint.tol
     if gamma.k != c.k:
         raise um.UmkehrError(f"strand count {gamma.k} != arity {c.k}")
     metric = gamma.metric
@@ -1312,18 +1299,18 @@ def reference_umkehr(gamma, c, tb, cfg):
             f"torus evaluation needs epsilon < L/4 = {metric.L / 4.0}, got {cfg.epsilon}")
     if not cfg.mapping:
         for i, j in itertools.combinations(range(1, gamma.k + 1), 2):
-            d = um.strand_distance(gamma, i, j, cfg.tol)
-            if d <= cfg.tol:
+            d = um.strand_distance(gamma, i, j, tol)
+            if d <= tol:
                 raise um.SelfIntersecting(f"strands {i} and {j} come within {d:.3e} of each other")
-    restriction = tuple(um.restrict(gamma, c, cfg.tol))
+    restriction = tuple(um.restrict(gamma, c, tol))
     sample_entries, sample_glued = [], []
     for idx, sample in enumerate(tb.samples):
         entries, glued = [], False
         for (i, th_i), (j, th_j) in itertools.combinations(sample.preimages, 2):
             p_i = gamma.points_at(i, np.array([th_i]))[0]
-            g = one_pair_geodesic(metric, p_i, gamma.points_at(j, np.array([th_j]))[0], cfg.tol)
+            g = one_pair_geodesic(metric, p_i, gamma.points_at(j, np.array([th_j]))[0], tol)
             length = float(g.length[0])
-            if cfg.mapping and length <= cfg.tol:
+            if cfg.mapping and length <= tol:
                 zero, base = (0.0,) * metric.d, tuple(float(x) for x in p_i)
                 entries += [um.Entry(idx, (i, j), 0.0, zero, base, base),
                             um.Entry(idx, (j, i), 0.0, zero, base, base)]
@@ -1334,7 +1321,7 @@ def reference_umkehr(gamma, c, tb, cfg):
             elif cfg.t_homotopy == 1.0:
                 s_val = scalar_scaling(length, cfg.epsilon, 1.0, 1.0)
             else:
-                inf_delta, _ = reference_clearance(gamma, g, 0, cfg, ((i, th_i), (j, th_j)))
+                inf_delta, _ = reference_clearance(gamma, g, 0, cfg, ((i, th_i), (j, th_j)), tol)
                 s_val = scalar_scaling(length, cfg.epsilon, inf_delta, cfg.t_homotopy)
             tang = tuple(float(x) for x in g.tangent[0])
             src, dst = tuple(float(x) for x in p_i), tuple(float(x) for x in p_i + g.disp[0])
@@ -1343,7 +1330,7 @@ def reference_umkehr(gamma, c, tb, cfg):
         sample_entries.append(entries)
         sample_glued.append(glued)
     sups = [max((e.scale for e in entries), default=0.0) for entries in sample_entries]
-    cut = 1.0 + cfg.tol
+    cut = 1.0 + tol
     components = []
     for cid in sorted({s.component for s in tb.samples}):
         members = [i for i, s in enumerate(tb.samples) if s.component == cid]
@@ -1351,13 +1338,12 @@ def reference_umkehr(gamma, c, tb, cfg):
         status = "infinity" if collapsed == set(members) else "finite"
         kept = [e for i in members if i not in collapsed for e in sample_entries[i]]
         boundary = {tuple(sorted(e.pair)) for i in members for e in sample_entries[i]
-                    if math.isfinite(e.scale) and abs(e.scale - 1.0) <= cfg.tol}
+                    if math.isfinite(e.scale) and abs(e.scale - 1.0) <= tol}
         uf = {i for i in members if sample_glued[i]}
         components.append(um.ComponentValue(
             cid, status, tuple(kept) if status == "finite" else (), tuple(sorted(uf)),
             tuple(sorted(boundary)), tuple(sorted(collapsed))))
-    config = cfg.to_json()
-    config["eta_radians"] = cfg.eta_radians(gamma)
+    config = {**cfg.to_json(), "tol": tol, "eta_radians": cfg.eta_radians(gamma)}
     return um.ThomValue(tuple(components), restriction, config)
 
 
@@ -1551,7 +1537,7 @@ BAD_TOLS = [math.nan, -1.0, 0.0, math.inf, True]
 
 
 class TestCollapseKnobs:
-    """restrict and self_intersection_locus reject the knobs UmkehrConfig rejects.
+    """restrict, clearance and self_intersection_locus reject bad tolerances and densities.
 
     On the first locus fixture, whose locus has 2 intervals at its own tol,
     tol = nan or -1 used to give no interval and a float density a
@@ -1571,6 +1557,13 @@ class TestCollapseKnobs:
         name = next(iter(knob))
         with pytest.raises(um.UmkehrError, match=f"{name} must be a"):
             um.self_intersection_locus(emb, **knobs)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_clearance_tol_is_a_domain_error(self, tol):
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
+        with pytest.raises(um.UmkehrError, match="tol must be a positive finite number"):
+            um.clearance(emb, g, [0], um.UmkehrConfig(epsilon=0.2), *no_exclusions(1), tol)
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_restrict_tol_is_a_domain_error(self, tol):
