@@ -200,7 +200,14 @@ def check_alpha(seed: int = 0, cleavages: int = 8, samples: int = 1000) -> Suite
 
 
 def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000) -> SuiteReport:
-    """Count preimages at random diagram points plus endpoint samples."""
+    """Count preimages at random diagram points plus endpoint samples.
+
+    The endpoint samples are a thickening at density 2, and they are
+    checked as thicken's own output too: its kept samples lie pairwise
+    farther apart than TOL, and every piece end lies within TOL of one.
+    A violation is a failure but not a check of its own, so the check
+    count stays the number of points.
+    """
     rng = np.random.default_rng(seed)
     failures: list = []
     checked = 0
@@ -226,6 +233,16 @@ def check_preimage(seed: int = 0, cleavages: int = 100, samples: int = 1000) -> 
                 "planes_through": int(planes[j]), "preimage_size": int(sizes[j]),
                 "labels": (mask[j].nonzero()[0] + 1).tolist(),
             })
+        near = np.linalg.norm(extra[:, None] - extra[None], axis=-1)
+        i, j = np.triu_indices(extra.shape[0], 1)
+        for pair in np.flatnonzero(near[i, j] <= TOL).tolist():
+            failures.append({"k": k, "cleavage": c.to_json(), "kind": "samples within tol",
+                             "point": _floats(extra[i[pair]]), "other": _floats(extra[j[pair]])})
+        ends = bp.ends.reshape(-1, bp.ends.shape[-1])
+        reach = np.linalg.norm(ends[:, None] - extra[None], axis=-1).min(axis=1, initial=INF)
+        for end in np.flatnonzero(reach > TOL).tolist():
+            failures.append({"k": k, "cleavage": c.to_json(), "kind": "piece end without a sample",
+                             "point": _floats(ends[end]), "distance": float(reach[end])})
     return SuiteReport(
         "preimage", not failures, checked, len(failures),
         {"cleavages": cleavages, "histogram": {str(s): n for s, n in sorted(hist.items())}},

@@ -10,21 +10,30 @@ the point at infinity; everything else is reported as tangent data.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import (
+    _BLOCK,
+    _StrandBoxes,
+    _VertexBlocks,
+    _block_boxes,
+    _block_index,
+    _dropped,
+    _nearest_edges,
+    _reachable,
+    _vertex_blocks,
+)
 from .blueprint import (
     Blueprint,
     ThickenedBlueprint,
     _require_circle,
     arc_landings,
 )
-from .geom import TOL, TWO_PI, _rowdot, finite_real, segment_closest, whole_number
+from .geom import TOL, TWO_PI, _rowdot, finite_real, whole_number
 
 INF = math.inf
 ETA_STEPS = 2.0  # default exclusion radius, in vertex steps of the excluded point's strand
@@ -44,6 +53,20 @@ class SelfIntersecting(UmkehrError):
 
 # ---------------------------------------------------------------------------
 # Flat metrics and geodesics.
+
+
+def _remainder(x: np.ndarray, L: float) -> np.ndarray:
+    """np.mod(x, L) bit for bit, for a positive L; exact and cheaper when every x lies in [-L, 2L).
+
+    There fmod(x, L) is x, or x - L for x >= L, which is exact by
+    Sterbenz's lemma.  numpy's remainder adds L to a negative fmod with one
+    rounding, as r + L does here, and turns a zero into +0.0, as r + 0.0
+    does.  Any other x, nan included, takes np.mod itself.
+    """
+    if not (x.size and x.min() >= -L and x.max() < 2.0 * L):
+        return np.mod(x, L)
+    r = x - (x >= L) * L
+    return r + (r < 0.0) * L
 
 
 def _tie_error(delta: np.ndarray) -> NonUniqueGeodesic:
@@ -74,12 +97,16 @@ class FlatMetric:
             raise UmkehrError("euclidean metric takes no period")
 
     def wrap(self, delta) -> np.ndarray:
-        """Row-wise shortest vectors equivalent to the differences delta, no tie check."""
+        """Row-wise shortest vectors equivalent to the differences delta, no tie check.
+
+        On the torus this is mod(delta + L/2, L) - L/2 entry by entry, bit
+        for bit np.mod's, with the remainder taken by _remainder.
+        """
         delta = np.asarray(delta, dtype=float)
         if self.kind == "euclidean":
             return delta
         L = self.L
-        return np.mod(delta + 0.5 * L, L) - 0.5 * L
+        return _remainder(delta + 0.5 * L, L) - 0.5 * L
 
     def ties(self, W, tol: float = TOL) -> np.ndarray:
         """Row-wise: does the shortest vector sit half a period away on some axis?"""
@@ -183,6 +210,10 @@ class DiscreteEmbedding:
                 )
             if not np.all(np.isfinite(loop)):
                 raise UmkehrError(f"strand {idx + 1} has non-finite coordinates")
+            big = float(np.abs(loop).max())
+            if not math.isfinite(self.metric.d * (2.0 * big) * (2.0 * big)):  # Python floats: no warning
+                raise UmkehrError(f"strand {idx + 1} has a coordinate of magnitude {big!r}: "
+                                  f"squared distances between its points overflow")
             delta = np.roll(loop, -1, axis=0) - loop
             disp = self.metric.wrap(delta)
             tie = self.metric.ties(disp)
@@ -205,19 +236,17 @@ class DiscreteEmbedding:
         object.__setattr__(self, "_edges", tuple(edges))
 
     @cached_property
-    def _table(self):
-        """(columns, labels, params) of every vertex in label order, built on first use.
+    def _blocks(self) -> _VertexBlocks:
+        """Clearance's block index: every strand's vertices by block of _BLOCK, built on first use.
 
-        columns is the (d, V) array of vertex coordinates, one row per
-        axis.  Only clearance reads the table, so embeddings that never
-        meet a tube query do not hold a second copy of their vertices.
+        The blocks are _block_index's, the precheck's, over the vertices as
+        given (not reduced mod L), in label order; a strand's last block
+        repeats its last vertex.  The coordinates are laid out axis-major,
+        (d, _BLOCK, blocks), beside each block's box.  Only clearance reads the index, so
+        embeddings that never meet a tube query do not hold a second copy
+        of their vertices.
         """
-        labels = range(1, self.k + 1)
-        return (
-            np.ascontiguousarray(np.concatenate(self.loops).T),
-            np.repeat(np.array(labels), [self.m(label) for label in labels]),
-            np.concatenate([self.params(label) for label in labels]),
-        )
+        return _vertex_blocks(self.loops)
 
     @cached_property
     def _boxes(self):
@@ -237,7 +266,7 @@ class DiscreteEmbedding:
         offsets = metric.L * np.arange(-2.0, 3.0) if torus else np.zeros(1)
         strands = []
         for loop, disp in zip(self.loops, self._edges):
-            R = np.mod(loop, metric.L) if torus else loop
+            R = _remainder(loop, metric.L) if torus else loop
             lo, hi = _block_boxes(R[None] + offsets[:, None, None], disp)  # (offset, block, axis)
             strands.append(_StrandBoxes(
                 R, disp, _block_index(R.shape[0]), lo, hi, lo.min(axis=1), hi.max(axis=1),
@@ -291,43 +320,6 @@ def embedding_from_json(doc: object) -> DiscreteEmbedding:
     return DiscreteEmbedding(metric, tuple(loops))
 
 
-_BLOCK = 32  # edges per bounding box in the strand precheck
-_BATCH = 8  # box pairs per exact-distance batch
-
-
-class _StrandBoxes(NamedTuple):
-    """One strand in the precheck index; boxes are per axis offset, then per block."""
-
-    R: np.ndarray  # (m, d) vertices, reduced mod L on the torus
-    disp: np.ndarray  # (m, d) edge displacements
-    idx: np.ndarray  # (blocks, _BLOCK) edge indices
-    lo: np.ndarray  # (offsets, blocks, d) block box corners
-    hi: np.ndarray
-    whole_lo: np.ndarray  # (offsets, d) whole-strand box corners
-    whole_hi: np.ndarray
-
-
-def _block_index(m: int) -> np.ndarray:
-    """Edge indices by block of _BLOCK; the last block repeats its final edge."""
-    blocks = -(-m // _BLOCK)
-    return np.minimum(np.arange(blocks * _BLOCK).reshape(blocks, _BLOCK), m - 1)
-
-
-def _block_boxes(P, D):
-    """Lower and upper corners of the box around each block of edges P + s*D."""
-    Q = P + D
-    starts = np.arange(0, P.shape[-2], _BLOCK)
-    return (
-        np.minimum.reduceat(np.minimum(P, Q), starts, axis=-2),
-        np.maximum.reduceat(np.maximum(P, Q), starts, axis=-2),
-    )
-
-
-def _box_distance(lo1, hi1, lo2, hi2) -> np.ndarray:
-    """Euclidean distance between boxes, broadcast over leading axes."""
-    return np.linalg.norm(np.maximum(np.maximum(lo2 - hi1, lo1 - hi2), 0.0), axis=-1)
-
-
 def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = INF) -> float:
     """Minimum distance between strands i and j over all edge pairs, exact up to `within`.
 
@@ -342,8 +334,8 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = IN
     segment points lie in [-L/2, 3L/2], any difference of two of them in
     [-2L, 2L], and the image nearest to it is one of those shifts.
 
-    The search reads the embedding's box index (DiscreteEmbedding._boxes):
-    per axis offset of each strand, one box per block of _BLOCK edges and
+    The search (blocks._nearest_edges) reads the embedding's box index
+    (DiscreteEmbedding._boxes): per axis offset of each strand, one box per block of _BLOCK edges and
     one around the whole strand.  The candidate images of j are the
     product, in lexicographic order, of the offsets on each axis whose
     interval lies within `within` of strand i's (no box is nearer than it
@@ -371,56 +363,7 @@ def strand_distance(gamma: DiscreteEmbedding, i: int, j: int, within: float = IN
     if a == b:
         raise UmkehrError(f"strand_distance needs two different strands, got {i} and {j}")
     offsets, zero, strands = gamma._boxes
-    A, B = strands[a], strands[b]
-    lo_a, hi_a, whole_a = A.lo[zero], A.hi[zero], (A.whole_lo[zero], A.whole_hi[zero])
-    # Offsets of j near strand i per axis, the images of j they make near strand i,
-    # their blocks near strand i, and blocks of i near those images.
-    axes = np.arange(gamma.metric.d)
-    near = _box_distance(*(w[:, None] for w in whole_a), B.whole_lo[..., None], B.whole_hi[..., None])
-    grid = np.array(list(itertools.product(*map(np.flatnonzero, (near <= within).T))), int)
-    grid = grid.reshape(-1, axes.size)
-    grid = grid[_box_distance(*whole_a, B.whole_lo[grid, axes], B.whole_hi[grid, axes]) <= within]
-    if grid.shape[0] == 0:
-        return INF
-    blocks = np.arange(B.lo.shape[1])[:, None]
-    lo_b, hi_b = B.lo[grid[:, None], blocks, axes], B.hi[grid[:, None], blocks, axes]
-    img, blk_b = np.nonzero(_box_distance(*whole_a, lo_b, hi_b) <= within)
-    near_a = _box_distance(lo_a[:, None], hi_a[:, None], B.whole_lo[grid, axes], B.whole_hi[grid, axes])
-    blk_a = np.flatnonzero((near_a <= within).any(axis=1))
-    if blk_a.size == 0 or blk_b.size == 0:
-        return INF
-    # (block of i, image and block of j)
-    box = _box_distance(lo_a[blk_a, None], hi_a[blk_a, None], lo_b[img, blk_b], hi_b[img, blk_b])
-
-    def nearest(sel, bound: float) -> float:
-        """Least distance over the edge pairs of box pairs sel whose own boxes are within bound."""
-        row, col = np.divmod(sel, box.shape[1])
-        ea, eb = A.idx[blk_a[row]], B.idx[blk_b[col]]  # (box pairs, _BLOCK) edges of each side
-        P1, P2 = A.R[ea], B.R[eb] + offsets[grid[img[col]]][:, None]
-        Q1, Q2 = P1 + A.disp[ea], P2 + B.disp[eb]
-        lo1, hi1 = np.minimum(P1, Q1)[:, :, None], np.maximum(P1, Q1)[:, :, None]
-        lo2, hi2 = np.minimum(P2, Q2)[:, None], np.maximum(P2, Q2)[:, None]
-        q, r, c = np.nonzero(_box_distance(lo1, hi1, lo2, hi2) <= bound)
-        if q.size == 0:
-            return INF
-        _, _, pa, pb = segment_closest(P1[q, r], A.disp[ea[q, r]], P2[q, c], B.disp[eb[q, c]])
-        return float(np.linalg.norm(pa - pb, axis=1).min())
-
-    # The closest box pair bounds the answer; only boxes under it get ranked.
-    flat = box.ravel()
-    start = int(np.argmin(flat))
-    if not flat[start] <= within:
-        return INF
-    best = nearest(np.array([start]), within)
-    order = np.flatnonzero((flat < best) & (flat <= within))
-    order = order[np.argsort(flat[order], kind="stable")]
-    for lo in range(0, order.size, _BATCH):
-        sel = order[lo : lo + _BATCH]
-        sel = sel[flat[sel] < best]
-        if sel.size == 0:
-            break
-        best = min(best, nearest(sel, min(best, within)))
-    return best
+    return _nearest_edges(strands[a], strands[b], offsets, zero, gamma.metric.d, within)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +452,8 @@ def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
     """Least scaled depth of any strand vertex inside the tube around each queried row of g.
 
     g is a stack of geodesics as geodesic returns it; rows holds the n
-    integer rows to query, each of positive length.  ex_labels and
-    ex_params are (n, e) arrays: query q drops, for each of its e
+    integer rows to query, each of positive squared length.  ex_labels
+    and ex_params are (n, e) arrays: query q drops, for each of its e
     excluded (label, param) points, the vertices of strand label within
     that strand's radius in cfg.eta_radians of param.  Returns the (n,)
     array of clearances δ.  A kept vertex within tol (a positive finite
@@ -519,14 +462,19 @@ def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
     their distance-to-radius ratio, and δ is the least ratio below 1, or
     1.0 when no kept vertex enters the tube.
 
-    The queries run in chunks of about _CLEARANCE_ROWS (query, vertex)
-    entries, each one block over the embedding's flat vertex table laid
-    out axis-major, (d, queries, vertices), so a table larger than the
-    budget runs one query per chunk through the same code.  Every dot, the
-    projections and the squared distances alike, is geom._rowdot's sum of
-    per-axis products added left to right, and the keep mask only selects
-    entries, so a query's δ is bit for bit the same in any stack, any
-    chunk and beside any other query.  Where 0 < t < 1 the distance to the
+    Work follows the vertices a query can reach.  One bound for all
+    queries at once, over the embedding's blocks (DiscreteEmbedding._blocks),
+    keeps the (query, block) pairs that _reachable cannot rule out.  The
+    kept pairs run in chunks of about _CLEARANCE_ROWS (query, vertex)
+    entries, laid out axis-major, (d, _BLOCK, pairs).  The entries the
+    exclusions drop (_dropped) are listed once per call and get the
+    distance INF; outside 0 < t < 1 the taper is 0, so the ratio there is
+    INF too (nan only at distance 0, where δ is 0.0 anyway).  Every dot,
+    the projections and the squared distances alike, is geom._rowdot's
+    sum of per-axis products added left to right, and an entry's value
+    does not depend on its neighbours, so a query's δ is bit for bit the
+    same in any stack, any chunk and beside any other query, and the same
+    as a scan of every vertex.  Where 0 < t < 1 the distance to the
     segment is the perpendicular distance, so one pass serves both tests.
     """
     _require_tol(tol)
@@ -543,41 +491,62 @@ def clearance(gamma: DiscreteEmbedding, g: Geodesic, rows, cfg: UmkehrConfig,
         ex_params = np.asarray(ex_params, dtype=float)
     except (TypeError, ValueError):
         raise UmkehrError("exclusion params must be real numbers") from None
+    if not np.isfinite(ex_params).all():
+        raise UmkehrError("exclusion params must be finite real numbers")
     if ex_labels.ndim != 2 or ex_labels.shape[0] != rows.shape[0] or ex_params.shape != ex_labels.shape:
         raise UmkehrError(f"exclusions must be two ({rows.shape[0]}, e) arrays, one row per "
                           f"queried row, got {ex_labels.shape} and {ex_params.shape}")
     length = g.length[rows]
-    if (short := np.flatnonzero(~(length > 0.0))).size:
+    ell2 = length * length
+    if (short := np.flatnonzero(~(ell2 > 0.0))).size:
         r = int(rows[short[0]])
-        raise UmkehrError(f"clearance needs geodesics of positive length, "
+        raise UmkehrError(f"clearance needs geodesics of positive squared length, "
                           f"row {r} has length {float(g.length[r])!r}")
 
-    cols, labels, params = gamma._table
-    eta = np.asarray(cfg.eta_radians(gamma))[labels - 1]
-    a, disp = g.a[rows].T, g.disp[rows].T  # (d, n)
-    ell2 = length * length
-    centre = np.mod(ex_params, TWO_PI)
-    out = np.empty(rows.shape[0])
-    step = max(1, _CLEARANCE_ROWS // labels.shape[0])
-    for lo in range(0, rows.shape[0], step):
-        q = slice(lo, lo + step)
-        keep = np.ones((min(step, rows.shape[0] - lo), labels.shape[0]), dtype=bool)
-        for slot in range(ex_labels.shape[1]):
-            gap = np.abs(params - centre[q, slot, None])
-            keep &= (labels != ex_labels[q, slot, None]) | (np.minimum(gap, TWO_PI - gap) > eta)
-        # Axis-major: each axis is one contiguous (queries, vertices) plane.
-        # A trailing axis of d would run numpy's inner loops d entries at a time.
-        w = gamma.metric.wrap(cols[:, None, :] - a[:, q, None])
-        D = disp[:, q, None]
-        t = _rowdot(w.transpose(1, 2, 0), D.transpose(1, 2, 0)) / ell2[q, None]
-        clamped = np.minimum(np.maximum(t, 0.0), 1.0)
-        diff = (w - D * clamped).transpose(1, 2, 0)
-        seg = np.sqrt(_rowdot(diff, diff))
-        on_seg = ((seg <= tol) & keep).any(axis=1)
-        inside = (t > 0.0) & (t < 1.0) & keep
-        ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
-                          out=np.full(t.shape, INF), where=inside)
-        out[q] = np.where(on_seg, 0.0, np.minimum(ratio.min(axis=1), 1.0))
+    blocks = gamma._blocks
+    # (d, n), C-ordered so that every gather from them is too.
+    a, disp = np.ascontiguousarray(g.a[rows].T), np.ascontiguousarray(g.disp[rows].T)
+    visit = np.empty((rows.shape[0], blocks.lo.shape[1]), dtype=bool)
+    group = max(1, _CLEARANCE_ROWS // blocks.lo.size)  # queries per bound, so its arrays fit a chunk
+    for lo in range(0, rows.shape[0], group):
+        part = slice(lo, lo + group)
+        visit[part] = _reachable(gamma.metric, blocks, a[:, part], disp[:, part], length[part], ell2[part], tol)
+    pairs = np.flatnonzero(visit)  # query * blocks + block, in query order
+    pair_q, pair_b = np.divmod(pairs, visit.shape[1])
+    # The dropped entries of visited pairs as pair * _BLOCK + place, sorted, and the first of each chunk.
+    query, slot = _dropped(cfg.eta_radians(gamma), blocks, ex_labels, ex_params)
+    key = query * visit.shape[1] + slot // _BLOCK
+    hit = visit.ravel()[key]
+    dropped = np.sort(np.searchsorted(pairs, key[hit]) * _BLOCK + slot[hit] % _BLOCK)
+    step = max(1, _CLEARANCE_ROWS // _BLOCK)
+    cuts = np.searchsorted(dropped, _BLOCK * np.arange(0, pairs.size + step, step)).tolist()
+    pair_seg = np.empty(pairs.size)
+    pair_min = np.empty(pairs.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the taper is 0 outside 0 < t < 1
+        for chunk, lo in enumerate(range(0, pairs.size, step)):
+            q, sel = pair_q[lo : lo + step], slice(lo, lo + step)
+            # Axis-major, (d, _BLOCK, pairs): each axis is one contiguous plane,
+            # and a pair's values broadcast along whole rows of it.
+            w = gamma.metric.wrap(np.take(blocks.cols, pair_b[sel], axis=2) - a[:, None, q])
+            D = disp[:, None, q]
+            t = _rowdot(w.transpose(1, 2, 0), D.transpose(1, 2, 0)) / ell2[q]
+            clamped = np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+            for axis in range(w.shape[0]):  # w becomes w - D * clamped, plane by plane
+                w[axis] -= D[axis] * clamped
+            seg = np.sqrt(_rowdot(w.transpose(1, 2, 0), w.transpose(1, 2, 0)))
+            if cuts[chunk] < cuts[chunk + 1]:
+                pair, place = np.divmod(dropped[cuts[chunk] : cuts[chunk + 1]] - lo * _BLOCK, _BLOCK)
+                seg[place, pair] = INF
+            pair_seg[sel] = seg.min(axis=0)
+            taper = np.abs(clamped - 0.5, out=clamped)  # in place: epsilon * (0.5 - |clamped - 0.5|)
+            taper = np.multiply(cfg.epsilon, np.subtract(0.5, taper, out=taper), out=taper)
+            pair_min[sel] = np.divide(seg, taper, out=taper).min(axis=0)
+    # Per query, over its pairs: 0.0 if some entry lies within tol of the segment, else the least ratio.
+    out = np.ones(rows.shape[0])
+    if pairs.size:
+        starts = np.flatnonzero(np.diff(pair_q, prepend=-1))
+        out[pair_q[starts]] = np.where(np.minimum.reduceat(pair_seg, starts) <= tol, 0.0,
+                                       np.minimum(np.minimum.reduceat(pair_min, starts), 1.0))
     return out
 
 

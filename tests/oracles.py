@@ -6,8 +6,8 @@ rounded to a float, then the products are added left to right, which is
 the rounding the package promises for every dot.  The plane, arc,
 cleavage, permutation and one-pair collapse helpers below are ones the
 package itself does not need, or the code a faster kernel of the package
-replaced; one_query_clearance keeps that code's geom._rowdot dots,
-object_thicken and pair_ends keep the per-sample object loops that the
+replaced; one_query_clearance and dense_clearance keep that code's
+geom._rowdot dots (and np.mod's torus wrap, ref_wrap), object_thicken and pair_ends keep the per-sample object loops that the
 preimage table of blueprint.ThickenedBlueprint replaced, and
 reference_faces keeps the timber face rule that blueprint.export_obj
 writes out.
@@ -206,7 +206,7 @@ def one_query_clearance(gamma: um.DiscreteEmbedding, g: um.Geodesic, r: int, cfg
     if rows is not None and rows.size == 0:
         return 1.0, None
     pts = verts if rows is None else np.take(verts, rows, axis=0)
-    w = gamma.metric.wrap(pts - a)
+    w = ref_wrap(gamma.metric, pts - a)
     t = geom._rowdot(w, disp) / (length * length)
     clamped = np.minimum(np.maximum(t, 0.0), 1.0)
     diff = (w.T - disp[:, None] * clamped).T
@@ -220,13 +220,57 @@ def one_query_clearance(gamma: um.DiscreteEmbedding, g: um.Geodesic, r: int, cfg
     if on_seg.any():
         return 0.0, witness(int(np.argmax(on_seg)), 0.0)
     inside = (t > 0.0) & (t < 1.0)
-    ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
-                      out=np.full(t.shape, math.inf), where=inside)
+    with np.errstate(divide="ignore"):  # below t = 2**-54 the taper rounds to 0
+        ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
+                          out=np.full(t.shape, math.inf), where=inside)
     arg = int(np.argmin(ratio))
     best = float(ratio[arg])
     if not best < 1.0:
         return 1.0, None
     return best, witness(arg, best)
+
+
+def dense_clearance(gamma: um.DiscreteEmbedding, g: um.Geodesic, rows, cfg: um.UmkehrConfig,
+                    ex_labels, ex_params, tol: float = geom.TOL) -> np.ndarray:
+    """umkehr.clearance's δ of each queried row by a scan of every (query, vertex) entry.
+
+    The dense block that clearance's reachable blocks replaced, kept as the
+    reference for its bits: chunks of about umkehr._CLEARANCE_ROWS entries
+    over the flat vertex table laid out axis-major, (d, queries, vertices),
+    and per chunk a keep mask that compares every vertex with every
+    exclusion's centre.  The arguments are clearance's, already valid.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    ex_labels = np.asarray(ex_labels, dtype=np.intp)
+    cols = np.ascontiguousarray(np.concatenate(gamma.loops).T)
+    labels = np.repeat(np.arange(1, gamma.k + 1), [loop.shape[0] for loop in gamma.loops])
+    params = np.concatenate([gamma.params(label) for label in range(1, gamma.k + 1)])
+    eta = np.asarray(cfg.eta_radians(gamma))[labels - 1]
+    a, disp = g.a[rows].T, g.disp[rows].T  # (d, n)
+    length = g.length[rows]
+    ell2 = length * length
+    centre = np.mod(np.asarray(ex_params, dtype=float), geom.TWO_PI)
+    out = np.empty(rows.shape[0])
+    step = max(1, um._CLEARANCE_ROWS // labels.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        q = slice(lo, lo + step)
+        keep = np.ones((min(step, rows.shape[0] - lo), labels.shape[0]), dtype=bool)
+        for slot in range(ex_labels.shape[1]):
+            gap = np.abs(params - centre[q, slot, None])
+            keep &= (labels != ex_labels[q, slot, None]) | (np.minimum(gap, geom.TWO_PI - gap) > eta)
+        w = ref_wrap(gamma.metric, cols[:, None, :] - a[:, q, None])
+        D = disp[:, q, None]
+        t = geom._rowdot(w.transpose(1, 2, 0), D.transpose(1, 2, 0)) / ell2[q, None]
+        clamped = np.minimum(np.maximum(t, 0.0), 1.0)
+        diff = (w - D * clamped).transpose(1, 2, 0)
+        seg = np.sqrt(geom._rowdot(diff, diff))
+        on_seg = ((seg <= tol) & keep).any(axis=1)
+        inside = (t > 0.0) & (t < 1.0) & keep
+        with np.errstate(divide="ignore"):  # below t = 2**-54 the taper rounds to 0
+            ratio = np.divide(seg, cfg.epsilon * (0.5 - np.abs(clamped - 0.5)),
+                              out=np.full(t.shape, math.inf), where=inside)
+        out[q] = np.where(on_seg, 0.0, np.minimum(ratio.min(axis=1), 1.0))
+    return out
 
 
 def canonicalising_intersect(a: geom.ArcSet, b: geom.ArcSet) -> geom.ArcSet:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleav import fixtures, sampling, suites
+from cleav import blueprint, fixtures, sampling, suites
 from cleav import umkehr as um
 from cleav.blueprint import build_blueprint, thicken
 from cleav.geom import TOL, OrientedHyperplane, clip, sphere_trace, unit_disk
@@ -89,6 +89,17 @@ def test_degree_catches_pieces_that_never_merge(monkeypatch):
     report = run_suite("degree", seed=0, cleavages=100)
     assert not report.passed
     assert report.failures > 0 and report.counterexample["gamma"] != report.counterexample["from_traces"]
+
+
+def test_preimage_catches_a_thickening_that_keeps_duplicates(monkeypatch):
+    # The suite checks the density-2 thickening it builds as well: a dedup
+    # that keeps every candidate leaves samples within tol of each other at
+    # the junctions, which fails it at the benchmark's reduced size.
+    assert run_suite("preimage", seed=0, cleavages=8, samples=500).passed
+    monkeypatch.setattr(blueprint, "_first_kept", lambda points, tol: list(range(points.shape[0])))
+    report = run_suite("preimage", seed=0, cleavages=8, samples=500)
+    assert not report.passed and report.failures > 0
+    assert report.counterexample["kind"] == "samples within tol"
 
 
 def test_meeting_loci_are_proper_intervals():

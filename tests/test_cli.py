@@ -295,6 +295,21 @@ class TestUmkehr:
         assert rc == 0 and json.loads(out)["config"]["epsilon"] == 1.7e308
         assert caught == [] and "Warning" not in err
 
+    def test_coordinates_whose_squares_overflow_are_a_one_line_domain_error(self, capsys, tmp_path):
+        # With its first ring scaled by 1e307, mirrored_pair used to print three
+        # overflow warnings and "component 0: infinity, all 8 samples collapsed".
+        doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())
+        loops = fx.mirrored_pair(0.05).to_json()
+        loops["loops"][0] = [[x * 1e307 for x in p] for p in loops["loops"][0]]
+        path = write_json(tmp_path, "big.json", loops)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "umkehr", doc, path, "--epsilon", 0.2)
+        assert rc == 1 and out == ""
+        assert err == "error: strand 1 has a coordinate of magnitude 5e+306: squared distances " \
+                      "between its points overflow\n"
+        assert caught == [] and "Traceback" not in err
+
     def test_strand_given_as_an_object_is_a_one_line_domain_error(self, capsys, tmp_path):
         # numpy's TypeError on the object used to escape as a traceback.
         doc = write_json(tmp_path, "chord.json", fx.chord_cleavage().to_json())

@@ -21,6 +21,7 @@ from cleav import umkehr as um
 from cleav.geom import OrientedHyperplane
 from oracles import (
     ClearanceWitness,
+    dense_clearance,
     object_thicken,
     one_pair_geodesic,
     one_query_clearance,
@@ -164,6 +165,53 @@ class TestMetric:
         assert g.disp[0] == pytest.approx(best, abs=1e-9)
 
 
+def remainder_cases(L: float) -> list:
+    """Values where np.mod(x, L) changes branch or rounds: the ends of [-L, 2L) and their neighbours."""
+    ulp = lambda x, to: float(np.nextafter(x, to))  # noqa: E731
+    tiny = 5e-324
+    return [0.0, -0.0, L, -L, ulp(L, 0.0), ulp(L, 3.0 * L), ulp(-L, 0.0), ulp(-L, -2.0 * L),
+            ulp(2.0 * L, 0.0), 2.0 * L, ulp(2.0 * L, 3.0 * L), tiny, -tiny, 7 * tiny, -7 * tiny,
+            2.2250738585072014e-308, -2.2250738585072014e-308, ulp(0.0, -1.0) * 3, 0.5 * L, -0.5 * L,
+            1.5 * L, -3.0 * L, 5.5 * L, 1e300, -1e300]
+
+
+class TestRemainder:
+    """umkehr._remainder and FlatMetric.wrap against np.mod (oracles.ref_wrap), bit for bit."""
+
+    @given(st.one_of(st.sampled_from([1.0, 0.7, 3.0, 2.0 ** -1074, 1e-300, 1e300]),
+                     st.floats(1e-300, 1e300)),
+           st.lists(st.floats(-1e300, 1e300), max_size=20), st.integers(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_mod(self, L, drawn, seed):
+        rng = np.random.default_rng(seed)
+        inside = rng.uniform(-L, 2.0 * L, size=20) if np.isfinite(3.0 * L) else np.zeros(0)
+        x = np.array(remainder_cases(L) + drawn + inside.tolist(), dtype=float)
+        # One array on the exact path alone, one that falls back to np.mod.
+        fast = x[(x >= -L) & (x < 2.0 * L)]
+        for values in (fast, x, x[:1], x[:0]):
+            assert um._remainder(values, L).tobytes() == np.mod(values, L).tobytes()
+        # Entry by entry too: a lone value takes its own path.
+        for value in x.tolist():
+            one = np.array([value])
+            assert um._remainder(one, L).tobytes() == np.mod(one, L).tobytes(), value
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_wrap_matches_ref_wrap(self, seed, d):
+        rng = np.random.default_rng(seed)
+        L = float(rng.choice([1.0, 0.7, float(rng.uniform(1e-3, 1e3))]))
+        metric = um.FlatMetric("torus", d, L)
+        delta = np.concatenate([
+            rng.uniform(-1.5 * L, 1.5 * L, size=(30, d)),
+            rng.uniform(-20.0 * L, 20.0 * L, size=(5, d)),  # past [-L, 2L) after the shift
+            np.array(remainder_cases(L)).reshape(-1, 1) - 0.5 * L + np.zeros((1, d)),
+        ])
+        assert metric.wrap(delta).tobytes() == ref_wrap(metric, delta).tobytes()
+        assert metric.wrap(delta[:30]).tobytes() == ref_wrap(metric, delta[:30]).tobytes()
+        empty = np.zeros((0, d))
+        assert metric.wrap(empty).shape == (0, d)
+
+
 def assert_same_row(g, r, ref, ref_r):
     """Row r of the stacked geodesic g is bit for bit row ref_r of ref."""
     assert g.length[r].tobytes() == ref.length[ref_r].tobytes()
@@ -262,6 +310,22 @@ class TestEmbedding:
         with pytest.raises(um.UmkehrError, match=re_escape(
                 f"torus period {period!r} is too large for strand 1: its edge 0 -> 1 rounds")):
             um.embedding_from_json(doc)
+
+    @pytest.mark.parametrize("scale", [1e307, 1e155])
+    def test_coordinates_whose_squares_overflow_are_named(self, scale):
+        # mirrored_pair with its first ring scaled by 1e307 used to pass,
+        # warn of overflow in the squared distances, and collapse every sample.
+        doc = fx.mirrored_pair(0.05).to_json()
+        doc["loops"][0] = [[x * scale for x in p] for p in doc["loops"][0]]
+        with pytest.raises(um.UmkehrError, match=re_escape(
+                f"strand 1 has a coordinate of magnitude {0.5 * scale!r}: squared distances")):
+            um.embedding_from_json(doc)
+
+    def test_coordinates_just_below_the_overflow_bound_are_kept(self):
+        # d * (2 * max|x|)**2 is finite: every squared distance is too.
+        big = math.sqrt(np.finfo(float).max / 2.0) / 2.0 * 0.99
+        emb = um.DiscreteEmbedding(EUCLID, (circle(big, 8), circle(big / 4, 8)))
+        assert emb.loops[0].max() == pytest.approx(big)
 
     def test_vertex_evaluation(self):
         emb = um.DiscreteEmbedding(EUCLID, (circle(0.5, 8),))
@@ -728,6 +792,22 @@ class TestClearance:
         with pytest.raises(um.UmkehrError, match="exclusion params must be real numbers"):
             um.clearance(emb, g, [0], um.UmkehrConfig(epsilon=0.2), [[1]], [["pi"]])
 
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exclusion_param_is_a_domain_error(self, param):
+        # nan used to drop the whole excluded strand, and inf warned in np.mod.
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
+        with pytest.raises(um.UmkehrError, match="exclusion params must be finite real numbers"):
+            um.clearance(emb, g, [0], um.UmkehrConfig(epsilon=0.2), [[1, 2]], [[0.0, param]])
+
+    def test_squared_length_that_underflows_is_a_domain_error(self):
+        # t divides by the squared length, which rounds to 0.0 below about 1.5e-162.
+        emb = um.DiscreteEmbedding(EUCLID, far_loops())
+        a, disp = np.zeros((2, 2)), np.array([[0.1, 0.0], [1e-170, 0.0]])
+        g = um.Geodesic(a, a + disp, np.array([0.1, 1e-170]), np.array([[1.0, 0.0]] * 2), disp)
+        with pytest.raises(um.UmkehrError, match=re_escape("row 1 has length 1e-170")):
+            um.clearance(emb, g, [0, 1], um.UmkehrConfig(epsilon=0.2), *no_exclusions(2))
+
     def test_no_rows(self):
         emb = um.DiscreteEmbedding(EUCLID, far_loops())
         g = um.geodesic(EUCLID, [[0.0, 0.0]], [[0.1, 0.0]])
@@ -1082,6 +1162,130 @@ class TestClearanceBlock:
         assert (got < 1.0).any()
         monkeypatch.setattr(um, "_CLEARANCE_ROWS", 1 << 30)
         assert um.clearance(emb, g, rows, cfg, ex_labels, ex_params).tobytes() == got.tobytes()
+
+
+class TestReachableBlocks:
+    """clearance on long strands and tables of several chunks, where its bounds skip blocks.
+
+    Every δ must equal, as float hex, the dense block's (oracles.dense_clearance)
+    and the per-query oracle's.
+    """
+
+    @given(
+        st.integers(0, 10 ** 6),
+        st.sampled_from(["euclidean", "torus"]),
+        st.sampled_from([2, 3]),
+        st.sampled_from([None, 0.0, PI, 1e308]),
+        st.sampled_from([1e-9, 1e-3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_and_per_query_oracles(self, seed, kind, d, eta, tol):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 4))
+        loops = [random_strand(rng, int(rng.integers(100, 401)), d, float(rng.uniform(0.002, 0.02)))
+                 for _ in range(k)]
+        if kind == "torus":
+            # Reduced into [0, 1): a strand crossing the period jumps, and its
+            # blocks straddle a half-period for queries on either side.
+            loops = [np.mod(loop - 0.5, 1.0) for loop in loops]
+        metric = um.FlatMetric(kind, d, 1.0 if kind == "torus" else None)
+        emb = um.DiscreteEmbedding(metric, tuple(loops))
+        vertices = sum(emb.m(label) for label in range(1, k + 1))
+        n = um._CLEARANCE_ROWS // vertices + int(rng.integers(1, 30))
+        assert n * vertices > um._CLEARANCE_ROWS
+        cfg = um.UmkehrConfig(epsilon=float(rng.uniform(0.02, 0.5)), eta=eta)
+        # Rows of five kinds.  "strand": between two strand points, each
+        # excluded, as umkehr draws them.  "free": a short free segment.
+        # "end": a vertex within tol/2 of an end point, behind it, so outside
+        # the slab 0 <= t <= 1 (δ is 0.0 unless it is excluded).  "ulps": a
+        # vertex 1.5 tol off an end point, square to the segment and shifted
+        # by a few ulps, at t = 0 or 1 give or take some ulps.  "seam": a
+        # segment across the torus period.
+        kinds = rng.choice(["strand", "free", "end", "ulps", "seam"], size=n).tolist()
+        A = rng.uniform(0.0, 1.0, size=(n, d))
+        B = A + rng.uniform(-0.1, 0.1, size=(n, d))
+        ex_labels = rng.integers(1, k + 1, size=(n, 2))
+        ex_params = rng.uniform(-7.0, 7.0, size=(n, 2))
+        for q, row in enumerate(kinds):
+            label = int(rng.integers(1, k + 1))
+            vertex = emb.loops[label - 1][int(rng.integers(0, emb.m(label)))]
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            ell = float(rng.uniform(0.01, 0.3))
+            if row == "strand":
+                ends = [(int(rng.integers(1, k + 1)), float(rng.uniform(-7.0, 7.0))) for _ in range(2)]
+                A[q], B[q] = (emb.points_at(lab, [s])[0] for lab, s in ends)
+                ex_labels[q], ex_params[q] = [lab for lab, _ in ends], [s for _, s in ends]
+            elif row in ("end", "ulps"):
+                if row == "end":
+                    end = vertex + 0.5 * tol * u
+                else:
+                    perp = rng.normal(size=d)
+                    perp -= (perp @ u) * u
+                    end = vertex + 1.5 * tol * perp / np.linalg.norm(perp)
+                    for _ in range(int(rng.integers(0, 4))):
+                        end = np.nextafter(end, end + rng.choice([-1.0, 1.0], size=d))
+                if rng.random() < 0.5:
+                    A[q], B[q] = end, end + ell * u
+                else:
+                    A[q], B[q] = end - ell * u, end
+                ex_labels[q] = label % k + 1
+            elif row == "seam":
+                A[q] = rng.uniform(-0.05, 0.05, size=d)
+                B[q] = A[q] + ell * u
+        try:
+            g = um.geodesic(metric, A, B, tol)
+        except um.NonUniqueGeodesic:
+            return
+        rows = np.flatnonzero(g.length > 0.0)
+        got = um.clearance(emb, g, rows, cfg, ex_labels[rows], ex_params[rows], tol)
+        dense = dense_clearance(emb, g, rows, cfg, ex_labels[rows], ex_params[rows], tol)
+        assert got.tobytes() == dense.tobytes()
+        for q, r in enumerate(rows.tolist()):
+            exclude = tuple(zip(ex_labels[r].tolist(), ex_params[r].tolist()))
+            ref, _ = one_query_clearance(emb, g, r, cfg, exclude, tol)
+            assert float(got[q]).hex() == float(ref).hex()
+            if kinds[r] == "end" and eta is None:
+                assert got[q] == 0.0
+
+    @pytest.mark.parametrize("kind", ["euclidean", "torus"])
+    def test_corridor_visits_few_blocks_with_the_dense_bits(self, kind):
+        # The corridor trio as umkehr queries it, in the plane and wrapped
+        # onto the unit torus as the benchmark writes it.
+        plane = fx.corridor_trio(63.2)
+        emb = plane if kind == "euclidean" else um.DiscreteEmbedding(
+            um.FlatMetric("torus", 2, 1.0), tuple(np.mod(loop, 1.0) for loop in plane.loops))
+        tb = bp_mod.thicken(bp_mod.build_blueprint(fx.corridor_cleavage()), density=24)
+        cfg = um.UmkehrConfig(epsilon=fx.CORRIDOR_EPSILON)
+        pairs = [pair for sample in tb.samples for pair in itertools.combinations(sample.preimages, 2)]
+        A, B = (np.array([emb.points_at(label, [th])[0] for label, th in ends]) for ends in zip(*pairs))
+        g = um.geodesic(emb.metric, A, B)
+        rows = np.flatnonzero((g.length > 0.0) & (g.length <= cfg.epsilon))
+        ex_labels, ex_params = exclusion_arrays([pairs[r] for r in rows.tolist()])
+        got = um.clearance(emb, g, rows, cfg, ex_labels, ex_params)
+        assert (got < 1.0).any()
+        assert got.tobytes() == dense_clearance(emb, g, rows, cfg, ex_labels, ex_params).tobytes()
+        length = g.length[rows]
+        visit = um._reachable(emb.metric, emb._blocks, g.a[rows].T, g.disp[rows].T, length, length * length,
+                              geom.TOL)
+        assert visit.mean() < 0.25
+
+    def test_padding_repeats_the_last_vertex_and_never_counts(self):
+        # 40 vertices make a second block of 8 vertices and 24 padding slots
+        # repeating vertex 39, which lies on the segment; excluding vertex 39
+        # must drop its copies too.
+        loop = circle(0.5, 40)
+        emb = um.DiscreteEmbedding(EUCLID, (loop, circle(0.1, 8, center=(5.0, 5.0))))
+        blocks = emb._blocks
+        assert blocks.pad.tolist() == list(range(40, 64)) + list(range(72, 96))
+        assert (blocks.cols[:, 8:, 1] == loop[39][:, None]).all()
+        g = um.geodesic(EUCLID, [loop[39] - [0.01, 0.0]], [loop[39] + [0.01, 0.0]])
+        cfg = um.UmkehrConfig(epsilon=0.2, eta=1e-6)
+        kept = um.clearance(emb, g, [0], cfg, [[2]], [[0.0]])
+        dropped = um.clearance(emb, g, [0], cfg, [[1]], [[emb.params(1)[39]]])
+        assert kept.tolist() == [0.0] and dropped.tolist() == [1.0]
+        for ex in ([[2]], [[0.0]]), ([[1]], [[emb.params(1)[39]]]):
+            assert um.clearance(emb, g, [0], cfg, *ex).tobytes() == dense_clearance(emb, g, [0], cfg, *ex).tobytes()
 
 
 class TestConfig:
