@@ -22,6 +22,7 @@ from .geom import (
     BoundaryHit,
     _as_stack,
     _face_interval,
+    _pairs,
     _rowdot,
     centroid,
     clip,
@@ -115,11 +116,14 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
 
     ends = np.array(rows).reshape(-1, 2, 2)
     ends.setflags(write=False)
-    a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
-    first, second = np.triu_indices(len(ends), 1)
-    _, _, pa, pb = segment_closest(a[first], d[first], a[second], d[second])
-    gap = pa - pb
-    touch = np.sqrt(_rowdot(gap, gap)) <= tol
+    first, second = _pairs(len(ends))
+    crossings, touch = np.empty((0, 2)), np.zeros(0, dtype=bool)
+    if len(first):
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+        _, _, pa, pb = segment_closest(a[first], d[first], a[second], d[second])
+        gap = pa - pb
+        touch = np.sqrt(_rowdot(gap, gap)) <= tol
+        crossings = (pa[touch] + pb[touch]) / 2.0
 
     parent = list(range(len(ends)))
 
@@ -140,10 +144,7 @@ def build_blueprint(c: Cleavage, tol: float = TOL) -> Blueprint:
             comp_ids[root] = len(comp_ids)
         components.append(comp_ids[root])
 
-    return Blueprint(
-        c, ends, tuple(components), len(comp_ids),
-        (pa[touch] + pb[touch]) / 2.0, tuple(first[touch].tolist()), tol,
-    )
+    return Blueprint(c, ends, tuple(components), len(comp_ids), crossings, tuple(first[touch].tolist()), tol)
 
 
 def blueprint_distance(bp: Blueprint, b) -> np.ndarray:

@@ -130,6 +130,15 @@ def segment_closest(P1, D1, P2, D2):
     return s, t, pa, pb
 
 
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1): the pairs (i, j), i < j, of m items in row-major order, read-only, kept per m."""
+    first, second = np.triu_indices(m, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedHyperplane:
     """Affine hyperplane {x : <normal, x> = offset} with a chosen side.
@@ -156,6 +165,16 @@ class OrientedHyperplane:
         unit.setflags(write=False)
         object.__setattr__(self, "normal", unit)
         object.__setattr__(self, "offset", float(offset) / norm)
+
+    @classmethod
+    def _of(cls, normal, offset: float) -> "OrientedHyperplane":
+        """The plane of a unit normal and offset that __init__'s normalisation already gave, stored as they are."""
+        unit = np.array(normal, dtype=float)
+        unit.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "normal", unit)
+        object.__setattr__(out, "offset", offset)
+        return out
 
     @property
     def dim(self) -> int:
@@ -266,28 +285,8 @@ class ArcSet:
         return sum(e - s for s, e in self.arcs)
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        """The arcs in both sets, merged straight into canonical form.
-
-        Each overlap (lo, hi) of an arc of self with an arc of other, the
-        latter shifted by -2*pi, 0 or 2*pi, is one piece.  Its start is
-        already in [0, 2*pi) unless lo wraps past 2*pi, and it ends at
-        start + (hi - lo): the normalisation ArcSet() gives a piece, so the
-        result equals ArcSet(pieces) without canonicalising them again.
-        """
-        raw = []
-        for s1, e1 in self.arcs:
-            for s2, e2 in other.arcs:
-                for shift in (-TWO_PI, 0.0, TWO_PI):
-                    lo, hi = s2 + shift, e2 + shift
-                    lo = lo if lo > s1 else s1
-                    hi = hi if hi < e1 else e1
-                    if hi > lo:
-                        length = hi - lo
-                        if length >= TWO_PI:
-                            return ArcSet.full()
-                        s0 = lo if 0.0 <= lo < TWO_PI else _norm_angle(lo)
-                        raw.append((s0, s0 + length))
-        return ArcSet._of(_merge_arcs(raw))
+        """The arcs in both sets, merged straight into canonical form (_intersect_arcs)."""
+        return ArcSet._of(_intersect_arcs(self.arcs, other.arcs))
 
     def complement(self) -> "ArcSet":
         if not self.arcs:
@@ -323,6 +322,31 @@ class ArcSet:
 _FULL = ((0.0, TWO_PI),)
 
 
+def _intersect_arcs(a: tuple, b: tuple) -> tuple:
+    """The canonical arcs in both canonical arc tuples a and b, merged straight into canonical form.
+
+    Each overlap (lo, hi) of an arc of a with an arc of b, the latter
+    shifted by -2*pi, 0 or 2*pi, is one piece.  Its start is already in
+    [0, 2*pi) unless lo wraps past 2*pi, and it ends at start + (hi - lo):
+    the normalisation ArcSet() gives a piece, so the result equals
+    ArcSet(pieces).arcs without canonicalising them again.
+    """
+    raw = []
+    for s1, e1 in a:
+        for s2, e2 in b:
+            for shift in (-TWO_PI, 0.0, TWO_PI):
+                lo, hi = s2 + shift, e2 + shift
+                lo = lo if lo > s1 else s1
+                hi = hi if hi < e1 else e1
+                if hi > lo:
+                    length = hi - lo
+                    if length >= TWO_PI:
+                        return _FULL
+                    s0 = lo if 0.0 <= lo < TWO_PI else _norm_angle(lo)
+                    raw.append((s0, s0 + length))
+    return _merge_arcs(raw)
+
+
 def _canonical_arcs(intervals) -> tuple:
     raw = []
     for s, e in intervals:
@@ -344,6 +368,9 @@ def _merge_arcs(raw: list) -> tuple:
     """
     if not raw:
         return ()
+    if len(raw) == 1:
+        start, end = raw[0]
+        return _FULL if end - start >= TWO_PI else (raw[0],)
     raw.sort()
     merged = []
     pieces = iter(raw)
@@ -385,28 +412,59 @@ class SphereRegion:
     points: np.ndarray | None = None
     mask: np.ndarray | None = None
 
+    @property
+    def _bare(self):
+        """The trace alone: the canonical arc tuple at dim 2, the mask at dim >= 3."""
+        return self.arcs.arcs if self.arcs is not None else self.mask
+
     def is_nonempty(self, tol: float = TOL) -> bool:
-        if self.arcs is not None:
-            return any(e - s > tol for s, e in self.arcs.arcs)
-        return bool(self.mask.any())
+        return _bare_nonempty(self._bare, tol)
 
 
-def _constraint_arcs(h: OrientedHyperplane, side: int) -> ArcSet:
-    # {theta : side * (cos(theta - phi) - offset) >= 0} with phi the normal angle.
-    phi = math.atan2(h.normal[1], h.normal[0])
-    if side == 1:
-        if h.offset >= 1.0:
-            return ArcSet.empty()
-        if h.offset <= -1.0:
-            return ArcSet.full()
-        a = math.acos(h.offset)
-        return ArcSet(((phi - a, phi + a),))
-    if h.offset <= -1.0:
-        return ArcSet.empty()
-    if h.offset >= 1.0:
-        return ArcSet.full()
-    a = math.acos(h.offset)
-    return ArcSet(((phi + a, phi - a + TWO_PI),))
+def _bare_region(body: ConvexBody, trace, points: np.ndarray | None) -> SphereRegion:
+    """The SphereRegion of body whose bare trace (SphereRegion._bare) is trace, over points at dim >= 3."""
+    if points is None:
+        return SphereRegion(body, arcs=ArcSet._of(trace))
+    return SphereRegion(body, points=points, mask=trace)
+
+
+def _bare_nonempty(trace, tol: float) -> bool:
+    """Some arc of the bare trace is longer than tol, or some point of its mask is in."""
+    if type(trace) is not tuple:
+        return bool(trace.any())
+    for s, e in trace:
+        if e - s > tol:
+            return True
+    return False
+
+
+def _cut_arcs(normal, offset: float) -> tuple:
+    """Canonical arcs of {theta : side * (cos(theta - phi) - offset) >= 0}, phi the angle of normal.
+
+    Side +1 first, then side -1.
+    """
+    if offset >= 1.0:
+        return (), _FULL
+    if offset <= -1.0:
+        return _FULL, ()
+    phi = math.atan2(normal[1], normal[0])
+    a = math.acos(offset)
+    return _canonical_arcs(((phi - a, phi + a),)), _canonical_arcs(((phi + a, phi - a + TWO_PI),))
+
+
+def _cut_bare(trace, points: np.ndarray | None, normal, offset: float) -> tuple:
+    """The bare traces on the two sides of the cut {<normal, x> = offset}: normal side first.
+
+    dim 2 (points is None): the arcs intersected with each side's
+    constraint arcs.  dim >= 3: the mask and-ed with the sign of the cut's
+    row of margins, the row ConvexBody._margins computes.  normal is any
+    sequence of floats; the cut is not checked.
+    """
+    if points is None:
+        left, right = _cut_arcs(normal, offset)
+        return _intersect_arcs(trace, left), _intersect_arcs(trace, right)
+    margins = _rowdot(np.asarray(normal), points) - offset
+    return trace & (margins >= 0.0), trace & (-margins >= 0.0)
 
 
 @functools.cache
@@ -430,16 +488,13 @@ def sphere_points(dim: int) -> np.ndarray:
 def clip_trace(region: SphereRegion, h: OrientedHyperplane, side: int) -> SphereRegion:
     """The trace of clip(region.body, h, side), from region's trace and the one new constraint.
 
-    dim 2: the arcs intersected with the new constraint's arcs.  dim >= 3:
-    the mask and-ed with the new constraint's row of margins, the row
-    ConvexBody._margins computes.  Bit for bit sphere_trace of the clipped
-    body, which is the fold of this step over its constraints.
+    One side of _cut_bare, the step operad.validate's walk takes at each
+    cut.  Bit for bit sphere_trace of the clipped body, which is the fold
+    of this step over its constraints.
     """
     body = clip(region.body, h, side)
-    if region.arcs is not None:
-        return SphereRegion(body, arcs=region.arcs.intersect(_constraint_arcs(h, side)))
-    margins = side * (_rowdot(h.normal, region.points) - h.offset)
-    return SphereRegion(body, points=region.points, mask=region.mask & (margins >= 0.0))
+    sides = _cut_bare(region._bare, region.points, h.normal, h.offset)
+    return _bare_region(body, sides[0 if side == 1 else 1], region.points)
 
 
 def sphere_trace(body: ConvexBody) -> SphereRegion:

@@ -18,7 +18,9 @@ from .geom import (
     ConvexBody,
     OrientedHyperplane,
     SphereRegion,
-    clip_trace,
+    _bare_nonempty,
+    _bare_region,
+    _cut_bare,
     finite_real,
     sphere_trace,
     unit_disk,
@@ -158,10 +160,9 @@ def validate(
     Cuts apply from the root down, the normal side of each plane going to
     the left child.  `within` restricts the root region (default: the whole
     ball); traces are still reported as absolute sphere regions.  The
-    walk takes sphere_trace of the root region once and carries it down:
-    each side of a cut is one clip_trace step from its parent's trace, so
-    a timber's trace equals sphere_trace(timber) bit for bit and is kept
-    as c.trace(label), with the timber as its body.
+    walk takes sphere_trace of the root region once and carries it down
+    (_cleave), so a timber's trace equals sphere_trace(timber) bit for bit
+    and is kept as c.trace(label), with the timber as its body.
 
     Raises OperadError when n is not a whole number >= 1, DegeneratePlane
     when a plane misses the unit sphere, NonCleaving when either side of a
@@ -173,43 +174,81 @@ def validate(
         raise OperadError(f"sphere dimension must be an integer >= 1, got {n!r}")
     if not (finite_real(tol) and tol > 0.0):
         raise OperadError(f"tol must be a positive finite number, got {tol!r}")
-    dim = n + 1
-    root_body = unit_disk(dim) if within is None else within
-    if root_body.dim != dim:
-        raise OperadError(f"root region has dim {root_body.dim}, expected {dim}")
-    leaves: list[tuple[int, SphereRegion]] = []
+    root_body = unit_disk(n + 1) if within is None else within
+    if root_body.dim != n + 1:
+        raise OperadError(f"root region has dim {root_body.dim}, expected {n + 1}")
+    root = sphere_trace(root_body)
+    return _assemble(tree, int(n), root, _cleave(_bare(tree), root, tol))
+
+
+def _bare(node: Node):
+    """The tree as _cleave walks it: (normal, offset, left, right) per cut, the Leaf itself per leaf."""
+    if isinstance(node, Leaf):
+        return node
+    return (node.plane.normal, node.plane.offset, _bare(node.left), _bare(node.right))
+
+
+def _cleave(tree, root: SphereRegion, tol: float = TOL) -> list:
+    """The admissibility walk: the bare traces of the tree's timbers, in planar order.
+
+    tree is bare: a tuple (normal, offset, left, right) per cut, normal
+    any sequence of floats, and anything else a leaf.  The walk starts
+    from root's trace and takes one _cut_bare step per cut, from the root
+    down in pre-order; it stops at the first cut that fails, with
+    OperadError when its normal has the wrong dimension, DegeneratePlane
+    when its |offset| is not < 1, and NonCleaving when its left, then its
+    right side, keeps no trace longer than tol.  validate and the sampler
+    both run it, before any plane, body or region of the tree is built.
+    """
+    dim, points = root.body.dim, root.points
+    leaves = []
+
+    def walk(node, trace, path: str) -> None:
+        if type(node) is not tuple:
+            leaves.append(trace)
+            return
+        normal, offset, left, right = node
+        if len(normal) != dim:
+            raise OperadError(f"plane at {path} has dim {len(normal)}, expected {dim}")
+        if not abs(offset) < 1.0:
+            raise DegeneratePlane(f"cut at {path} misses the sphere: |offset| = {abs(offset)!r} is not < 1")
+        left_trace, right_trace = _cut_bare(trace, points, normal, offset)
+        for half, side_name in ((left_trace, "left"), (right_trace, "right")):
+            if not _bare_nonempty(half, tol):
+                raise NonCleaving(f"cut at {path} leaves no sphere trace on the {side_name} side")
+        walk(left, left_trace, path + ".left")
+        walk(right, right_trace, path + ".right")
+
+    walk(tree, root._bare, "root")
+    return leaves
+
+
+def _assemble(tree: Node, n: int, root: SphereRegion, traces: list) -> Cleavage:
+    """The Cleavage of a tree that _cleave accepted from root, with the timber traces it returned.
+
+    Each body is built once from root.body, as clip builds it (the walk
+    checked every plane's dimension), and each timber's SphereRegion from
+    its bare trace.  Raises LabelError when the leaf labels are not a
+    permutation of 1..k.
+    """
+    k = len(traces)
+    labels = leaf_labels(tree)
+    if sorted(labels) != list(range(1, k + 1)):
+        raise LabelError(f"leaf labels {sorted(labels)} are not a permutation of 1..{k}")
+    bare = iter(traces)
+    regions = {}
     cuts: list[NodeCut] = []
 
-    def walk(node: Node, trace: SphereRegion, path: str) -> None:
+    def build(node: Node, body: ConvexBody, path: str) -> None:
         if isinstance(node, Leaf):
-            leaves.append((node.label, trace))
+            regions[node.label] = _bare_region(body, next(bare), root.points)
             return
-        plane = node.plane
-        if plane.dim != dim:
-            raise OperadError(f"plane at {path} has dim {plane.dim}, expected {dim}")
-        if not abs(plane.offset) < 1.0:
-            raise DegeneratePlane(
-                f"cut at {path} misses the sphere: |offset| = {abs(plane.offset)!r} is not < 1"
-            )
-        cuts.append(NodeCut(path, plane, trace.body))
-        halves = []
-        for side, side_name in ((1, "left"), (-1, "right")):
-            halves.append(clip_trace(trace, plane, side))
-            if not halves[-1].is_nonempty(tol):
-                raise NonCleaving(
-                    f"cut at {path} leaves no sphere trace on the {side_name} side"
-                )
-        walk(node.left, halves[0], path + ".left")
-        walk(node.right, halves[1], path + ".right")
+        cuts.append(NodeCut(path, node.plane, body))
+        build(node.left, ConvexBody(body.constraints + ((node.plane, 1),), body.dim), path + ".left")
+        build(node.right, ConvexBody(body.constraints + ((node.plane, -1),), body.dim), path + ".right")
 
-    walk(tree, sphere_trace(root_body), "root")
-    k = len(leaves)
-    labels = sorted(lab for lab, _ in leaves)
-    if labels != list(range(1, k + 1)):
-        raise LabelError(f"leaf labels {labels} are not a permutation of 1..{k}")
-    by_label = dict(leaves)
-    traces = tuple(by_label[i] for i in range(1, k + 1))
-    return Cleavage(int(n), tree, k, traces, tuple(cuts), root_body)
+    build(tree, root.body, "root")
+    return Cleavage(n, tree, k, tuple(regions[i] for i in range(1, k + 1)), tuple(cuts), root.body)
 
 
 def cleavage_from_json(doc: object, tol: float = TOL) -> Cleavage:

@@ -1,9 +1,11 @@
 """Seeded random cut trees: uniform shapes, Gaussian normals, flat offsets.
 
-Admissibility is enforced by rejection: a fresh shape and decoration are
-drawn until validation accepts them or the budget runs out. All draws go
-through one numpy Generator, so a given seed always produces the same
-tree, and reruns are byte-identical.
+Admissibility is enforced by rejection.  Each candidate draws all of its
+numbers as plain floats (shape, labels, then a normal and an offset per
+cut in pre-order) and goes through validate's own walk, which stops at
+its first failing cut; planes, bodies and regions are built only for the
+tree that is kept.  All draws go through one numpy Generator, so a given
+seed always produces the same tree, and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import os
 
 import numpy as np
 
-from .geom import GeometryError, OrientedHyperplane, _rowdot, whole_number
-from .operad import Cleavage, Internal, Leaf, Node, OperadError, validate
+from .geom import ArcSet, OrientedHyperplane, finite_real, sphere_trace, unit_disk, whole_number
+from .operad import Cleavage, Internal, Leaf, Node, OperadError, _assemble, _cleave
 
 ENV_SEED = "CLEAVE_SEED"
 MAX_TRIES = 10_000
@@ -43,8 +45,11 @@ def resolve_seed(seed: int | None = None) -> int:
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
+    """seed_or_rng itself when it is a Generator, else a fresh one seeded by a whole number >= 0."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
+    if not (whole_number(seed_or_rng) and seed_or_rng >= 0):
+        raise SamplingError(f"seed must be a numpy Generator or an integer >= 0, got {seed_or_rng!r}")
     return np.random.default_rng(seed_or_rng)
 
 
@@ -79,59 +84,81 @@ def _random_shape(rng: np.random.Generator, k: int) -> _ShapeNode:
     return root
 
 
-def random_plane(rng: np.random.Generator, dim: int) -> OrientedHyperplane:
-    """Uniform unit normal (Gaussian direction) with a flat offset in (-1, 1)."""
-    while True:
-        v = rng.standard_normal(dim)
-        nrm = math.sqrt(_rowdot(v, v))
-        if nrm > 1e-12:
-            break
-    return OrientedHyperplane(v / nrm, float(rng.uniform(-1.0, 1.0)))
+def _norm(v: list) -> float:
+    """|v|, each square summed left to right as _rowdot sums it."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
 
 
-def random_tree(seed_or_rng, k: int, n: int = 1) -> Node:
-    """One decorated candidate tree; may or may not validate.
+def _draw_tree(rng: np.random.Generator, k: int, n: int):
+    """One candidate tree for _cleave, bare: its numbers drawn as plain floats.
 
-    Raises SamplingError, before any draw, unless k and n are whole
-    numbers >= 1.
+    The draws are the shape, the labels, then per cut in pre-order a
+    Gaussian normal (redrawn while its norm is <= 1e-12) and a flat offset
+    in (-1, 1).  The normal is normalised, then normal and offset are
+    normalised again as OrientedHyperplane() normalises them, so
+    OrientedHyperplane._of stores the bits the constructor would.
+    """
+    shape = _random_shape(rng, k)
+    labels = iter(rng.permutation(k).tolist())
+
+    def draw(node: _ShapeNode):
+        if node.left is None:
+            return next(labels) + 1
+        while True:
+            v = rng.standard_normal(n + 1).tolist()
+            norm = _norm(v)
+            if norm > 1e-12:
+                break
+        u = [x / norm for x in v]
+        norm = _norm(u)
+        # rng.uniform(-1.0, 1.0), bit for bit: -1 + 2 * random(), and 2 * random() is exact.
+        offset = -1.0 + 2.0 * rng.random()
+        return ([x / norm for x in u], offset / norm, draw(node.left), draw(node.right))
+
+    return draw(shape)
+
+
+def _tree(bare) -> Node:
+    """The Node tree of a bare tree that _draw_tree drew."""
+    if type(bare) is not tuple:
+        return Leaf(bare)
+    normal, offset, left, right = bare
+    return Internal(OrientedHyperplane._of(normal, offset), _tree(left), _tree(right))
+
+
+def _first_admissible(seed_or_rng, k: int, n: int, accept, failure) -> Cleavage:
+    """The first candidate tree that cleaves and whose timber traces pass accept, by rejection.
+
+    Every candidate is drawn by _draw_tree and walked by operad._cleave;
+    accept takes the bare timber traces in planar order.  MAX_TRIES is
+    read on each call; once that many candidates are rejected,
+    SamplingError is raised with the message failure(MAX_TRIES).  Before
+    any draw, SamplingError is raised unless k and n are whole numbers
+    >= 1 and seed_or_rng is a Generator or a whole number >= 0.
     """
     for name, value in (("arity", k), ("sphere dimension", n)):
         if not (whole_number(value) and value >= 1):
             raise SamplingError(f"{name} must be an integer >= 1, got {value!r}")
     rng = _as_rng(seed_or_rng)
-    shape = _random_shape(rng, k)
-    labels = iter(int(x) + 1 for x in rng.permutation(k))
-
-    def build(node: _ShapeNode) -> Node:
-        if node.left is None:
-            return Leaf(next(labels))
-        plane = random_plane(rng, n + 1)
-        return Internal(plane, build(node.left), build(node.right))
-
-    return build(shape)
-
-
-def _first_admissible(rng: np.random.Generator, k: int, n: int, accept, failure) -> Cleavage:
-    """The first candidate tree that validates and passes accept, by rejection.
-
-    Every candidate is drawn by random_tree from rng.  MAX_TRIES is read
-    on each call; once that many candidates are rejected, SamplingError
-    is raised with the message failure(MAX_TRIES).
-    """
+    root = sphere_trace(unit_disk(n + 1))
     for _ in range(MAX_TRIES):
+        bare = _draw_tree(rng, k, n)
         try:
-            c = validate(random_tree(rng, k, n), n)
-        except (OperadError, GeometryError):
+            traces = _cleave(bare, root)
+        except OperadError:
             continue
-        if accept(c):
-            return c
+        if accept(traces):
+            return _assemble(_tree(bare), int(n), root, traces)
     raise SamplingError(failure(MAX_TRIES))
 
 
 def random_cleavage(seed_or_rng, k: int, n: int = 1) -> Cleavage:
     """Validated random operation of the given arity, from at most MAX_TRIES candidates."""
     return _first_admissible(
-        _as_rng(seed_or_rng), k, n, lambda c: True,
+        seed_or_rng, k, n, lambda traces: True,
         lambda tries: f"no admissible decoration for k={k}, n={n} after {tries} rejections")
 
 
@@ -140,9 +167,12 @@ def fat_cleavage(seed_or_rng, k: int, min_arc: float = 0.15) -> Cleavage:
 
     Thin slivers make sampled-angle tests flaky; this filter rejects
     them.  One budget of MAX_TRIES candidate trees covers both checks:
-    each draw is validated as in random_cleavage, and the first tree that
-    is admissible and fat is returned.
+    each draw is cleaved as in random_cleavage, and the first tree that
+    is admissible and fat is returned.  min_arc must be a finite real
+    number, checked before any draw.
     """
+    if not finite_real(min_arc):
+        raise SamplingError(f"min_arc must be a finite number, got {min_arc!r}")
     return _first_admissible(
-        _as_rng(seed_or_rng), k, 1, lambda c: all(tr.arcs.measure() >= min_arc for tr in c.traces),
+        seed_or_rng, k, 1, lambda traces: all(ArcSet._of(arcs).measure() >= min_arc for arcs in traces),
         lambda tries: f"no fat decoration for k={k}, min_arc={min_arc} after {tries} draws")

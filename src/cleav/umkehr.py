@@ -33,7 +33,7 @@ from .blueprint import (
     _require_circle,
     arc_landings,
 )
-from .geom import TOL, TWO_PI, _rowdot, finite_real, whole_number
+from .geom import TOL, TWO_PI, _pairs, _rowdot, finite_real, whole_number
 
 INF = math.inf
 ETA_STEPS = 2.0  # default exclusion radius, in vertex steps of the excluded point's strand
@@ -689,7 +689,7 @@ class ThomValue:
 def _pair_ends(mask: np.ndarray) -> np.ndarray:
     """Rows (sample, flat index of each end), one per pair of one sample's preimages in mask."""
     flat = np.cumsum(mask).reshape(mask.shape) - 1
-    first, second = np.triu_indices(mask.shape[1], 1)
+    first, second = _pairs(mask.shape[1])
     sample_of, pair = (mask[:, first] & mask[:, second]).nonzero()
     return np.stack([sample_of, flat[sample_of, first[pair]], flat[sample_of, second[pair]]], axis=1)
 

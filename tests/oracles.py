@@ -10,7 +10,10 @@ replaced; one_query_clearance and dense_clearance keep that code's
 geom._rowdot dots (and np.mod's torus wrap, ref_wrap), object_thicken and pair_ends keep the per-sample object loops that the
 preimage table of blueprint.ThickenedBlueprint replaced, and
 reference_faces keeps the timber face rule that blueprint.export_obj
-writes out.
+writes out.  random_plane, random_tree and eager_cleavage keep the eager
+sampler that sampling's float draws and early-stopping walk replaced:
+every plane built through OrientedHyperplane() and every candidate
+validated whole.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cleav import blueprint as bp_mod
-from cleav import geom, operad
+from cleav import geom, operad, sampling
 from cleav import umkehr as um
 
 
@@ -342,3 +345,49 @@ def perm_sign(sigma: operad.Permutation) -> int:
     im = sigma.images
     inversions = sum(im[i] > im[j] for i in range(len(im)) for j in range(i + 1, len(im)))
     return -1 if inversions % 2 else 1
+
+
+def random_plane(rng: np.random.Generator, dim: int) -> geom.OrientedHyperplane:
+    """Uniform unit normal (Gaussian direction) with a flat offset in (-1, 1)."""
+    while True:
+        v = rng.standard_normal(dim)
+        nrm = math.sqrt(ref_dot(v, v))
+        if nrm > 1e-12:
+            break
+    return geom.OrientedHyperplane(v / nrm, float(rng.uniform(-1.0, 1.0)))
+
+
+def random_tree(rng: np.random.Generator, k: int, n: int = 1) -> operad.Node:
+    """One decorated candidate tree; may or may not validate.
+
+    Raises SamplingError, before any draw, unless k and n are whole
+    numbers >= 1.
+    """
+    for name, value in (("arity", k), ("sphere dimension", n)):
+        if not (geom.whole_number(value) and value >= 1):
+            raise sampling.SamplingError(f"{name} must be an integer >= 1, got {value!r}")
+    shape = sampling._random_shape(rng, k)
+    labels = iter(int(x) + 1 for x in rng.permutation(k))
+
+    def build(node) -> operad.Node:
+        if node.left is None:
+            return operad.Leaf(next(labels))
+        plane = random_plane(rng, n + 1)
+        return operad.Internal(plane, build(node.left), build(node.right))
+
+    return build(shape)
+
+
+def eager_cleavage(rng: np.random.Generator, k: int, n: int = 1, accept=lambda c: True):
+    """(cleavage, candidates drawn): the first random_tree that validates and passes accept.
+
+    The cleavage is None once sampling.MAX_TRIES candidates are rejected.
+    """
+    for drawn in range(1, sampling.MAX_TRIES + 1):
+        try:
+            c = operad.validate(random_tree(rng, k, n), n)
+        except operad.OperadError:
+            continue
+        if accept(c):
+            return c, drawn
+    return None, sampling.MAX_TRIES

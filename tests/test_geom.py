@@ -283,7 +283,7 @@ class TestArcMergeOracle:
         body = body_from_seed(seed, max_planes=5)
         got = ref = geom.ArcSet.full()
         for h, side in body.constraints:
-            arcs = geom._constraint_arcs(h, side)
+            arcs = geom.ArcSet._of(geom._cut_arcs(h.normal, h.offset)[0 if side == 1 else 1])
             got, ref = got.intersect(arcs), canonicalising_intersect(ref, arcs)
             assert arc_bits(got) == arc_bits(ref)
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cleav import fixtures, geom, operad, sampling
-from oracles import chop_equal, perm_after, perm_inverse, perm_sign, sym_diff_measure
+from cleav import fixtures, geom, operad
+from oracles import chop_equal, perm_after, perm_inverse, perm_sign, random_plane, random_tree, sym_diff_measure
 
 PI = math.pi
 
@@ -546,9 +546,9 @@ class TestCarriedTraces:
         rng = np.random.default_rng(seed)
         within = None
         if restricted:
-            within = geom.clip(geom.unit_disk(n + 1), sampling.random_plane(rng, n + 1), 1)
+            within = geom.clip(geom.unit_disk(n + 1), random_plane(rng, n + 1), 1)
         for _ in range(10):
-            tree = sampling.random_tree(rng, int(rng.integers(1, 6)), n)
+            tree = random_tree(rng, int(rng.integers(1, 6)), n)
             expected = fresh_trace_walk(tree, n, within)
             if expected is not None:
                 with pytest.raises(operad.NonCleaving, match=re.escape(expected)):
